@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -101,6 +102,10 @@ def load_config(path: str | Path) -> RunConfig:
             "columns": [[(float(c["t"]), float(c["w"])) for c in col] for col in spec["columns"]],
             "R": [[float(x) for x in row] for row in spec["R"]],
         }
+    if not isinstance(raw["rho"], list) or not all(
+        isinstance(r, (int, float)) and not isinstance(r, bool) and math.isfinite(r) for r in raw["rho"]
+    ):
+        raise ConfigError("config.rho: expected a list of finite numbers")
     rho = tuple(float(r) for r in raw["rho"])
     seed = int(raw.get("seed", 0))
     return RunConfig(model, field_spec, rho, seed)
@@ -133,13 +138,13 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out: Path, command: str, args, started: float) -> None:
+def _write_manifest(out: Path, command: str, args, started: float, seed: int | None) -> None:
     _write_json(
         out / "manifest.json",
         {
             "command": command,
             "config": str(args.config) if getattr(args, "config", None) else None,
-            "seed": getattr(args, "seed", None),
+            "seed": seed,
             "out_dir": str(out),
             "artifact_version": __version__,
             "wall_clock_seconds": round(time.time() - started, 6),
@@ -182,7 +187,7 @@ def cmd_sample(args) -> int:
             for c in comps
         ],
     )
-    _write_manifest(out, "sample", args, started)
+    _write_manifest(out, "sample", args, started, cfg.seed)
     print(f"sample: {len(graph.edges)} edges, {len(comps)} components -> {out}")
     return 0
 
@@ -201,7 +206,7 @@ def cmd_explore(args) -> int:
         _write_json(out / "field.json", fld.columns_json_obj())
         trace = field_exploration(fld, cfg.rho)
     _write_json(out / "trace.json", trace.to_json_obj())
-    _write_manifest(out, "explore", args, started)
+    _write_manifest(out, "explore", args, started, cfg.seed)
     print(f"explore[{args.mode}]: {len(trace.steps)} steps, {trace.zeta_final} components -> {out}")
     return 0
 
@@ -222,7 +227,7 @@ def cmd_encode(args) -> int:
     obj = process.to_json_obj()
     obj["solver_check"] = {"pass": ok, "jumps": checks}
     _write_json(out / "encoding.json", obj)
-    _write_manifest(out, "encode", args, started)
+    _write_manifest(out, "encode", args, started, cfg.seed)
     print(f"encode: {len(process.levels)} jumps, solver check {'pass' if ok else 'FAIL'} -> {out}")
     return 0 if ok else 1
 
@@ -234,8 +239,10 @@ def cmd_curve(args) -> int:
     fld = cfg.realize_field()
     bundle = build_curve(fld, cfg.rho)
     processes = composed_processes(fld, bundle)
-    report = verify_encoding(fld, bundle)
-    identity_gap = _curve_identity_gap(fld, bundle)
+    encoded = encode_components(fld, bundle, processes)
+    process = hitting_process(fld, bundle.rho)
+    report = verify_encoding(fld, bundle, process, encoded)
+    identity_gap = _curve_identity_gap(bundle, process)
     report["checks"].append(
         {"name": "curve passes through hitting times", "pass": identity_gap <= 1e-9, "gap": identity_gap}
     )
@@ -253,10 +260,10 @@ def cmd_curve(args) -> int:
             )
     _write_json(
         out / "excursions.json",
-        [e.to_json_obj() for e in encode_components(fld, bundle)],
+        [e.to_json_obj() for e in encoded],
     )
     _write_json(out / "pathwise_report.json", report)
-    _write_manifest(out, "curve", args, started)
+    _write_manifest(out, "curve", args, started, cfg.seed)
     print(f"curve: pathwise report {'pass' if report['pass'] else 'FAIL'} -> {out}")
     return 0 if report["pass"] else 1
 
@@ -265,8 +272,7 @@ def _curve_grid(bundle, processes) -> list[float]:
     return probe_times(*bundle.curve, *processes)
 
 
-def _curve_identity_gap(fld, bundle) -> float:
-    process = hitting_process(fld, bundle.rho)
+def _curve_identity_gap(bundle, process) -> float:
     ys = {0.0}
     for level in process.levels:
         ys.update((level, level + 1e-6, max(level - 1e-6, 0.0)))
@@ -299,7 +305,7 @@ def cmd_validate(args) -> int:
     if experiments is not None:
         payload["experiments"] = experiments
     _write_json(out / f"validate_{args.suite}.json", payload)
-    _write_manifest(out, "validate", args, started)
+    _write_manifest(out, "validate", args, started, args.seed)
     print(f"validate[{args.suite}]: {'pass' if ok else 'FAIL'} -> {out}")
     return 0 if ok else 1
 
@@ -342,10 +348,11 @@ def _validate_pathwise(args) -> list[dict]:
         rho = random_probe_direction(rng, model)
         fld = build_field(model, sample_clocks(model, rng))
         bundle = build_curve(fld, rho)
-        report = verify_encoding(fld, bundle)
+        process = hitting_process(fld, bundle.rho)
+        report = verify_encoding(fld, bundle, process)
         if not report["pass"]:
             return [{"name": "pathwise encoding equivalence", "pass": False, "instance": count}]
-        worst = max(worst, _curve_identity_gap(fld, bundle))
+        worst = max(worst, _curve_identity_gap(bundle, process))
         count += 1
     return [
         {"name": f"pathwise encoding equivalence ({count} instances)", "pass": True},

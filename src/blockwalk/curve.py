@@ -253,15 +253,19 @@ class EncodedComponent:
 EXCURSION_LEVEL_TOL = 1e-9
 
 
-def encode_components(fld: Field, bundle: CurveBundle) -> list[EncodedComponent]:
+def encode_components(
+    fld: Field, bundle: CurveBundle, processes: Sequence[PiecewisePath] | None = None
+) -> list[EncodedComponent]:
     """Excursions of the composed processes with their curve increments.
 
     All rows share the same excursion intervals; the curve increment over
     each excursion reproduces the corresponding jump of the hitting
     process.  The intervals are cross-checked across rows before the first
-    row's version is returned.
+    row's version is returned.  ``processes`` are the rows'
+    :func:`composed_processes` when the caller already has them.
     """
-    processes = composed_processes(fld, bundle)
+    if processes is None:
+        processes = composed_processes(fld, bundle)
     base = excursions(processes[0], level_tol=EXCURSION_LEVEL_TOL)
     for i in range(1, fld.m):
         other = excursions(processes[i], level_tol=EXCURSION_LEVEL_TOL)
@@ -278,11 +282,18 @@ def encode_components(fld: Field, bundle: CurveBundle) -> list[EncodedComponent]
     return out
 
 
-def verify_encoding(fld: Field, bundle: CurveBundle, process: HittingProcess | None = None) -> dict:
+def verify_encoding(
+    fld: Field,
+    bundle: CurveBundle,
+    process: HittingProcess | None = None,
+    encoded: Sequence[EncodedComponent] | None = None,
+) -> dict:
     """Pathwise check that curve increments over excursions match the
-    hitting-process jumps, and that excursion lengths match their one-norms."""
+    hitting-process jumps, and that excursion lengths match their one-norms.
+    ``process`` and ``encoded`` are the field's :func:`hitting_process` and
+    the bundle's :func:`encode_components` when the caller already has them."""
     process = hitting_process(fld, bundle.rho) if process is None else process
-    encoded = encode_components(fld, bundle)
+    encoded = encode_components(fld, bundle) if encoded is None else encoded
     checks = []
     ok = len(encoded) == len(process.deltas)
     checks.append({"name": "excursion count equals jump count", "pass": ok})

@@ -39,6 +39,8 @@ class BlockModel:
         if len(self.Q) != m or any(len(row) != m for row in self.Q):
             raise ValueError(f"kernel must be {m}x{m} to match {m} weight vectors")
         for i in range(m):
+            if not all(math.isfinite(x) for x in self.Q[i]):
+                raise ValueError(f"kernel entries must be finite (row {i})")
             if not self.Q[i][i] > 0:
                 raise ValueError(f"kernel diagonal must be positive (Q[{i}][{i}]={self.Q[i][i]})")
             for j in range(m):
@@ -48,8 +50,8 @@ class BlockModel:
                     raise ValueError(f"kernel must be symmetric (entries {i},{j})")
         fixed = []
         for i, w in enumerate(self.weights):
-            if any(x <= 0 for x in w):
-                raise ValueError(f"weights of type {i} must be positive")
+            if not all(0 < x < math.inf for x in w):
+                raise ValueError(f"weights of type {i} must be positive and finite")
             if list(w) != sorted(w, reverse=True):
                 warnings.warn(f"weights of type {i} were not nonincreasing; sorting", stacklevel=3)
                 fixed.append(tuple(sorted(w, reverse=True)))

@@ -454,11 +454,16 @@ def first_time_at_or_below(path: PiecewisePath, level: float) -> float:
     +inf when the level is never reached."""
     if path.eval(0.0) <= level:
         return 0.0
-    for t0, v0, t1, v1 in path.finite_segments():
-        if v1 <= level:
-            if v0 == v1:
-                return t0
-            return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
+    # left limits do not increase along a nonincreasing path, so the first
+    # segment ending at or below the level is found by bisection
+    bps = path.breakpoints
+    k = bisect_left(bps, -level, key=lambda b: -b.left)
+    if k < len(bps):
+        t0, v0 = (bps[k - 1].t, bps[k - 1].right) if k else (0.0, path.initial)
+        t1, v1 = bps[k].t, bps[k].left
+        if v0 == v1:
+            return t0
+        return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
     t_last, v_last = path.last_anchor
     if path.terminal_rise < 0:
         return t_last + (level - v_last) * path.terminal_run / path.terminal_rise
@@ -612,7 +617,7 @@ def smooth_compose(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
             raise IncompatiblePairError(report)
     taken = sorted(s for s, _ in nodes)
     for b in kappa.breakpoints:
-        if any(abs(b.t - t) <= MERGE_EPS for t in taken):
+        if _near_taken(taken, b.t):
             continue
         nodes.append((b.t, g.eval(b.right)))
     nodes.sort(key=lambda nv: nv[0])
@@ -621,6 +626,17 @@ def smooth_compose(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
         nodes,
         g.terminal_rise * kappa.terminal_rise,
         g.terminal_run * kappa.terminal_run,
+    )
+
+
+def _near_taken(taken: list[float], s: float) -> bool:
+    """Whether an entry of the sorted list ``taken`` lies within MERGE_EPS
+    of ``s``.  Float subtraction is monotone, so ``abs(s - t)`` only grows
+    away from ``s`` on either side and the two neighbours of its insertion
+    point decide."""
+    k = bisect_left(taken, s)
+    return (k > 0 and abs(s - taken[k - 1]) <= MERGE_EPS) or (
+        k < len(taken) and abs(s - taken[k]) <= MERGE_EPS
     )
 
 
@@ -648,7 +664,7 @@ def compose(outer: PiecewisePath, inner: PiecewisePath) -> PiecewisePath:
             anchors.append((s_lo, b.left, b.right))
     taken = sorted(s for s, _, _ in anchors)
     for s in inner._times:
-        if any(abs(s - t) <= MERGE_EPS for t in taken):
+        if _near_taken(taken, s):
             continue  # a pullback anchor already sits here; it wins
         v = outer.eval(inner.eval(s))
         anchors.append((s, v, v))
@@ -699,9 +715,15 @@ def excursions(path: PiecewisePath, level_tol: float = 0.0) -> list[tuple[float,
     else:
         flats.append((flat_start, None))
 
+    # one cursor walks the moves of d across the chronological plateaus:
+    # a move that ends before one plateau's start ends before every later one's
+    moves = _moves(d)
+    k = 0
     out: list[tuple[float, float, float]] = []
     for a, b in flats:
-        l = _first_rise(d, a, b)
+        while _ends_before(moves[k], a):
+            k += 1
+        l = _first_rise(d, moves, k, a, b)
         if l is None:
             continue
         if b is None:
@@ -712,14 +734,29 @@ def excursions(path: PiecewisePath, level_tol: float = 0.0) -> list[tuple[float,
     return out
 
 
-def _first_rise(d: PiecewisePath, a: float, b: float | None) -> float | None:
-    """First time in [a, b] at which the nonnegative path d leaves 0."""
+def _ends_before(mv: tuple, a: float) -> bool:
+    """Whether move ``mv`` of :func:`_moves` lies wholly before time ``a``
+    (segments ending at ``a`` included, a jump at ``a`` excluded)."""
+    if mv[0] == "seg":
+        return mv[3] <= a
+    if mv[0] == "jump":
+        return mv[1] < a
+    return False
+
+
+def _first_rise(d: PiecewisePath, moves: list[tuple], k: int, a: float, b: float | None) -> float | None:
+    """First time in [a, b] at which the nonnegative path d leaves 0.
+
+    ``moves`` is ``_moves(d)`` and ``k`` the index of its first move that
+    does not end before ``a``; the scan stops at the first move starting at
+    or after ``b``, since every later one starts later still."""
     hi = math.inf if b is None else b
-    for mv in _moves(d):
+    for i in range(k, len(moves)):
+        mv = moves[i]
+        if mv[1] >= hi:
+            return None
         if mv[0] == "seg":
             _, x0, y0, x1, y1 = mv
-            if x1 <= a or x0 >= hi:
-                continue
             lo = max(x0, a)
             if d.eval(lo) > 0:
                 return lo
@@ -727,16 +764,12 @@ def _first_rise(d: PiecewisePath, a: float, b: float | None) -> float | None:
                 return x0
         elif mv[0] == "jump":
             _, x, y0, y1 = mv
-            if a <= x < hi and y1 > 0 and y0 <= 0:
+            if y1 > 0 and y0 <= 0:
                 return x
         else:
             _, x0, y0, rise, run = mv
-            if x0 >= hi:
-                continue
             lo = max(x0, a)
-            if d.eval(lo) > 0:
-                return lo
-            if rise > 0:
+            if d.eval(lo) > 0 or rise > 0:
                 return lo
     return None
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import blockwalk
+from blockwalk import cli, curve
 from blockwalk.cli import ConfigError, load_config, main
 
 WORKED = {
@@ -81,6 +86,44 @@ class TestConfig:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rho",
+        [1.0, "1.0", [1.0, "1.0"], [1.0, True], [1.0, float("nan")], {"0": 1.0}],
+        ids=["scalar", "string", "string-entry", "bool-entry", "nan-entry", "object"],
+    )
+    def test_rho_must_be_a_list_of_numbers(self, tmp_path, capsys, rho):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(MODEL, rho=rho)))
+        with pytest.raises(ConfigError, match="config.rho"):
+            load_config(path)
+        assert main(["encode", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("error:") == 1
+
+    @pytest.mark.parametrize("where", ["weights", "Q"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_model_entries_exit_with_two(self, tmp_path, where, bad):
+        # json writes NaN and Infinity literals, which Python's reader accepts;
+        # before they were rejected, a NaN weight hung encode in sample_clocks
+        spec = json.loads(json.dumps(MODEL))
+        if where == "weights":
+            spec["model"]["weights"][0][0] = float(bad)
+        else:
+            spec["model"]["Q"][0][1] = spec["model"]["Q"][1][0] = float(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        src = Path(blockwalk.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockwalk.cli", "encode", "--config", str(path), "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestEncode:
     def test_worked_instance_single_jump(self, worked_config, tmp_path, capsys):
@@ -95,6 +138,13 @@ class TestEncode:
         assert main(["encode", "--config", str(model_config), "--out", str(out_a)]) == 0
         assert main(["encode", "--config", str(model_config), "--out", str(out_b)]) == 0
         assert (out_a / "encoding.json").read_bytes() == (out_b / "encoding.json").read_bytes()
+
+    def test_manifest_records_config_seed(self, model_config, tmp_path):
+        out = tmp_path / "enc"
+        assert main(["encode", "--config", str(model_config), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == MODEL["seed"]
+        assert main(["encode", "--config", str(model_config), "--seed", "8", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 8
 
     def test_seed_override_changes_output(self, model_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -116,6 +166,23 @@ class TestCurveCommand:
         header = (out / "curve.csv").read_text().splitlines()[0]
         assert header == "s,curve_0,curve_1,process_0"
         assert (out / "manifest.json").exists()
+
+    def test_each_stage_runs_once(self, model_config, tmp_path, monkeypatch):
+        calls = dict.fromkeys(("composed_processes", "encode_components", "hitting_process"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            for module in (cli, curve):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert main(["curve", "--config", str(model_config), "--out", str(tmp_path / "c")]) == 0
+        assert calls == {"composed_processes": 1, "encode_components": 1, "hitting_process": 1}
 
     def test_rerun_byte_identical(self, worked_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

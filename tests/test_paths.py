@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockwalk.curve import EXCURSION_LEVEL_TOL, build_curve, composed_processes
+from blockwalk.field import build_field, sample_clocks
 from blockwalk.instances import random_monotone_path, staircase_counterexample
+from blockwalk.model import BlockModel
 from blockwalk.paths import (
+    MERGE_EPS,
     Breakpoint,
     IncompatiblePairError,
     PathClassError,
     PathDomainError,
     PiecewisePath,
     _build,
+    _moves,
     add,
     check_compatible,
     classify,
@@ -403,3 +408,266 @@ def test_inverse_sandwich_property(seed, u):
     hi = generalized_inverse(h)
     assert hi.eval(h.eval_left(u)) >= u - 1e-9
     assert hi.eval_left(h.eval(u)) <= u + 1e-9
+
+
+# -- bisection and single-pass walks against the linear scans they replaced -----
+
+
+def _compose_scan(outer, inner):
+    """compose with the linear scan over the pull-back anchors."""
+    iinv = generalized_inverse(inner)
+    anchors = []
+    for b in outer.breakpoints:
+        s_lo, s_hi = iinv.eval_left(b.t), iinv.eval(b.t)
+        anchors.append((s_lo, b.left, b.right))
+        if s_hi > s_lo:
+            anchors.append((s_hi, b.right, b.right))
+    taken = sorted(s for s, _, _ in anchors)
+    for s in inner._times:
+        if any(abs(s - t) <= MERGE_EPS for t in taken):
+            continue
+        v = outer.eval(inner.eval(s))
+        anchors.append((s, v, v))
+    return _build(
+        outer.eval(inner.eval(0.0)),
+        anchors,
+        outer.terminal_rise * inner.terminal_rise,
+        outer.terminal_run * inner.terminal_run,
+    )
+
+
+def _smooth_compose_scan(g, kappa):
+    """smooth_compose with the linear scan over the pull-back nodes."""
+    kinv = generalized_inverse(kappa)
+    nodes = []
+    for b in g.breakpoints:
+        s_lo, s_hi = kinv.eval_left(b.t), kinv.eval(b.t)
+        nodes.append((s_lo, b.left))
+        if s_hi > s_lo:
+            nodes.append((s_hi, b.right))
+    taken = sorted(s for s, _ in nodes)
+    for b in kappa.breakpoints:
+        if any(abs(b.t - t) <= MERGE_EPS for t in taken):
+            continue
+        nodes.append((b.t, g.eval(b.right)))
+    nodes.sort(key=lambda nv: nv[0])
+    nodes.insert(0, (0.0, g.eval(kappa.eval(0.0))))
+    return polyline(nodes, g.terminal_rise * kappa.terminal_rise, g.terminal_run * kappa.terminal_run)
+
+
+def _first_rise_scan(d, a, b):
+    """First time in [a, b] at which d leaves 0, rescanning all moves."""
+    hi = math.inf if b is None else b
+    for mv in _moves(d):
+        if mv[0] == "seg":
+            _, x0, y0, x1, y1 = mv
+            if x1 <= a or x0 >= hi:
+                continue
+            lo = max(x0, a)
+            if d.eval(lo) > 0:
+                return lo
+            if y1 > 0 and y0 <= 0 and x0 >= a:
+                return x0
+        elif mv[0] == "jump":
+            _, x, y0, y1 = mv
+            if a <= x < hi and y1 > 0 and y0 <= 0:
+                return x
+        else:
+            _, x0, y0, rise, run = mv
+            if x0 >= hi:
+                continue
+            lo = max(x0, a)
+            if d.eval(lo) > 0 or rise > 0:
+                return lo
+    return None
+
+
+def _excursions_scan(path, level_tol=0.0):
+    """excursions with one full rescan of the moves per infimum plateau."""
+    m = past_infimum(path)
+    d = add(path, scale(m, -1.0))
+    flats = []
+    flat_start, flat_level = 0.0, m.eval(0.0)
+    for t0, v0, t1, v1 in m.finite_segments():
+        if v1 >= flat_level - level_tol:
+            continue
+        if t0 > flat_start:
+            flats.append((flat_start, t0))
+        flat_start, flat_level = t1, v1
+    t_last, _ = m.last_anchor
+    if m.terminal_rise < 0:
+        if t_last > flat_start:
+            flats.append((flat_start, t_last))
+    else:
+        flats.append((flat_start, None))
+    out = []
+    for a, b in flats:
+        l = _first_rise_scan(d, a, b)
+        if l is None:
+            continue
+        if b is None:
+            raise PathClassError("never returns")
+        out.append((l, b, b - l))
+    return out
+
+
+def _first_time_scan(path, level):
+    if path.eval(0.0) <= level:
+        return 0.0
+    for t0, v0, t1, v1 in path.finite_segments():
+        if v1 <= level:
+            if v0 == v1:
+                return t0
+            return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
+    t_last, v_last = path.last_anchor
+    if path.terminal_rise < 0:
+        return t_last + (level - v_last) * path.terminal_run / path.terminal_rise
+    return math.inf
+
+
+def _continuous_part(g):
+    """Continuous nondecreasing path through the left limits of g: keeps
+    its flat pieces, drops its jumps."""
+    return polyline([(0.0, 0.0)] + [(b.t, b.left) for b in g.breakpoints], g.terminal_rise)
+
+
+def _excursion_outcome(fn, path, level_tol):
+    try:
+        return fn(path, level_tol)
+    except PathClassError:
+        return "never returns"
+
+
+def _near_critical_instance(n, seed):
+    rng = np.random.default_rng(seed)
+    weights = tuple(
+        tuple(sorted((rng.uniform(0.5, 1.5, n // 2) / math.sqrt(n / 2)).tolist(), reverse=True))
+        for _ in range(2)
+    )
+    model = BlockModel(weights, ((1.0, 0.5), (0.5, 1.0)))
+    fld = build_field(model, sample_clocks(model, seed))
+    return fld, build_curve(fld, (1.0, 1.0))
+
+
+class TestAgainstLinearScans:
+    def test_compose_matches_scan(self, rng):
+        for _ in range(200):
+            g = random_monotone_path(rng)
+            inner = _continuous_part(g) if rng.random() < 0.5 else _random_continuous_increasing(rng)
+            # outer breakpoints at inner's breakpoint values pull back to
+            # within rounding of inner's own breakpoints
+            values = [inner.eval(t) for t in inner._times]
+            aligned = _build(
+                0.0, [(v, float(k), k + float(rng.uniform(0.0, 1.0))) for k, v in enumerate(values) if v > 0], 1.0
+            )
+            for outer in (random_monotone_path(rng), _random_walk_path(rng), aligned):
+                assert compose(outer, inner) == _compose_scan(outer, inner)
+
+    def test_smooth_compose_matches_scan(self, rng):
+        pairs = [(staircase_counterexample(), generalized_inverse(staircase_counterexample()))]
+        for _ in range(200):
+            g = random_monotone_path(rng)
+            gi = generalized_inverse(g)
+            pairs += [(g, gi), (gi, g), (g, _continuous_part(random_monotone_path(rng)))]
+        compared = 0
+        for g, kappa in pairs:
+            if not check_compatible(g, kappa).ok:
+                continue
+            assert smooth_compose(g, kappa) == _smooth_compose_scan(g, kappa)
+            compared += 1
+        assert compared >= 400
+
+    @pytest.mark.parametrize("level_tol", [0.0, EXCURSION_LEVEL_TOL])
+    def test_excursions_match_scan(self, rng, level_tol):
+        for _ in range(200):
+            g = random_monotone_path(rng)
+            for path in (
+                add(drift(-float(rng.uniform(0.1, 3.0))), g),
+                add(drift(-1.0), _continuous_part(g)),
+                _random_walk_path(rng),
+            ):
+                assert _excursion_outcome(excursions, path, level_tol) == _excursion_outcome(
+                    _excursions_scan, path, level_tol
+                )
+
+    def test_first_time_at_or_below_matches_scan(self, rng):
+        for _ in range(200):
+            for path in (past_infimum(_random_walk_path(rng)), scale(random_monotone_path(rng), -1.0)):
+                levels = {path.initial, path.last_anchor[1] - 1.0, float(rng.uniform(-5.0, 0.0))}
+                for b in path.breakpoints:
+                    for v in (b.left, b.right):
+                        levels.update((v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)))
+                for level in levels:
+                    assert first_time_at_or_below(path, level) == _first_time_scan(path, level)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_curve_inputs_match_scans(self, seed):
+        fld, bundle = _near_critical_instance(80, seed)
+        for inv in bundle.level_inverses:
+            assert smooth_compose(inv, bundle.combined_level) == _smooth_compose_scan(inv, bundle.combined_level)
+        for i in range(fld.m):
+            for j in range(fld.m):
+                assert compose(fld.paths[i][j], bundle.curve[j]) == _compose_scan(fld.paths[i][j], bundle.curve[j])
+        for process in composed_processes(fld, bundle):
+            for level_tol in (0.0, EXCURSION_LEVEL_TOL):
+                assert excursions(process, level_tol) == _excursions_scan(process, level_tol)
+            low = past_infimum(process)
+            for b in low.breakpoints:
+                assert first_time_at_or_below(low, b.left) == _first_time_scan(low, b.left)
+
+
+class TestMergeEpsEdge:
+    """An inner breakpoint within MERGE_EPS of a pull-back anchor yields to
+    it; one just past MERGE_EPS is kept.  The inner paths have a single
+    breakpoint and are built so that the anchor pulled back from the outer
+    breakpoint u and its distance to the inner breakpoint are exact."""
+
+    M = MERGE_EPS
+
+    def below(self):
+        # identity up to its breakpoint at 2M: the anchor of u < 2M is u
+        return polyline([(0.0, 0.0), (2 * self.M, 2 * self.M)], 2.0)
+
+    def above(self):
+        # identity up to its breakpoint at M, slope 1/2 after: the anchor of
+        # u > M is about M + 2 (u - M)
+        return polyline([(0.0, 0.0), (self.M, self.M)], 1.0, 2.0)
+
+    def cases(self):
+        """(inner, u, inner breakpoint, within MERGE_EPS) with u on either
+        side of the edge; below, the anchor sits exactly MERGE_EPS away."""
+        M = self.M
+        inv = generalized_inverse(self.above())
+        u = 1.5 * M  # walk to the last u whose anchor is within MERGE_EPS
+        while inv.eval_left(u) - M > MERGE_EPS:
+            u = math.nextafter(u, 0.0)
+        while inv.eval_left(math.nextafter(u, 1.0)) - M <= MERGE_EPS:
+            u = math.nextafter(u, 1.0)
+        return [
+            (self.below(), M, 2 * M, True),
+            (self.below(), math.nextafter(M, 0.0), 2 * M, False),
+            (self.above(), u, M, True),
+            (self.above(), math.nextafter(u, 1.0), M, False),
+        ]
+
+    def test_edge_distances(self):
+        assert generalized_inverse(self.below()).eval_left(self.M) == self.M
+        assert 2 * self.M - self.M == MERGE_EPS
+        for inner, u, t, within in self.cases():
+            anchor = generalized_inverse(inner).eval_left(u)
+            assert (abs(t - anchor) <= MERGE_EPS) == within
+
+    def test_compose(self):
+        for inner, u, t, within in self.cases():
+            outer = _build(0.0, [(u, u, u + 1.0)], 1.0)
+            out = compose(outer, inner)
+            assert out == _compose_scan(outer, inner)
+            assert any(b.right == u + 1.0 for b in out.breakpoints)  # the jump survives
+            assert (t in out._times) == (not within)
+
+    def test_smooth_compose(self):
+        for inner, u, t, within in self.cases():
+            g = polyline([(0.0, 0.0), (u, u)], 3.0)
+            out = smooth_compose(g, inner)
+            assert out == _smooth_compose_scan(g, inner)
+            assert (t in out._times) == (not within)
