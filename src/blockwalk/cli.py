@@ -81,6 +81,8 @@ def load_config(path: str | Path) -> RunConfig:
     if "model" in raw:
         _require_keys(raw["model"], {"m", "weights", "Q"}, set(), "config.model")
         spec = raw["model"]
+        _require_number_rows(spec["weights"], "config.model.weights")
+        _require_number_rows(spec["Q"], "config.model.Q")
         if len(spec["weights"]) != spec["m"]:
             raise ConfigError("config.model: m does not match the number of weight vectors")
         try:
@@ -93,22 +95,43 @@ def load_config(path: str | Path) -> RunConfig:
     else:
         _require_keys(raw["field"], {"m", "R", "columns"}, set(), "config.field")
         spec = raw["field"]
+        if not isinstance(spec["columns"], list) or not all(isinstance(col, list) for col in spec["columns"]):
+            raise ConfigError("config.field.columns: expected a list of lists of {t, w} records")
+        _require_number_rows(spec["R"], "config.field.R")
         if len(spec["columns"]) != spec["m"] or len(spec["R"]) != spec["m"]:
             raise ConfigError("config.field: m does not match columns/R")
         for j, col in enumerate(spec["columns"]):
             for k, rec in enumerate(col):
                 _require_keys(rec, {"t", "w"}, set(), f"config.field.columns[{j}][{k}]")
+                if not (_is_number(rec["t"]) and _is_number(rec["w"])):
+                    raise ConfigError(f"config.field.columns[{j}][{k}]: t and w must be numbers")
         field_spec = {
             "columns": [[(float(c["t"]), float(c["w"])) for c in col] for col in spec["columns"]],
             "R": [[float(x) for x in row] for row in spec["R"]],
         }
-    if not isinstance(raw["rho"], list) or not all(
-        isinstance(r, (int, float)) and not isinstance(r, bool) and math.isfinite(r) for r in raw["rho"]
-    ):
+    if not isinstance(raw["rho"], list) or not all(_is_number(r) and math.isfinite(r) for r in raw["rho"]):
         raise ConfigError("config.rho: expected a list of finite numbers")
     rho = tuple(float(r) for r in raw["rho"])
-    seed = int(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError("config.seed: expected a nonnegative integer")
     return RunConfig(model, field_spec, rho, seed)
+
+
+def _is_number(x) -> bool:
+    """A JSON number that converts to a float (ints past 1e308 do not)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+def _require_number_rows(rows, where: str) -> None:
+    if not isinstance(rows, list) or not all(isinstance(r, list) and all(map(_is_number, r)) for r in rows):
+        raise ConfigError(f"{where}: expected a list of lists of numbers")
 
 
 def _require_keys(obj: dict, required: set, optional: set, where: str) -> None:
@@ -453,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--reps", type=int, default=100_000, help="Monte Carlo replications")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for replications")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the calibration re-runs")
     p.add_argument("--calibration-seeds", type=int, default=0, help="re-run count for calibration")
     p.set_defaults(func=cmd_validate)
     return parser

@@ -13,6 +13,7 @@ decomposition of the jumps.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -271,7 +272,7 @@ def field_exploration(fld: Field, rho) -> ExplorationTrace:
     tail = (0.0,) * m  # window end of the most recently discovered vertex
     pointer = [0] * m  # next unconsumed jump per column
     cols = fld.columns
-    queue: list[tuple[Vertex, float, tuple[float, ...], tuple[float, ...]]] = []
+    queue: deque[tuple[Vertex, float, tuple[float, ...], tuple[float, ...]]] = deque()
     steps: list[ExplorationStep] = []
     components: list[ComponentTrace] = []
     current: list[tuple[Vertex, float]] = []
@@ -321,7 +322,7 @@ def field_exploration(fld: Field, rho) -> ExplorationTrace:
             vertex, weight = jump.vertex, jump.weight
             kind = "root"
         else:
-            vertex, weight, low, high = queue.pop(0)
+            vertex, weight, low, high = queue.popleft()
             kind = "child"
         k += 1
         current.append((vertex, weight))

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,7 +66,7 @@ class BlockModel:
     def m(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property
     def R(self) -> tuple[tuple[float, ...], ...]:
         """Row-normalized kernel R[i][j] = Q[i][j] / Q[i][i]; unit diagonal."""
         return tuple(
@@ -109,16 +111,38 @@ class Graph:
         return self._adj[v]
 
 
+#: sample_graph compares its uniform u with p = 1 - np.exp(...), while
+#: edge_probability uses math.exp.  The two exps may round differently in
+#: the last bits: both are within a few ulp of the true value, as is the
+#: rounded d = u - p, so the two p differ by a few ulp of 1 at most (by
+#: 1.1e-16 at most over 2e6 sampled arguments on an AVX-512 x86-64 CPU).
+#: Where |d| is below this bound, 64 ulp of 1, the draw is re-decided with
+#: edge_probability; anywhere else both p give the same decision, so the
+#: graph is the one edge_probability defines.
+_EXP_TOL = 64 * 2.0**-52
+
+
 def sample_graph(model: BlockModel, seed) -> Graph:
-    """Draw each unordered pair independently as a Bernoulli edge."""
+    """Draw each unordered pair independently as a Bernoulli edge.
+
+    Pairs (a, b), a < b, are drawn in vertices() order, one row of uniforms
+    per vertex a: the same stream, in the same order, as one rng.random()
+    per pair, and the decision of each draw is that of edge_probability.
+    """
     rng = _as_rng(seed)
     verts = model.vertices()
+    n = len(verts)
+    w = np.array([model.weight(v) for v in verts])
+    # row i: -Q[i][type of b] for every vertex b, negated first as in edge_probability
+    neg_q = np.array([[-row[j] for _, j in verts] for row in model.Q])
     edges = set()
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            u, v = verts[a], verts[b]
-            if rng.random() < edge_probability(model, u, v):
-                edges.add(frozenset((u, v)))
+    for a in range(n - 1):
+        u = rng.random(n - a - 1)
+        d = u - (1.0 - np.exp(neg_q[verts[a][1], a + 1 :] * w[a] * w[a + 1 :]))
+        for k in (d < _EXP_TOL).nonzero()[0].tolist():
+            b = a + 1 + k
+            if d[k] < -_EXP_TOL or u[k] < edge_probability(model, verts[a], verts[b]):
+                edges.add(frozenset((verts[a], verts[b])))
     return Graph(model, frozenset(edges))
 
 
@@ -368,21 +392,20 @@ def graph_exploration(graph: Graph, rho: Sequence[float], seed) -> ExplorationTr
     model = graph.model
     _check_rho(rho, model.m)
     rng = _as_rng(seed)
-    unexplored = set(model.vertices())
-    queue: list[Vertex] = []
+    verts = model.vertices()
+    position = {v: k for k, v in enumerate(verts)}
+    unexplored = set(verts)
+    # root candidates: the unexplored vertices of positive-direction types,
+    # their rates kept in vertices() order, i.e. sorted by (type, rank)
+    rates_all = np.array([rho[v[1]] * model.Q[v[1]][v[1]] * model.weight(v) for v in verts], dtype=float)
+    alive = np.array([rho[v[1]] > 0 for v in verts], dtype=bool)
+    queue: deque[Vertex] = deque()
     steps: list[ExplorationStep] = []
     components: list[ComponentTrace] = []
     current: list[Vertex] = []
     level = 0.0
     zeta = 0
     k = 0
-
-    def positive_rate() -> list[tuple[Vertex, float]]:
-        return [
-            (v, rho[v[1]] * model.Q[v[1]][v[1]] * model.weight(v))
-            for v in sorted(unexplored, key=lambda x: (x[1], x[0]))
-            if rho[v[1]] > 0
-        ]
 
     def close_component() -> None:
         if current:
@@ -400,20 +423,21 @@ def graph_exploration(graph: Graph, rho: Sequence[float], seed) -> ExplorationTr
         if not queue:
             close_component()
             current = []
-            candidates = positive_rate()
-            if not candidates:
+            candidates = np.flatnonzero(alive)
+            if not candidates.size:
                 break
-            rates = np.array([r for _, r in candidates])
+            rates = rates_all[candidates]
             total = rates.sum()
             root_gap = rng.exponential(1.0 / total)
             pick = rng.choice(len(candidates), p=rates / total)
-            vertex = candidates[pick][0]
+            vertex = verts[candidates[pick]]
             zeta += 1
             level += root_gap
             kind = "root"
             unexplored.discard(vertex)
+            alive[position[vertex]] = False
         else:
-            vertex = queue.pop(0)
+            vertex = queue.popleft()
             kind = "child"
         k += 1
         n_discovered = k + len(queue)  # processed so far plus the active stack
@@ -429,6 +453,7 @@ def graph_exploration(graph: Graph, rho: Sequence[float], seed) -> ExplorationTr
             ordered.extend(u for _, u in keys)
         for u in ordered:
             unexplored.discard(u)
+            alive[position[u]] = False
             queue.append(u)
         steps.append(
             ExplorationStep(

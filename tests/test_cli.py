@@ -99,6 +99,47 @@ class TestConfig:
         assert main(["encode", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.count("error:") == 1
 
+    @pytest.mark.parametrize(
+        "base, where, value, match",
+        [
+            (MODEL, ("seed",), [1], "config.seed"),
+            (MODEL, ("seed",), "7", "config.seed"),
+            (MODEL, ("seed",), 7.5, "config.seed"),
+            (MODEL, ("seed",), True, "config.seed"),
+            (MODEL, ("seed",), -1, "config.seed"),
+            (MODEL, ("model", "weights"), 5, "config.model.weights"),
+            (MODEL, ("model", "weights"), [1.0, 1.0], "config.model.weights"),
+            (MODEL, ("model", "weights"), [["1.0"], [1.0]], "config.model.weights"),
+            (MODEL, ("model", "weights"), [[10**400], [1.0]], "config.model.weights"),
+            (MODEL, ("rho",), [1.0, 10**400], "config.rho"),
+            (MODEL, ("model", "Q"), 3, "config.model.Q"),
+            (MODEL, ("model", "Q"), [[1.0, None], [0.5, 1.0]], "config.model.Q"),
+            (WORKED, ("field", "columns"), 4, "config.field.columns"),
+            (WORKED, ("field", "columns"), [{"t": 0.5, "w": 1.0}, []], "config.field.columns"),
+            (WORKED, ("field", "columns"), [[{"t": [0.5], "w": 1.0}], []], r"columns\[0\]\[0\]"),
+            (WORKED, ("field", "R"), 1.0, "config.field.R"),
+            (WORKED, ("field", "R"), [[1.0, 0.0], [0.3, False]], "config.field.R"),
+        ],
+        ids=[
+            "seed-list", "seed-string", "seed-float", "seed-bool", "seed-negative",
+            "weights-scalar", "weights-flat", "weights-string-entry", "weights-huge-int", "rho-huge-int",
+            "Q-scalar", "Q-null-entry",
+            "columns-scalar", "columns-of-records", "record-list-time", "R-scalar", "R-bool-entry",
+        ],
+    )
+    def test_mistyped_config_exits_with_two(self, tmp_path, capsys, base, where, value, match):
+        spec = json.loads(json.dumps(base))
+        parent = spec
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        assert main(["encode", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("error:") == 1
+
     @pytest.mark.parametrize("where", ["weights", "Q"])
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_model_entries_exit_with_two(self, tmp_path, where, bad):

@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from blockwalk import model as model_mod
 from blockwalk.instances import random_block_model
 from blockwalk.model import (
     BlockModel,
+    ComponentTrace,
+    ExplorationStep,
+    ExplorationTrace,
+    Graph,
     build_q_parametrization,
+    component_weights,
     connected_components,
     edge_probability,
     factor_kernel,
@@ -29,6 +35,13 @@ class TestBlockModel:
         assert model.R[1][1] == 1.0
         assert model.R[0][1] == 0.5
         assert model.R[1][0] == 0.25
+
+    def test_r_is_cached_and_outside_equality(self):
+        model = BlockModel(((1.0, 0.5), (2.0,)), ((2.0, 1.0), (1.0, 4.0)))
+        fresh = BlockModel(model.weights, model.Q)
+        assert model.R is model.R
+        assert all(type(row) is tuple for row in model.R) and type(model.R) is tuple
+        assert model == fresh and hash(model) == hash(fresh)
 
     def test_asymmetric_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -326,3 +339,156 @@ class TestGraphExploration:
             graph_exploration(graph, (0.0, 0.0), 0)
         with pytest.raises(ValueError):
             graph_exploration(graph, (-1.0, 1.0), 0)
+
+
+# -- the vectorized sampler and the masked root draw against plain loops -------
+
+
+def _sample_graph_pairs(model, seed):
+    """Reference: one rng.random() per pair, decided by edge_probability."""
+    rng = model_mod._as_rng(seed)
+    verts = model.vertices()
+    edges = set()
+    for a in range(len(verts)):
+        for b in range(a + 1, len(verts)):
+            u, v = verts[a], verts[b]
+            if rng.random() < edge_probability(model, u, v):
+                edges.add(frozenset((u, v)))
+    return Graph(model, frozenset(edges))
+
+
+def _graph_exploration_resorting(graph, rho, seed):
+    """Reference: re-sorts the unexplored positive-direction vertices per root."""
+    model = graph.model
+    rng = model_mod._as_rng(seed)
+    unexplored = set(model.vertices())
+    queue = []
+    steps, components, current = [], [], []
+    level, zeta, k = 0.0, 0, 0
+
+    def positive_rate():
+        return [
+            (v, rho[v[1]] * model.Q[v[1]][v[1]] * model.weight(v))
+            for v in sorted(unexplored, key=lambda x: (x[1], x[0]))
+            if rho[v[1]] > 0
+        ]
+
+    while True:
+        root_gap = None
+        if not queue:
+            if current:
+                components.append(
+                    ComponentTrace(current[0], tuple(current), component_weights(model, current), level)
+                )
+            current = []
+            candidates = positive_rate()
+            if not candidates:
+                break
+            rates = np.array([r for _, r in candidates])
+            total = rates.sum()
+            root_gap = rng.exponential(1.0 / total)
+            vertex = candidates[rng.choice(len(candidates), p=rates / total)][0]
+            zeta += 1
+            level += root_gap
+            kind = "root"
+            unexplored.discard(vertex)
+        else:
+            vertex = queue.pop(0)
+            kind = "child"
+        k += 1
+        n_discovered = k + len(queue)
+        current.append(vertex)
+        found = [u for u in graph.neighbors(vertex) if u in unexplored]
+        ordered = []
+        for i in range(model.m):
+            keys = [(rng.exponential(1.0 / model.weight(u)), u) for u in found if u[1] == i]
+            keys.sort(key=lambda kv: kv[0])
+            ordered.extend(u for _, u in keys)
+        for u in ordered:
+            unexplored.discard(u)
+            queue.append(u)
+        steps.append(ExplorationStep(k, kind, vertex, zeta, tuple(ordered), n_discovered, root_gap=root_gap))
+    return ExplorationTrace(model.m, tuple(float(r) for r in rho), tuple(steps), tuple(components))
+
+
+def _near_critical(n, seed):
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(n / 2)
+    weights = tuple(tuple(sorted((rng.uniform(0.5, 1.5, n // 2) / scale).tolist(), reverse=True)) for _ in range(2))
+    return BlockModel(weights, ((1.0, 0.5), (0.5, 1.0)))
+
+
+def _assert_same_graph_and_stream(model, seed):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = sample_graph(model, rng_a), _sample_graph_pairs(model, rng_b)
+    assert got.edges == want.edges
+    assert rng_a.random() == rng_b.random()
+    return got
+
+
+def _random_rho(rng, m):
+    rho = tuple(float(x) for x in rng.integers(0, 3, m))
+    return rho if any(rho) else (1.0,) * m
+
+
+class TestAgainstPairLoops:
+    def test_sample_graph_matches_pair_loop(self, rng):
+        for _ in range(300):
+            model = random_block_model(rng, max_vertices=int(rng.choice([3, 8, 30])))
+            _assert_same_graph_and_stream(model, int(rng.integers(2**31)))
+
+    def test_near_critical_graph_and_exploration_match(self):
+        model = _near_critical(600, 3)
+        graph = _assert_same_graph_and_stream(model, 11)
+        assert len(graph.edges) > 100
+        for rho in ((1.0, 1.0), (0.0, 1.0)):
+            got = graph_exploration(graph, rho, 12)
+            assert got == _graph_exploration_resorting(graph, rho, 12)
+            assert got.zeta_final > 50
+
+    def test_graph_exploration_matches_resorting(self, rng):
+        for _ in range(200):
+            model = random_block_model(rng, max_vertices=int(rng.choice([4, 12, 30])))
+            weak = BlockModel(model.weights, tuple(tuple(0.1 * q for q in row) for row in model.Q))
+            graph = sample_graph(weak, rng)
+            rho = _random_rho(rng, model.m)
+            seed = int(rng.integers(2**31))
+            assert graph_exploration(graph, rho, seed) == _graph_exploration_resorting(graph, rho, seed)
+
+    def test_shared_generator_leaves_same_state(self, rng):
+        model = random_block_model(rng, max_vertices=20)
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        graph = sample_graph(model, rng_a)
+        assert graph == _sample_graph_pairs(model, rng_b)
+        rho = _random_rho(rng, model.m)
+        assert graph_exploration(graph, rho, rng_a) == _graph_exploration_resorting(graph, rho, rng_b)
+        assert rng_a.random() == rng_b.random()
+
+    def test_exact_fallback_decides_every_draw(self, rng, monkeypatch):
+        calls = []
+
+        def counted(model, u, v):
+            calls.append((u, v))
+            return edge_probability(model, u, v)
+
+        monkeypatch.setattr(model_mod, "_EXP_TOL", 2.0)  # every |u - p| is at most 1
+        monkeypatch.setattr(model_mod, "edge_probability", counted)
+        for _ in range(50):
+            model = random_block_model(rng, max_vertices=12)
+            calls.clear()
+            _assert_same_graph_and_stream(model, int(rng.integers(2**31)))
+            verts = model.vertices()
+            assert calls == [(u, v) for a, u in enumerate(verts) for v in verts[a + 1 :]]
+
+    @pytest.mark.parametrize(
+        "weights",
+        [((1.0,),), ((), (1.0,)), ((), (2.0, 1.0), ()), ((1.5, 1.0), (), (0.7,))],
+        ids=["one-vertex", "empty-first-type", "empty-outer-types", "empty-middle-type"],
+    )
+    def test_small_and_empty_types(self, weights):
+        m = len(weights)
+        model = BlockModel(weights, tuple(tuple(1.0 if i == j else 0.6 for j in range(m)) for i in range(m)))
+        for seed in range(20):
+            graph = _assert_same_graph_and_stream(model, seed)
+            rho = (1.0,) * m
+            assert graph_exploration(graph, rho, seed) == _graph_exploration_resorting(graph, rho, seed)
