@@ -56,13 +56,13 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     model: BlockModel | None
-    field_spec: dict | None
+    field: Field | None
     rho: tuple[float, ...]
     seed: int
 
     def realize_field(self) -> Field:
-        if self.field_spec is not None:
-            return field_from_jumps(self.field_spec["columns"], self.field_spec["R"])
+        if self.field is not None:
+            return self.field
         return build_field(self.model, sample_clocks(self.model, self.seed))
 
 
@@ -77,7 +77,7 @@ def load_config(path: str | Path) -> RunConfig:
     if ("model" in raw) == ("field" in raw):
         raise ConfigError("config must contain exactly one of 'model' or 'field'")
     model = None
-    field_spec = None
+    fld = None
     if "model" in raw:
         _require_keys(raw["model"], {"m", "weights", "Q"}, set(), "config.model")
         spec = raw["model"]
@@ -105,17 +105,20 @@ def load_config(path: str | Path) -> RunConfig:
                 _require_keys(rec, {"t", "w"}, set(), f"config.field.columns[{j}][{k}]")
                 if not (_is_number(rec["t"]) and _is_number(rec["w"])):
                     raise ConfigError(f"config.field.columns[{j}][{k}]: t and w must be numbers")
-        field_spec = {
-            "columns": [[(float(c["t"]), float(c["w"])) for c in col] for col in spec["columns"]],
-            "R": [[float(x) for x in row] for row in spec["R"]],
-        }
+        try:
+            fld = field_from_jumps(
+                [[(float(c["t"]), float(c["w"])) for c in col] for col in spec["columns"]],
+                [[float(x) for x in row] for row in spec["R"]],
+            )
+        except ValueError as exc:
+            raise ConfigError(f"config.field: {exc}") from exc
     if not isinstance(raw["rho"], list) or not all(_is_number(r) and math.isfinite(r) for r in raw["rho"]):
         raise ConfigError("config.rho: expected a list of finite numbers")
     rho = tuple(float(r) for r in raw["rho"])
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("config.seed: expected a nonnegative integer")
-    return RunConfig(model, field_spec, rho, seed)
+    return RunConfig(model, fld, rho, seed)
 
 
 def _is_number(x) -> bool:
@@ -178,7 +181,7 @@ def _write_manifest(out: Path, command: str, args, started: float, seed: int | N
 def _effective_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = RunConfig(cfg.model, cfg.field_spec, cfg.rho, args.seed)
+        cfg = RunConfig(cfg.model, cfg.field, cfg.rho, args.seed)
     return cfg
 
 

@@ -13,9 +13,13 @@ decomposition of the jumps.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .model import (
     BlockModel,
@@ -51,21 +55,59 @@ class ClockSet:
         return out
 
 
+#: rows of clocks drawn by one generator call in _clock_rows
+_CLOCK_CHUNK = 4096
+#: consecutive tied draws after which _clock_rows gives up: distinct
+#: continuous draws tie with probability near zero, so a run this long
+#: means the jump times underflow or overflow
+_MAX_TIED_DRAWS = 100
+
+
 def sample_clocks(model: BlockModel, seed) -> ClockSet:
     """Independent Exp(w) clocks; exact ties are redrawn so that jump times
-    are distinct across the whole field."""
-    rng = _as_rng(seed)
-    while True:
-        clocks = {
-            v: rng.exponential(1.0 / model.weight(v)) for v in model.vertices()
-        }
-        times = sorted(xi / model.Q[v[1]][v[1]] for v, xi in clocks.items())
-        if all(b > a for a, b in zip(times, times[1:])):
-            return ClockSet(clocks)
+    are distinct across the whole field, and a ValueError ends a run of
+    _MAX_TIED_DRAWS tied draws."""
+    (row,) = next(_clock_rows(model, _as_rng(seed), 1)).tolist()
+    return ClockSet(dict(zip(model.vertices(), row)))
 
 
-@dataclass(frozen=True)
-class ColumnJump:
+def _clock_rows(model: BlockModel, rng, n_rows: int):
+    """Yield n_rows clock draws in total, as 2-D arrays of accepted rows.
+
+    One row holds an Exp(w) clock per vertex in vertices() order.  A chunk
+    of rows is one standard_exponential call times 1 / w: the same floats
+    in the same order as one rng.exponential(1 / w) call per vertex and
+    row, which numpy computes as the scale times a standard exponential
+    draw.  A row whose jump times xi / Q_jj are not distinct across the
+    field is dropped and the next row takes its place, so the accepted
+    rows and the generator's final state are those of redrawing each tied
+    row on its own.
+    """
+    verts = model.vertices()
+    scale = np.array([1.0 / model.weight(v) for v in verts])
+    q_diag = np.array([model.Q[i][i] for _, i in verts])
+    tied_run = 0  # tied rows since the last accepted one
+    while n_rows > 0:
+        xi = rng.standard_exponential((min(n_rows, _CLOCK_CHUNK), len(verts))) * scale
+        times = np.sort(xi / q_diag, axis=1)
+        distinct = (times[:, 1:] > times[:, :-1]).all(axis=1)
+        if distinct.all():
+            tied_run = 0
+        else:
+            for ok in distinct.tolist():
+                tied_run = 0 if ok else tied_run + 1
+                if tied_run == _MAX_TIED_DRAWS:
+                    raise ValueError(
+                        f"jump times tie or underflow in {_MAX_TIED_DRAWS} consecutive clock draws; "
+                        "weights or kernel diagonal out of range"
+                    )
+            xi = xi[distinct]
+        if len(xi):
+            n_rows -= len(xi)
+            yield xi
+
+
+class ColumnJump(NamedTuple):
     time: float
     weight: float
     vertex: Vertex
@@ -148,7 +190,18 @@ def field_from_jumps(
     column_jumps: list[list[tuple[float, float]]], R: list[list[float]]
 ) -> Field:
     """Deterministic field from explicit per-column (time, weight) jumps;
-    vertex ranks follow weight order within each column."""
+    vertex ranks follow weight order within each column.  Entries of R and
+    weights must be finite, times finite and nonnegative."""
+    for i, row in enumerate(R):
+        for j, x in enumerate(row):
+            if not math.isfinite(x):
+                raise ValueError(f"R[{i}][{j}] must be finite, got {x}")
+    for j, jumps in enumerate(column_jumps):
+        for k, (t, w) in enumerate(jumps):
+            if not (math.isfinite(t) and t >= 0):
+                raise ValueError(f"columns[{j}][{k}].t must be finite and nonnegative, got {t}")
+            if not math.isfinite(w):
+                raise ValueError(f"columns[{j}][{k}].w must be finite, got {w}")
     m = len(column_jumps)
     cols = []
     for j, jumps in enumerate(column_jumps):
@@ -256,7 +309,28 @@ def hitting_time(fld: Field, rho, y: float) -> HittingTime:
 
 
 def field_exploration(fld: Field, rho) -> ExplorationTrace:
-    """Deterministic sweep of a discrete field along direction rho.
+    """Deterministic sweep of a discrete field along direction rho, with
+    one step per vertex; see _sweep for the rules."""
+    _check_explorable(fld, rho)
+    steps: list[ExplorationStep] = []
+    components = _sweep(fld.columns, fld.R, rho, steps)
+    return ExplorationTrace(
+        fld.m,
+        tuple(float(r) for r in rho),
+        tuple(steps),
+        tuple(ComponentTrace(vs[0], vs, w, level) for vs, w, level in components),
+    )
+
+
+def _check_explorable(fld: Field, rho) -> None:
+    if not fld.discrete:
+        raise ValueError("exploration needs a field with discrete column data")
+    _check_rho(rho, fld.m)
+
+
+def _sweep(columns, R, rho, steps: list | None = None) -> list[tuple]:
+    """The sweep over per-type columns of (time, weight, vertex) jumps, each
+    sorted by time, with type-j vertices in column j.
 
     Roots minimize the rescaled distance from the per-type frontier to the
     next unexplored jump over types with positive direction weight; the
@@ -264,96 +338,78 @@ def field_exploration(fld: Field, rho) -> ExplorationTrace:
     widens every coordinate's window by its weight times the matching R
     column, and unexplored jumps inside a window become its children,
     ordered by type and then by jump time.
+
+    Returns (vertices, weight_by_type, level) per component in discovery
+    order, level being the cumulative root gap at its root; appends one
+    ExplorationStep per vertex to ``steps`` when it is a list.
     """
-    if not fld.discrete:
-        raise ValueError("exploration needs a field with discrete column data")
-    _check_rho(rho, fld.m)
-    m = fld.m
+    m = len(columns)
+    types = range(m)
+    r_columns = tuple(zip(*R))  # r_columns[j][i] = R[i][j]
     tail = (0.0,) * m  # window end of the most recently discovered vertex
     pointer = [0] * m  # next unconsumed jump per column
-    cols = fld.columns
-    queue: deque[tuple[Vertex, float, tuple[float, ...], tuple[float, ...]]] = deque()
-    steps: list[ExplorationStep] = []
-    components: list[ComponentTrace] = []
+    queue: deque = deque()
+    components: list[tuple] = []
     current: list[tuple[Vertex, float]] = []
     level = 0.0
-    zeta = 0
     k = 0
-
-    def unexplored_root() -> tuple[float, int] | None:
-        best = None
-        for i in range(m):
-            if rho[i] <= 0 or pointer[i] >= len(cols[i]):
-                continue
-            gap = (cols[i][pointer[i]].time - tail[i]) / rho[i]
-            if best is None or gap < best[0]:
-                best = (gap, i)
-        return best
-
-    def close_component() -> None:
-        if current:
-            ordered = sorted(current, key=lambda vw: (vw[0][1], vw[0][0]))
-            weight_by_type = [0.0] * m
-            for v, w in ordered:
-                weight_by_type[v[1]] += w
-            components.append(
-                ComponentTrace(current[0][0], tuple(v for v, _ in current), tuple(weight_by_type), level)
-            )
-
     while True:
         root_gap = None
         if not queue:
-            close_component()
-            current = []
-            pick = unexplored_root()
-            if pick is None:
+            if current:
+                # each type's weights summed in rank order
+                weight_by_type = [0.0] * m
+                for (_, i), w in sorted(current):
+                    weight_by_type[i] += w
+                components.append((tuple([v for v, _ in current]), tuple(weight_by_type), level))
+                current = []
+            for i in types:
+                if rho[i] <= 0 or pointer[i] >= len(columns[i]):
+                    continue
+                gap = (columns[i][pointer[i]][0] - tail[i]) / rho[i]
+                if root_gap is None or gap < root_gap:
+                    root_gap, ri = gap, i
+            if root_gap is None:
                 break
-            root_gap, ri = pick
-            zeta += 1
             level += root_gap
-            jump = cols[ri][pointer[ri]]
+            time, weight, vertex = columns[ri][pointer[ri]]
             pointer[ri] += 1
-            low = tuple(
-                jump.time if i == ri else tail[i] + rho[i] * root_gap
-                for i in range(m)
-            )
-            high = tuple(low[i] + jump.weight * fld.R[i][ri] for i in range(m))
+            low = tuple([time if i == ri else tail[i] + rho[i] * root_gap for i in types])
+            high = tuple([lo + weight * r for lo, r in zip(low, r_columns[ri])])
             tail = high
-            vertex, weight = jump.vertex, jump.weight
-            kind = "root"
         else:
             vertex, weight, low, high = queue.popleft()
-            kind = "child"
         k += 1
         current.append((vertex, weight))
-        children: list[ColumnJump] = []
-        for i in range(m):
-            while pointer[i] < len(cols[i]) and cols[i][pointer[i]].time < high[i]:
-                nxt = cols[i][pointer[i]]
-                if nxt.time < low[i]:
+        children = []
+        for i in types:
+            col, p = columns[i], pointer[i]
+            while p < len(col) and col[p][0] < high[i]:
+                if col[p][0] < low[i]:
                     raise RuntimeError("unexplored jump behind the sweep frontier")
-                children.append(nxt)
-                pointer[i] += 1
-        children.sort(key=lambda c: (c.vertex[1], c.time))
+                children.append(col[p])
+                p += 1
+            pointer[i] = p
         n_discovered = k + len(queue)
-        for c in children:
-            hi = tuple(tail[i] + c.weight * fld.R[i][c.vertex[1]] for i in range(m))
-            queue.append((c.vertex, c.weight, tail, hi))
+        for _, w, v in children:
+            hi = tuple([t + w * r for t, r in zip(tail, r_columns[v[1]])])
+            queue.append((v, w, tail, hi))
             tail = hi
-        steps.append(
-            ExplorationStep(
-                index=k,
-                kind=kind,
-                vertex=vertex,
-                zeta=zeta,
-                children=tuple(c.vertex for c in children),
-                n_active_end=n_discovered,
-                window_low=low,
-                window_high=high,
-                root_gap=root_gap,
+        if steps is not None:
+            steps.append(
+                ExplorationStep(
+                    index=k,
+                    kind="child" if root_gap is None else "root",
+                    vertex=vertex,
+                    zeta=len(components) + 1,
+                    children=tuple(c[2] for c in children),
+                    n_active_end=n_discovered,
+                    window_low=low,
+                    window_high=high,
+                    root_gap=root_gap,
+                )
             )
-        )
-    return ExplorationTrace(m, tuple(float(r) for r in rho), tuple(steps), tuple(components))
+    return components
 
 
 # -- the hitting process ----------------------------------------------------------
@@ -414,9 +470,10 @@ def encoded_jump(R, weight_by_type) -> tuple[float, ...]:
 def hitting_process(fld: Field, rho) -> HittingProcess:
     """Enumerate the jumps of y -> T(y) by sweeping the finitely many
     candidate levels produced by the exploration."""
-    trace = field_exploration(fld, rho)
-    levels = tuple(c.level for c in trace.components)
-    deltas = tuple(encoded_jump(fld.R, c.weight_by_type) for c in trace.components)
+    _check_explorable(fld, rho)
+    components = _sweep(fld.columns, fld.R, rho)
+    levels = tuple(level for _, _, level in components)
+    deltas = tuple(encoded_jump(fld.R, w) for _, w, _ in components)
     return HittingProcess(tuple(float(r) for r in rho), levels, deltas)
 
 
@@ -425,12 +482,15 @@ def solver_jump(fld: Field, rho, levels, level: float) -> tuple[float, ...]:
 
     Brackets strictly on both sides of the level: querying at the level
     itself would place the solver's target one rounding away from a
-    discontinuity of the diagonal infimum.
+    discontinuity of the diagonal infimum.  ``levels`` must be
+    nondecreasing, as those of hitting_process are (cumulative nonnegative
+    root gaps), so the nearest levels below and above are found by
+    bisection.
     """
-    below = [lv for lv in levels if lv < level]
-    above = [lv for lv in levels if lv > level]
-    lo_gap = (level - max(below)) / 2 if below else level / 2
-    hi_gap = (min(above) - level) / 2 if above else 0.5
+    below = bisect_left(levels, level)
+    above = bisect_right(levels, level)
+    lo_gap = (level - levels[below - 1]) / 2 if below else level / 2
+    hi_gap = (levels[above] - level) / 2 if above < len(levels) else 0.5
     before = hitting_time(fld, rho, level - lo_gap).times
     after = hitting_time(fld, rho, level + hi_gap).times
     return tuple(

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import stats as sps
 
-from .field import build_field, encoded_jump, field_exploration, sample_clocks
+from .field import _clock_rows, _sweep, encoded_jump
 from .model import (
     BlockModel,
     Vertex,
@@ -246,23 +246,6 @@ class FieldSample:
     jump_sequence: tuple[tuple[float, ...], ...]
 
 
-def sample_field_encoding(model: BlockModel, rho, rng) -> FieldSample:
-    clocks = sample_clocks(model, rng)
-    fld = build_field(model, clocks)
-    trace = field_exploration(fld, rho)
-    parts = [tuple(sorted(c.vertices)) for c in trace.components]
-    sig = tuple(sorted(_round_vec(c.weight_by_type) for c in trace.components))
-    first_gap = None
-    for s in trace.steps:
-        if s.kind == "root":
-            first_gap = s.root_gap
-            break
-    jumps = tuple(
-        _round_vec(encoded_jump(model.R, c.weight_by_type)) for c in trace.components
-    )
-    return FieldSample(sig, first_gap, jumps)
-
-
 def mc_component_distribution(
     model: BlockModel, rho, n_reps: int, seed, sampler: str = "graph"
 ) -> Counter:
@@ -270,49 +253,81 @@ def mc_component_distribution(
     direct graph sampler or the field exploration."""
     _check_rho(rho, model.m)
     _check_reps(n_reps)
-    counts: Counter = Counter()
     if sampler == "graph":
-        for part in sample_partition_batch(model, n_reps, seed):
-            counts[partition_signature(model, part)] += 1
-    elif sampler == "field":
-        rng = _as_rng(seed)
-        for _ in range(n_reps):
-            counts[sample_field_encoding(model, rho, rng).partition_signature] += 1
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
-    return counts
+        counts: Counter = Counter()
+        for part, count in Counter(sample_partition_batch(model, n_reps, seed)).items():
+            counts[partition_signature(model, part)] += count
+        return counts
+    if sampler == "field":
+        return Counter(s.partition_signature for s in mc_field_samples(model, rho, n_reps, seed))
+    raise ValueError(f"unknown sampler {sampler!r}")
 
 
 def mc_field_samples(model: BlockModel, rho, n_reps: int, seed) -> list[FieldSample]:
+    """One FieldSample per replication: clocks drawn, the field swept and its
+    components read off; the signature and the rounded jump sequence are
+    computed once per distinct tuple of component weight vectors."""
     _check_rho(rho, model.m)
     _check_reps(n_reps)
     rng = _as_rng(seed)
-    return [sample_field_encoding(model, rho, rng) for _ in range(n_reps)]
+    q_diag = np.array([model.Q[i][i] for _, i in model.vertices()])
+    # per type: its slice of a clock row, its weights and vertices by rank
+    types = []
+    start = 0
+    for i, ws in enumerate(model.weights):
+        types.append((start, start + len(ws), ws, [(rank, i) for rank in range(len(ws))]))
+        start += len(ws)
+    outcomes: dict[tuple, tuple] = {}
+    out = []
+    for xi in _clock_rows(model, rng, n_reps):
+        for times in (xi / q_diag).tolist():
+            # the field's columns: (time, weight, vertex) jumps by time, which are distinct
+            columns = [sorted(zip(times[a:b], ws, vs)) for a, b, ws, vs in types]
+            components = _sweep(columns, model.R, rho)
+            weights = tuple(w for _, w, _ in components)
+            outcome = outcomes.get(weights)
+            if outcome is None:
+                outcome = outcomes[weights] = (
+                    tuple(sorted(_round_vec(w) for w in weights)),
+                    tuple(_round_vec(encoded_jump(model.R, w)) for w in weights),
+                )
+            first_gap = components[0][2] if components else None  # 0.0 + the first root's gap
+            out.append(FieldSample(outcome[0], first_gap, outcome[1]))
+    return out
 
 
 def mc_graph_jump_sequences(model: BlockModel, rho, n_reps: int, seed) -> list[tuple]:
-    """Size-biased component jump sequences read off sampled graphs."""
+    """Size-biased component jump sequences read off sampled graphs: the
+    components with positive scaled mass, ordered by an exponential race
+    with those masses as rates."""
     _check_rho(rho, model.m)
     _check_reps(n_reps)
     rng = _as_rng(seed)
-    out = []
+    races: dict[tuple, tuple] = {}  # partition -> (masses, rounded jumps)
+    per_rep = []
     for part in sample_partition_batch(model, n_reps, rng):
-        masses = []
-        weight_vecs = []
-        for block in part:
-            w = component_weights(model, list(block))
-            s = scaled_mass(w, rho, model.Q)
-            if s > 0:
-                masses.append(s)
-                weight_vecs.append(w)
-        if not masses:
-            out.append(())
-            continue
-        keys = rng.exponential(1.0, size=len(masses)) / np.array(masses)
-        order = np.argsort(keys)
-        out.append(
-            tuple(_round_vec(encoded_jump(model.R, weight_vecs[k])) for k in order)
-        )
+        race = races.get(part)
+        if race is None:
+            masses, jumps = [], []
+            for block in part:
+                w = component_weights(model, list(block))
+                s = scaled_mass(w, rho, model.Q)
+                if s > 0:
+                    masses.append(s)
+                    jumps.append(_round_vec(encoded_jump(model.R, w)))
+            race = races[part] = (np.array(masses), tuple(jumps))
+        per_rep.append(race)
+    # the same draws, in the same order, as one exponential call per replication
+    draws = rng.exponential(1.0, size=sum(len(jumps) for _, jumps in per_rep))
+    out = []
+    offset = 0
+    for masses, jumps in per_rep:
+        if len(jumps) < 2:
+            out.append(jumps)
+        else:
+            keys = draws[offset : offset + len(jumps)] / masses
+            out.append(tuple(jumps[k] for k in np.argsort(keys)))
+        offset += len(jumps)
     return out
 
 

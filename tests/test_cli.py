@@ -28,6 +28,15 @@ MODEL = {
 }
 
 
+def _run_cli(argv, timeout):
+    """Run blockwalk in a fresh interpreter, so that a hang ends in TimeoutExpired."""
+    src = Path(blockwalk.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "blockwalk.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
 @pytest.fixture
 def worked_config(tmp_path):
     path = tmp_path / "worked.json"
@@ -152,18 +161,52 @@ class TestConfig:
             spec["model"]["Q"][0][1] = spec["model"]["Q"][1][0] = float(bad)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
-        src = Path(blockwalk.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "blockwalk.cli", "encode", "--config", str(path), "--out", str(tmp_path / "o")],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = _run_cli(["encode", "--config", str(path), "--out", str(tmp_path / "o")], timeout=60)
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "where, value, match",
+        [
+            (("R", 0, 1), float("nan"), r"config.field: R\[0\]\[1\] must be finite"),
+            (("R", 1, 0), float("inf"), r"config.field: R\[1\]\[0\] must be finite"),
+            (("columns", 0, 0, "t"), -1.0, r"config.field: columns\[0\]\[0\].t must be finite and nonnegative"),
+            (("columns", 0, 0, "t"), float("nan"), r"config.field: columns\[0\]\[0\].t must be finite"),
+            (("columns", 0, 0, "t"), float("inf"), r"config.field: columns\[0\]\[0\].t must be finite"),
+            (("columns", 0, 0, "w"), float("nan"), r"config.field: columns\[0\]\[0\].w must be finite"),
+            (("columns", 0, 0, "w"), float("-inf"), r"config.field: columns\[0\]\[0\].w must be finite"),
+        ],
+        ids=["R-nan-unused", "R-inf-used", "t-negative", "t-nan", "t-inf", "w-nan", "w-minus-inf"],
+    )
+    def test_bad_field_values_exit_with_two(self, tmp_path, capsys, where, value, match):
+        # before they were rejected, an unused NaN in R passed the solver
+        # check and a negative time failed as "level must be nonnegative"
+        spec = json.loads(json.dumps(WORKED))
+        parent = spec["field"]
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        for command in (["encode"], ["curve"], ["explore", "--mode", "field"]):
+            assert main(command + ["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and err.startswith("error: config.field: ")
+
+    def test_tied_jump_times_exit_with_two(self, tmp_path):
+        # every xi / Q_jj underflows to 0.0, so every clock draw ties; the
+        # redraw loop used to run forever
+        spec = json.loads(json.dumps(MODEL))
+        spec["model"] = {"m": 2, "weights": [[1e200, 1e200], [1e200]], "Q": [[1e200, 1.0], [1.0, 1e200]]}
+        path = tmp_path / "tied.json"
+        path.write_text(json.dumps(spec))
+        proc = _run_cli(["encode", "--config", str(path), "--out", str(tmp_path / "o")], timeout=60)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: jump times tie or underflow")
 
 
 class TestEncode:

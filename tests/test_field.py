@@ -1,9 +1,12 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
+import blockwalk.field as field_mod
 from blockwalk.field import (
+    ClockSet,
     build_field,
     field_eval,
     field_eval_left,
@@ -14,10 +17,12 @@ from blockwalk.field import (
     rank_one_encoding,
     rank_one_walk,
     sample_clocks,
+    solver_jump,
 )
 from blockwalk.instances import random_block_model, random_probe_direction, worked_instance
-from blockwalk.model import BlockModel
+from blockwalk.model import BlockModel, ComponentTrace, ExplorationStep, ExplorationTrace
 from blockwalk.paths import add, drift, past_infimum, step, sup_distance
+from test_model import _near_critical, _random_rho
 
 
 def single_type_model(*weights, q=1.0):
@@ -364,3 +369,202 @@ class TestPathwiseEncoding:
             for delta, comp in zip(hp.deltas, trace.components):
                 expected = encoded_jump(model.R, comp.weight_by_type)
                 assert max(abs(a - b) for a, b in zip(delta, expected)) == 0.0
+
+
+# -- references: the per-vertex clock loop, the exploration loop that built its
+# -- steps in place, and the level-list scan of solver_jump
+
+
+def _sample_clocks_per_vertex(model, seed):
+    """Reference: one rng.exponential call per vertex, redrawn until the jump
+    times are distinct."""
+    rng = field_mod._as_rng(seed)
+    while True:
+        clocks = {v: rng.exponential(1.0 / model.weight(v)) for v in model.vertices()}
+        times = sorted(xi / model.Q[v[1]][v[1]] for v, xi in clocks.items())
+        if all(b > a for a, b in zip(times, times[1:])):
+            return ClockSet(clocks)
+
+
+def _field_exploration_loop(fld, rho):
+    """Reference: the sweep with its ExplorationSteps and components built
+    in the loop itself."""
+    m = fld.m
+    tail = (0.0,) * m
+    pointer = [0] * m
+    cols = fld.columns
+    queue = deque()
+    steps, components, current = [], [], []
+    level, zeta, k = 0.0, 0, 0
+
+    def unexplored_root():
+        best = None
+        for i in range(m):
+            if rho[i] <= 0 or pointer[i] >= len(cols[i]):
+                continue
+            gap = (cols[i][pointer[i]].time - tail[i]) / rho[i]
+            if best is None or gap < best[0]:
+                best = (gap, i)
+        return best
+
+    def close_component():
+        if current:
+            ordered = sorted(current, key=lambda vw: (vw[0][1], vw[0][0]))
+            weight_by_type = [0.0] * m
+            for v, w in ordered:
+                weight_by_type[v[1]] += w
+            components.append(
+                ComponentTrace(current[0][0], tuple(v for v, _ in current), tuple(weight_by_type), level)
+            )
+
+    while True:
+        root_gap = None
+        if not queue:
+            close_component()
+            current = []
+            pick = unexplored_root()
+            if pick is None:
+                break
+            root_gap, ri = pick
+            zeta += 1
+            level += root_gap
+            jump = cols[ri][pointer[ri]]
+            pointer[ri] += 1
+            low = tuple(jump.time if i == ri else tail[i] + rho[i] * root_gap for i in range(m))
+            high = tuple(low[i] + jump.weight * fld.R[i][ri] for i in range(m))
+            tail = high
+            vertex, weight = jump.vertex, jump.weight
+            kind = "root"
+        else:
+            vertex, weight, low, high = queue.popleft()
+            kind = "child"
+        k += 1
+        current.append((vertex, weight))
+        children = []
+        for i in range(m):
+            while pointer[i] < len(cols[i]) and cols[i][pointer[i]].time < high[i]:
+                nxt = cols[i][pointer[i]]
+                if nxt.time < low[i]:
+                    raise RuntimeError("unexplored jump behind the sweep frontier")
+                children.append(nxt)
+                pointer[i] += 1
+        children.sort(key=lambda c: (c.vertex[1], c.time))
+        n_discovered = k + len(queue)
+        for c in children:
+            hi = tuple(tail[i] + c.weight * fld.R[i][c.vertex[1]] for i in range(m))
+            queue.append((c.vertex, c.weight, tail, hi))
+            tail = hi
+        steps.append(
+            ExplorationStep(k, kind, vertex, zeta, tuple(c.vertex for c in children), n_discovered, low, high, root_gap)
+        )
+    return ExplorationTrace(m, tuple(float(r) for r in rho), tuple(steps), tuple(components))
+
+
+def _solver_jump_scan(fld, rho, levels, level):
+    """Reference: solver_jump with the neighbouring levels found by scanning."""
+    below = [lv for lv in levels if lv < level]
+    above = [lv for lv in levels if lv > level]
+    lo_gap = (level - max(below)) / 2 if below else level / 2
+    hi_gap = (min(above) - level) / 2 if above else 0.5
+    before = hitting_time(fld, rho, level - lo_gap).times
+    after = hitting_time(fld, rho, level + hi_gap).times
+    return tuple((a - r * hi_gap) - (b + r * lo_gap) for a, b, r in zip(after, before, rho))
+
+
+#: jump times near 1e-321 are subnormal, so a few rows in a thousand tie
+_TIE_PRONE = BlockModel(((1e160, 1e160), (1e160,)), ((1e161, 1.0), (1.0, 1e161)))
+
+
+def _rows_per_vertex(model, rng, n_rows):
+    return [list(_sample_clocks_per_vertex(model, rng).clocks.values()) for _ in range(n_rows)]
+
+
+class TestAgainstOldLoops:
+    def test_sample_clocks_matches_per_vertex_loop(self, rng):
+        for _ in range(200):
+            model = random_block_model(rng, max_vertices=int(rng.choice([3, 6, 12])))
+            seed = int(rng.integers(2**31))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample_clocks(model, rng_a) == _sample_clocks_per_vertex(model, rng_b)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_clock_rows_match_per_vertex_loop(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(field_mod, "_CLOCK_CHUNK", chunk)
+        for _ in range(20):
+            model = random_block_model(rng, max_vertices=6)
+            seed = int(rng.integers(2**31))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            chunks = list(field_mod._clock_rows(model, rng_a, 300))
+            assert all(len(xi) for xi in chunks)
+            assert np.concatenate(chunks).tolist() == _rows_per_vertex(model, rng_b, 300)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_tied_rows_are_redrawn_as_by_the_loop(self, monkeypatch, chunk):
+        monkeypatch.setattr(field_mod, "_CLOCK_CHUNK", chunk)
+        verts = _TIE_PRONE.vertices()
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        rows = np.concatenate(list(field_mod._clock_rows(_TIE_PRONE, rng_a, 3000))).tolist()
+        assert rows == _rows_per_vertex(_TIE_PRONE, rng_b, 3000)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        # the stream held tied rows: more rows were drawn than kept
+        plain = np.random.default_rng(8).exponential(1e-160, size=(3000, len(verts)))
+        assert rows != plain.tolist()
+
+    @pytest.mark.parametrize(
+        "weights",
+        [((),), ((1.0,),), ((), (1.0,)), ((1.5, 1.0), (), (0.7,))],
+        ids=["no-vertex", "one-vertex", "empty-first-type", "empty-middle-type"],
+    )
+    def test_small_and_empty_types(self, weights):
+        m = len(weights)
+        model = BlockModel(weights, tuple(tuple(1.0 if i == j else 0.6 for j in range(m)) for i in range(m)))
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(20):
+            fld = build_field(model, sample_clocks(model, rng_a))
+            assert fld == build_field(model, _sample_clocks_per_vertex(model, rng_b))
+            rho = (1.0,) * m
+            assert field_exploration(fld, rho) == _field_exploration_loop(fld, rho)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_always_tied_draws_raise(self):
+        model = BlockModel(((1e200, 1e200), (1e200,)), ((1e200, 1.0), (1.0, 1e200)))
+        with pytest.raises(ValueError, match="tie or underflow"):
+            sample_clocks(model, 0)
+
+    def test_exploration_matches_loop(self, rng):
+        for _ in range(300):
+            model = random_block_model(rng, max_vertices=int(rng.choice([3, 6, 20])))
+            fld = build_field(model, sample_clocks(model, rng))
+            rho = _random_rho(rng, model.m)
+            assert field_exploration(fld, rho) == _field_exploration_loop(fld, rho)
+
+    def test_near_critical_exploration_matches_loop(self):
+        model = _near_critical(400, 5)
+        fld = build_field(model, sample_clocks(model, 6))
+        for rho in ((1.0, 1.0), (0.0, 1.0), (2.0, 0.5)):
+            trace = field_exploration(fld, rho)
+            assert trace == _field_exploration_loop(fld, rho)
+            assert trace.zeta_final > 20
+
+    def test_explicit_field_exploration_matches_loop(self):
+        fld = field_from_jumps(
+            [[(0.5, 5.0), (1.3, 0.2), (1.1, 0.2)], [(1.2, 0.3), (9.0, 1.0)], []],
+            [[1.0, 0.5, 0.2], [0.5, 1.0, 0.0], [0.1, 0.3, 1.0]],
+        )
+        for rho in ((1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 3.0)):
+            assert field_exploration(fld, rho) == _field_exploration_loop(fld, rho)
+
+    def test_solver_jump_bisection_matches_scan(self, rng):
+        for _ in range(40):
+            model = random_block_model(rng, max_vertices=6)
+            rho = random_probe_direction(rng, model)
+            fld = build_field(model, sample_clocks(model, rng))
+            levels = hitting_process(fld, rho).levels
+            for level in levels:
+                assert solver_jump(fld, rho, levels, level) == _solver_jump_scan(fld, rho, levels, level)
+            # nondecreasing lists with repeats, queried on and between their entries
+            extra = sorted(rng.choice(list(levels) + rng.uniform(0.0, 3.0, 3).tolist(), size=6).tolist())
+            for level in extra + [0.05, 5.0]:
+                assert solver_jump(fld, rho, extra, level) == _solver_jump_scan(fld, rho, extra, level)

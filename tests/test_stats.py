@@ -1,13 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from blockwalk.field import build_field, encoded_jump
 from blockwalk.instances import random_block_model
-from blockwalk.model import BlockModel
+from blockwalk.model import BlockModel, component_weights, scaled_mass
 from blockwalk.stats import (
     ExperimentConfig,
+    FieldSample,
+    _round_vec,
     brute_force_partition_distribution,
     calibrate,
     chi_square,
@@ -21,9 +25,13 @@ from blockwalk.stats import (
     ks_one_sample,
     ks_two_sample,
     mc_component_distribution,
+    mc_field_samples,
+    mc_graph_jump_sequences,
     partition_signature,
     sample_partition_batch,
 )
+from test_field import _TIE_PRONE, _field_exploration_loop, _sample_clocks_per_vertex
+from test_model import _random_rho
 
 
 def two_vertex_model(q=0.5):
@@ -211,3 +219,103 @@ class TestCalibration:
 
         seq = calibrate(p_of, 40, 0.1, jobs=1)
         assert seq.rejections == sum(d < 0.1 for d in draws)
+
+
+# -- references: the per-replication samplers, one ClockSet, Field and full
+# -- exploration trace per field draw and one pass per graph draw
+
+
+def _sample_field_encoding(model, rho, rng):
+    clocks = _sample_clocks_per_vertex(model, rng)
+    trace = _field_exploration_loop(build_field(model, clocks), rho)
+    sig = tuple(sorted(_round_vec(c.weight_by_type) for c in trace.components))
+    first_gap = None
+    for s in trace.steps:
+        if s.kind == "root":
+            first_gap = s.root_gap
+            break
+    jumps = tuple(_round_vec(encoded_jump(model.R, c.weight_by_type)) for c in trace.components)
+    return FieldSample(sig, first_gap, jumps)
+
+
+def _mc_component_distribution_loop(model, rho, n_reps, rng, sampler):
+    counts = Counter()
+    if sampler == "graph":
+        for part in sample_partition_batch(model, n_reps, rng):
+            counts[partition_signature(model, part)] += 1
+    else:
+        for _ in range(n_reps):
+            counts[_sample_field_encoding(model, rho, rng).partition_signature] += 1
+    return counts
+
+
+def _mc_field_samples_loop(model, rho, n_reps, rng):
+    return [_sample_field_encoding(model, rho, rng) for _ in range(n_reps)]
+
+
+def _mc_graph_jump_sequences_loop(model, rho, n_reps, rng):
+    out = []
+    for part in sample_partition_batch(model, n_reps, rng):
+        masses = []
+        weight_vecs = []
+        for block in part:
+            w = component_weights(model, list(block))
+            s = scaled_mass(w, rho, model.Q)
+            if s > 0:
+                masses.append(s)
+                weight_vecs.append(w)
+        if not masses:
+            out.append(())
+            continue
+        keys = rng.exponential(1.0, size=len(masses)) / np.array(masses)
+        order = np.argsort(keys)
+        out.append(tuple(_round_vec(encoded_jump(model.R, weight_vecs[k])) for k in order))
+    return out
+
+
+#: the two fixtures of acceptance criterion 5
+DESK_FIXTURES = (
+    BlockModel(((1.0,), (1.0,)), ((1.0, 0.5), (0.5, 1.0))),
+    BlockModel(((1.0, 0.7), (0.5, 0.4)), ((0.9, 0.6), (0.6, 1.2))),
+)
+
+
+def _assert_same_as_loops(model, rho, n_reps, seed):
+    pairs = [
+        (lambda g: mc_component_distribution(model, rho, n_reps, g, "graph"),
+         lambda g: _mc_component_distribution_loop(model, rho, n_reps, g, "graph")),
+        (lambda g: mc_component_distribution(model, rho, n_reps, g, "field"),
+         lambda g: _mc_component_distribution_loop(model, rho, n_reps, g, "field")),
+        (lambda g: mc_field_samples(model, rho, n_reps, g),
+         lambda g: _mc_field_samples_loop(model, rho, n_reps, g)),
+        (lambda g: mc_graph_jump_sequences(model, rho, n_reps, g),
+         lambda g: _mc_graph_jump_sequences_loop(model, rho, n_reps, g)),
+    ]
+    for batched, loop in pairs:
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = batched(rng_a), loop(rng_b)
+        assert got == want
+        if isinstance(got, Counter):
+            assert list(got.items()) == list(want.items())  # same first-seen order
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+class TestAgainstPerReplicationLoops:
+    @pytest.mark.parametrize("fixture", [0, 1])
+    @pytest.mark.parametrize("seed", [3, 17, 500])
+    def test_desk_fixtures(self, fixture, seed):
+        _assert_same_as_loops(DESK_FIXTURES[fixture], (1.0, 1.0), 1500, seed)
+
+    def test_random_models(self, rng):
+        for _ in range(6):
+            model = random_block_model(rng, max_vertices=int(rng.choice([3, 5, 7])))
+            _assert_same_as_loops(model, _random_rho(rng, model.m), 1000, int(rng.integers(2**31)))
+
+    def test_tied_clock_draws(self):
+        _assert_same_as_loops(_TIE_PRONE, (1.0, 1.0), 1000, 4)
+
+    def test_integer_seed_same_as_fresh_generator(self):
+        model = DESK_FIXTURES[1]
+        assert mc_field_samples(model, (1.0, 1.0), 1000, 9) == _mc_field_samples_loop(
+            model, (1.0, 1.0), 1000, np.random.default_rng(9)
+        )
