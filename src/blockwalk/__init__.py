@@ -1,29 +1,22 @@
-"""Block-model graphs, their hitting-time encodings, and the folding curve."""
+"""Block-model graphs, their hitting-time encodings, and the folding curve.
+
+The package exports the paper's constructions; the types they return, the
+path-algebra primitives and the checks of ``blockwalk.validate`` are
+imported from their modules.
+"""
 
 from .curve import (
     CurveAssumptionError,
-    CurveBundle,
-    CurveInvariantError,
-    EncodedComponent,
     build_curve,
     check_symmetry,
-    composed_process,
     composed_processes,
     encode_components,
-    level_hit_time,
     level_hit_times,
     special_case_curve,
     verify_encoding,
 )
 from .field import (
-    ClockSet,
-    Field,
-    HittingProcess,
-    HittingTime,
     build_field,
-    encoded_jump,
-    field_eval,
-    field_eval_left,
     field_exploration,
     field_from_jumps,
     field_from_paths,
@@ -34,45 +27,7 @@ from .field import (
     sample_clocks,
     solver_jump,
 )
-from .model import (
-    BlockModel,
-    Component,
-    ExplorationTrace,
-    Graph,
-    KernelFactorization,
-    build_q_parametrization,
-    connected_components,
-    edge_probability,
-    factor_kernel,
-    graph_exploration,
-    normalize_kernel,
-    sample_graph,
-    scaled_mass,
-    size_biased_order,
-)
-from .paths import (
-    Breakpoint,
-    CompatibilityReport,
-    IncompatiblePairError,
-    PathClassError,
-    PathDomainError,
-    PiecewisePath,
-    add,
-    check_compatible,
-    compose,
-    drift,
-    excursions,
-    generalized_inverse,
-    identity,
-    ord_lengths,
-    past_infimum,
-    path_from_json_obj,
-    polyline,
-    pure_jumps,
-    scale,
-    smooth_compose,
-    step,
-    sup_distance,
-)
+from .model import BlockModel, connected_components, factor_kernel, graph_exploration, sample_graph
+from .paths import PiecewisePath, compose, excursions, generalized_inverse, polyline, smooth_compose
 
 __version__ = "0.1.0"

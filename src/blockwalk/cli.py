@@ -16,9 +16,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
+from . import __version__, validate
 from .curve import build_curve, composed_processes, encode_components, verify_encoding
 from .field import (
     Field,
@@ -29,21 +27,8 @@ from .field import (
     sample_clocks,
     solver_jump,
 )
-from .instances import (
-    random_block_model,
-    random_monotone_path,
-    random_probe_direction,
-    staircase_counterexample,
-)
 from .model import BlockModel, connected_components, graph_exploration, sample_graph, scaled_mass
-from .paths import (
-    generalized_inverse,
-    identity,
-    probe_times,
-    smooth_compose,
-    sup_distance,
-)
-from .stats import ExperimentConfig, calibrate, compare_component_laws, compare_encoding_laws
+from .paths import probe_times
 
 OUTPUT_ROOT_ENV = "BLOCKWALK_OUT"
 SCHEMA_VERSION = 1
@@ -243,13 +228,12 @@ def cmd_encode(args) -> int:
     out = _out_dir(args, "encode")
     fld = cfg.realize_field()
     process = hitting_process(fld, cfg.rho)
-    checks = []
-    ok = True
-    for level, delta in zip(process.levels, process.deltas):
-        solver_delta = solver_jump(fld, cfg.rho, process.levels, level)
-        gap = max(abs(a - b) for a, b in zip(solver_delta, delta))
-        checks.append({"y": level, "solver_gap": gap, "pass": gap <= 1e-12})
-        ok = ok and gap <= 1e-12
+    solved = [solver_jump(fld, cfg.rho, process.levels, level) for level in process.levels]
+    checks = [
+        {"y": level, "solver_gap": gap, "pass": gap <= validate.EXACT}
+        for level, gap in zip(process.levels, validate.jump_gaps(process, solved))
+    ]
+    ok = all(c["pass"] for c in checks)
     obj = process.to_json_obj()
     obj["solver_check"] = {"pass": ok, "jumps": checks}
     _write_json(out / "encoding.json", obj)
@@ -268,13 +252,12 @@ def cmd_curve(args) -> int:
     encoded = encode_components(fld, bundle, processes)
     process = hitting_process(fld, bundle.rho)
     report = verify_encoding(fld, bundle, process, encoded)
-    identity_gap = _curve_identity_gap(bundle, process)
-    report["checks"].append(
-        {"name": "curve passes through hitting times", "pass": identity_gap <= 1e-9, "gap": identity_gap}
-    )
-    report["pass"] = report["pass"] and identity_gap <= 1e-9
+    identity_gap = validate.curve_identity_gap(bundle, process)
+    identity_ok = identity_gap <= validate.PROP
+    report["checks"].append({"name": validate.CURVE_THROUGH_HITTING_TIMES, "pass": identity_ok, "gap": identity_gap})
+    report["pass"] = report["pass"] and identity_ok
 
-    grid = _curve_grid(bundle, processes)
+    grid = probe_times(*bundle.curve, *processes)
     with (out / "curve.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s"] + [f"curve_{i}" for i in range(fld.m)] + ["process_0"])
@@ -294,151 +277,30 @@ def cmd_curve(args) -> int:
     return 0 if report["pass"] else 1
 
 
-def _curve_grid(bundle, processes) -> list[float]:
-    return probe_times(*bundle.curve, *processes)
-
-
-def _curve_identity_gap(bundle, process) -> float:
-    ys = {0.0}
-    for level in process.levels:
-        ys.update((level, level + 1e-6, max(level - 1e-6, 0.0)))
-    ys.add(max(process.levels, default=0.0) + 1.0)
-    worst = 0.0
-    for y in sorted(ys):
-        t = process.evaluate(y)
-        s = sum(t)
-        point = bundle.curve_point(s)
-        worst = max(worst, max(abs(a - b) for a, b in zip(point, t)))
-    return worst
-
-
 def cmd_validate(args) -> int:
     started = time.time()
     out = _out_dir(args, "validate")
-    suite = {
-        "functions": _validate_functions,
-        "pathwise": _validate_pathwise,
-        "distributional": _validate_distributional,
-    }[args.suite]
-    checks = suite(args)
-    experiments = None
-    if checks and isinstance(checks[-1], dict) and checks[-1].get("_experiments"):
-        experiments = checks.pop()["_experiments"]
-    ok = all(c["pass"] for c in checks)
+    payload = {"suite": args.suite}
+    if args.suite == "functions":
+        checks = validate.path_algebra_checks(max(50, args.reps // 1000), args.seed)
+    elif args.suite == "pathwise":
+        n = max(20, args.reps // 5000)
+        checks = validate.encoding_checks(n, args.seed) + validate.curve_checks(n, args.seed)
+    else:
+        laws = [validate.law_checks(f, args.reps, args.seed) for f in range(len(validate.FIXTURES))]
+        checks = [c for law in laws for c in law.checks]
+        if args.calibration_seeds:
+            checks.append(validate.calibration_check(args.calibration_seeds))
+        payload["experiments"] = [law.experiment for law in laws]
+    ok = all(c.passed for c in checks)
     for c in checks:
-        print(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}{_detail(c)}")
-    payload = {"suite": args.suite, "pass": ok, "checks": checks}
-    if experiments is not None:
-        payload["experiments"] = experiments
+        where = "" if c.instance is None else f", first failing instance {c.instance}"
+        print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}  (gap {c.gap:.3g}, tol {c.tol:g}, seed {c.seed}{where})")
+    payload.update({"pass": ok, "checks": [c.to_json_obj() for c in checks]})
     _write_json(out / f"validate_{args.suite}.json", payload)
     _write_manifest(out, "validate", args, started, args.seed)
     print(f"validate[{args.suite}]: {'pass' if ok else 'FAIL'} -> {out}")
     return 0 if ok else 1
-
-
-def _detail(check: dict) -> str:
-    extras = {k: v for k, v in check.items() if k not in ("name", "pass")}
-    return f"  {extras}" if extras else ""
-
-
-def _validate_functions(args) -> list[dict]:
-    rng = np.random.default_rng(args.seed or 0)
-    n = max(50, args.reps // 1000)
-    worst_id = 0.0
-    worst_double = True
-    for _ in range(n):
-        g = random_monotone_path(rng)
-        gi = generalized_inverse(g)
-        worst_id = max(worst_id, sup_distance(smooth_compose(g, gi), identity()))
-        worst_id = max(worst_id, sup_distance(smooth_compose(gi, g), identity()))
-        worst_double = worst_double and generalized_inverse(gi) == g
-    ge = staircase_counterexample()
-    gei = generalized_inverse(ge)
-    ordinary = ge.eval(gei.eval(1.0))
-    smooth = smooth_compose(ge, gei).eval(1.0)
-    return [
-        {"name": f"smooth composition with inverse is the identity ({n} draws)", "pass": worst_id <= 1e-9, "gap": worst_id},
-        {"name": "double inverse returns the same representation", "pass": worst_double},
-        {"name": "staircase: ordinary composition overshoots (= 2)", "pass": abs(ordinary - 2.0) <= 1e-12},
-        {"name": "staircase: smooth composition restores (= 1)", "pass": abs(smooth - 1.0) <= 1e-12},
-    ]
-
-
-def _validate_pathwise(args) -> list[dict]:
-    rng = np.random.default_rng(args.seed or 0)
-    n = max(20, args.reps // 5000)
-    worst = 0.0
-    count = 0
-    for _ in range(n):
-        model = random_block_model(rng)
-        rho = random_probe_direction(rng, model)
-        fld = build_field(model, sample_clocks(model, rng))
-        bundle = build_curve(fld, rho)
-        process = hitting_process(fld, bundle.rho)
-        report = verify_encoding(fld, bundle, process)
-        if not report["pass"]:
-            return [{"name": "pathwise encoding equivalence", "pass": False, "instance": count}]
-        worst = max(worst, _curve_identity_gap(bundle, process))
-        count += 1
-    return [
-        {"name": f"pathwise encoding equivalence ({count} instances)", "pass": True},
-        {"name": "curve passes through hitting times", "pass": worst <= 1e-9, "gap": worst},
-    ]
-
-
-def _validate_distributional(args) -> list[dict]:
-    model = BlockModel(((1.0,), (1.0,)), ((1.0, 0.5), (0.5, 1.0)))
-    rho = (1.0, 1.0)
-    cfg = ExperimentConfig(model, rho, n_reps=args.reps, seed=args.seed or 0)
-    comp = compare_component_laws(cfg)
-    enc = compare_encoding_laws(cfg)
-    checks = [
-        {"name": "graph components vs exact oracle", "pass": not comp["graph_vs_exact"].reject(cfg.alpha), "p": comp["graph_vs_exact"].p_value},
-        {"name": "field exploration vs exact oracle", "pass": not comp["field_vs_exact"].reject(cfg.alpha), "p": comp["field_vs_exact"].p_value},
-        {"name": "first jump law vs size-biased components", "pass": enc["pass"], "p": enc["sequence_two_sample"].p_value},
-    ]
-    experiments = {
-        "config": {
-            "model": model.to_json_obj(),
-            "rho": list(rho),
-            "n_reps": cfg.n_reps,
-            "seed": cfg.seed,
-            "alpha": cfg.alpha,
-        },
-        "counts": {repr(k): v for k, v in sorted(comp["counts"]["graph"].items(), key=repr)},
-        "expected": {repr(k): p for k, p in sorted(comp["expected"].items(), key=repr)},
-        "tests": {
-            "graph_vs_exact": comp["graph_vs_exact"].to_json_obj(),
-            "field_vs_exact": comp["field_vs_exact"].to_json_obj(),
-            "graph_vs_field": comp["graph_vs_field"].to_json_obj(),
-            "field_first_vs_exact": enc["field_first_vs_exact"].to_json_obj(),
-            "graph_first_vs_exact": enc["graph_first_vs_exact"].to_json_obj(),
-            "sequence_two_sample": enc["sequence_two_sample"].to_json_obj(),
-            "first_gap_ks": enc["first_gap_ks"].to_json_obj(),
-        },
-        "pass": comp["pass"] and enc["pass"],
-    }
-    if args.calibration_seeds:
-        from functools import partial
-
-        from .stats import component_law_p_value
-
-        p_of = partial(component_law_p_value, model, rho, 2000)
-        cal = calibrate(p_of, args.calibration_seeds, cfg.alpha, jobs=args.jobs)
-        checks.append(
-            {
-                "name": f"calibration over {cal.n_seeds} seeds",
-                "pass": cal.rejections <= max(2, int(3 * cal.alpha * cal.n_seeds)),
-                "rejections": cal.rejections,
-            }
-        )
-        experiments["calibration"] = {
-            "n_seeds": cal.n_seeds,
-            "rejections": cal.rejections,
-            "alpha": cal.alpha,
-        }
-    checks.append({"_experiments": experiments, "pass": True, "name": ""})
-    return checks
 
 
 # -- entry point -----------------------------------------------------------------
@@ -479,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--reps", type=int, default=100_000, help="Monte Carlo replications")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the calibration re-runs")
     p.add_argument("--calibration-seeds", type=int, default=0, help="re-run count for calibration")
     p.set_defaults(func=cmd_validate)
     return parser

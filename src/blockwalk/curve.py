@@ -10,13 +10,11 @@ jumps of T into excursions of real-valued processes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import singledispatch
 from typing import Sequence
 
 from .field import Field, HittingProcess, hitting_process
-from .model import BlockModel, _check_rho, factor_kernel
+from .model import _check_rho
 from .paths import (
     PiecewisePath,
     add,
@@ -56,36 +54,24 @@ class SymmetryReport:
         return f"rows {i} and {j} of column {col} are not proportional near t={t}"
 
 
-@singledispatch
-def check_symmetry(source, rho) -> SymmetryReport:
-    raise TypeError(f"cannot check symmetry of {type(source).__name__}")
-
-
-@check_symmetry.register
-def _(source: Field, rho: object) -> SymmetryReport:
-    rho = _positive_rho(rho, source.m)
+def check_symmetry(fld: Field, rho) -> SymmetryReport:
+    """Compare, column by column, the off-diagonal entries divided by their
+    row's direction weight; the first disagreement of each row pair is a
+    witness."""
+    rho = _positive_rho(rho, fld.m)
     witnesses = []
-    for col in range(source.m):
-        rows = [i for i in range(source.m) if i != col]
+    for col in range(fld.m):
+        rows = [i for i in range(fld.m) if i != col]
         if len(rows) < 2:
             continue
         base = rows[0]
-        ref = scale(source.paths[base][col], 1.0 / rho[base])
+        ref = scale(fld.paths[base][col], 1.0 / rho[base])
         for i in rows[1:]:
-            other = scale(source.paths[i][col], 1.0 / rho[i])
+            other = scale(fld.paths[i][col], 1.0 / rho[i])
             t = _first_disagreement(ref, other)
             if t is not None:
                 witnesses.append((col, base, i, t))
     return SymmetryReport(not witnesses, tuple(witnesses))
-
-
-@check_symmetry.register
-def _(source: BlockModel, rho: object) -> SymmetryReport:
-    _positive_rho(rho, source.m)
-    result = factor_kernel(source.Q)
-    if result.ok:
-        return SymmetryReport(True, ())
-    return SymmetryReport(False, ((-1, -1, -1, math.nan),))
 
 
 def _positive_rho(rho, m: int) -> tuple[float, ...]:
@@ -222,15 +208,14 @@ def composed_processes(fld: Field, bundle: CurveBundle) -> tuple[PiecewisePath, 
     return tuple(composed_process(fld, bundle, i) for i in range(fld.m))
 
 
-def level_hit_time(process: PiecewisePath, rho_i: float, y: float) -> float:
-    """First s at which the composed process's left limits reach -rho_i*y."""
-    return first_time_at_or_below(past_infimum(process), -rho_i * y)
-
-
 def level_hit_times(
     processes: Sequence[PiecewisePath], rho: Sequence[float], y: float
 ) -> tuple[float, ...]:
-    return tuple(level_hit_time(p, r, y) for p, r in zip(processes, rho))
+    """Per row, the first s at which the composed process's left limits
+    reach -rho_i*y.  Backs the one-dimensional reformulation: every row
+    hits every level at the same s, the total time sum(T(y)) (acceptance
+    criterion 4)."""
+    return tuple(first_time_at_or_below(past_infimum(p), -r * y) for p, r in zip(processes, rho))
 
 
 @dataclass(frozen=True)
@@ -320,8 +305,9 @@ def special_case_curve(fld: Field, rho) -> tuple[PiecewisePath, ...]:
 
     Valid when the level maps are continuous and strictly increasing,
     which holds whenever the off-diagonal entries are (and, for a single
-    type, when the diagonal is strictly decreasing).  On such fields the
-    smooth and ordinary compositions agree.
+    type, when the diagonal is strictly decreasing).  Backs the claim that
+    on such fields the smooth and ordinary compositions agree: the result
+    equals build_curve's curve to 1e-12.
     """
     rho = _positive_rho(rho, fld.m)
     report = check_symmetry(fld, rho)

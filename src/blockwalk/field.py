@@ -40,21 +40,6 @@ from .paths import (
 )
 
 
-@dataclass(frozen=True)
-class ClockSet:
-    """One exponential clock per vertex, rate equal to its weight."""
-
-    clocks: dict[Vertex, float]
-
-    def sorted_by_type(self, m: int) -> list[list[tuple[float, Vertex]]]:
-        out: list[list[tuple[float, Vertex]]] = [[] for _ in range(m)]
-        for v, xi in self.clocks.items():
-            out[v[1]].append((xi, v))
-        for lst in out:
-            lst.sort()
-        return out
-
-
 #: rows of clocks drawn by one generator call in _clock_rows
 _CLOCK_CHUNK = 4096
 #: consecutive tied draws after which _clock_rows gives up: distinct
@@ -63,12 +48,12 @@ _CLOCK_CHUNK = 4096
 _MAX_TIED_DRAWS = 100
 
 
-def sample_clocks(model: BlockModel, seed) -> ClockSet:
-    """Independent Exp(w) clocks; exact ties are redrawn so that jump times
-    are distinct across the whole field, and a ValueError ends a run of
-    _MAX_TIED_DRAWS tied draws."""
+def sample_clocks(model: BlockModel, seed) -> dict[Vertex, float]:
+    """Independent Exp(w) clocks, one per vertex; exact ties are redrawn so
+    that jump times are distinct across the whole field, and a ValueError
+    ends a run of _MAX_TIED_DRAWS tied draws."""
     (row,) = next(_clock_rows(model, _as_rng(seed), 1)).tolist()
-    return ClockSet(dict(zip(model.vertices(), row)))
+    return dict(zip(model.vertices(), row))
 
 
 def _clock_rows(model: BlockModel, rng, n_rows: int):
@@ -149,9 +134,6 @@ class Field:
     def _diag_infima(self) -> tuple[PiecewisePath, ...]:
         return tuple(past_infimum(self.paths[i][i]) for i in range(self.m))
 
-    def path(self, i: int, j: int) -> PiecewisePath:
-        return self.paths[i][j]
-
     def diag_infimum(self, i: int) -> PiecewisePath:
         return self._diag_infima[i]
 
@@ -171,37 +153,37 @@ class Field:
         ]
 
 
-def build_field(model: BlockModel, clocks: ClockSet) -> Field:
+def build_field(model: BlockModel, clocks: dict[Vertex, float]) -> Field:
     """Realize the field from a model and a clock draw: column j jumps at
     xi / Q_jj with the vertex weight on the diagonal and the R-scaled
     weight off the diagonal."""
-    m = model.m
-    by_type = clocks.sorted_by_type(m)
+    by_type: list[list[tuple[float, Vertex]]] = [[] for _ in range(model.m)]
+    for v, xi in clocks.items():
+        by_type[v[1]].append((xi, v))
     cols = []
-    for j in range(m):
+    for j, jumps in enumerate(by_type):
         qjj = model.Q[j][j]
-        cols.append(
-            tuple(ColumnJump(xi / qjj, model.weight(v), v) for xi, v in by_type[j])
-        )
-    return Field(m, model.R, tuple(cols))
+        cols.append(tuple(ColumnJump(xi / qjj, model.weight(v), v) for xi, v in sorted(jumps)))
+    return Field(model.m, model.R, tuple(cols))
 
 
 def field_from_jumps(
     column_jumps: list[list[tuple[float, float]]], R: list[list[float]]
 ) -> Field:
     """Deterministic field from explicit per-column (time, weight) jumps;
-    vertex ranks follow weight order within each column.  Entries of R and
-    weights must be finite, times finite and nonnegative."""
+    vertex ranks follow weight order within each column.  Entries of R,
+    times and weights must be finite and nonnegative, as they are in every
+    field a block model produces."""
     for i, row in enumerate(R):
         for j, x in enumerate(row):
-            if not math.isfinite(x):
-                raise ValueError(f"R[{i}][{j}] must be finite, got {x}")
+            if not (math.isfinite(x) and x >= 0):
+                raise ValueError(f"R[{i}][{j}] must be finite and nonnegative, got {x}")
     for j, jumps in enumerate(column_jumps):
         for k, (t, w) in enumerate(jumps):
             if not (math.isfinite(t) and t >= 0):
                 raise ValueError(f"columns[{j}][{k}].t must be finite and nonnegative, got {t}")
-            if not math.isfinite(w):
-                raise ValueError(f"columns[{j}][{k}].w must be finite, got {w}")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"columns[{j}][{k}].w must be finite and nonnegative, got {w}")
     m = len(column_jumps)
     cols = []
     for j, jumps in enumerate(column_jumps):
@@ -219,7 +201,11 @@ def field_from_jumps(
 
 def field_from_paths(paths: list[list[PiecewisePath]]) -> Field:
     """General field given directly by its entries; explorations are
-    unavailable, but hitting times and the curve still apply."""
+    unavailable, but hitting times and the curve still apply.  Backs the
+    claim that the curve construction needs only the field, not a block
+    model: the special-case curve agrees with the general one on fields
+    with continuous off-diagonals, and the curve's assumptions are checked
+    on bounded and initially flat diagonals."""
     m = len(paths)
     return Field(m, explicit_paths=tuple(tuple(row) for row in paths))
 
@@ -228,6 +214,8 @@ def field_from_paths(paths: list[list[PiecewisePath]]) -> Field:
 
 
 def field_eval(fld: Field, t: list[float]) -> tuple[float, ...]:
+    """Row i sums x_ij(t_j) over the columns j.  Backs the worked instance's
+    field values, as field_eval_left backs the definition of T(y)."""
     _check_times(fld, t)
     return tuple(
         sum(fld.paths[i][j].eval(t[j]) for j in range(fld.m)) for i in range(fld.m)
@@ -235,7 +223,8 @@ def field_eval(fld: Field, t: list[float]) -> tuple[float, ...]:
 
 
 def field_eval_left(fld: Field, t: list[float]) -> tuple[float, ...]:
-    """Coordinatewise left limits: row i evaluates each column at t_j-."""
+    """Coordinatewise left limits: row i evaluates each column at t_j-.  The
+    hitting time T(y) is the least t at which these reach -rho*y."""
     _check_times(fld, t)
     return tuple(
         sum(fld.paths[i][j].eval_left(t[j]) for j in range(fld.m)) for i in range(fld.m)
@@ -501,23 +490,25 @@ def solver_jump(fld: Field, rho, levels, level: float) -> tuple[float, ...]:
 # -- rank-one specialization -------------------------------------------------------
 
 
-def rank_one_walk(model: BlockModel, clocks: ClockSet, q: float | None = None) -> PiecewisePath:
+def rank_one_walk(model: BlockModel, clocks: dict[Vertex, float], q: float | None = None) -> PiecewisePath:
     """Single-type walk -t + sum of weight jumps, built directly without
-    the field machinery; q defaults to the kernel entry."""
+    the field machinery; q defaults to the kernel entry.  Backs the rank-one
+    reduction: with one type the field's diagonal is this classical walk."""
     if model.m != 1:
         raise ValueError("rank-one walk requires exactly one type")
     q = model.Q[0][0] if q is None else q
-    jumps = [(xi / q, model.weight(v)) for v, xi in clocks.clocks.items()]
+    jumps = [(xi / q, model.weight(v)) for v, xi in clocks.items()]
     return add(drift(-1.0), pure_jumps(jumps))
 
 
-def rank_one_encoding(model: BlockModel, clocks: ClockSet) -> list[tuple[float, float]]:
+def rank_one_encoding(model: BlockModel, clocks: dict[Vertex, float]) -> list[tuple[float, float]]:
     """(level, gap) pairs of the scalar hitting process, computed by the
-    classic one-dimensional sweep over sorted jump times."""
+    classic one-dimensional sweep over sorted jump times.  Backs the
+    rank-one reduction: with one type the hitting process has these jumps."""
     if model.m != 1:
         raise ValueError("rank-one encoding requires exactly one type")
     q = model.Q[0][0]
-    remaining = sorted((xi / q, model.weight(v)) for v, xi in clocks.clocks.items())
+    remaining = sorted((xi / q, model.weight(v)) for v, xi in clocks.items())
     out = []
     frontier = 0.0
     level = 0.0

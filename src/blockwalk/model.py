@@ -205,22 +205,6 @@ def scaled_mass(weight_by_type: Sequence[float], rho: Sequence[float], Q: Sequen
     return sum(r * Q[i][i] * w for i, (r, w) in enumerate(zip(rho, weight_by_type)))
 
 
-def size_biased_order(
-    components: Sequence[Component], rho: Sequence[float], Q, seed
-) -> list[Component]:
-    """Order components by an exponential race with their scaled masses as
-    rates; zero-mass components never appear."""
-    _check_rho(rho, len(Q))
-    rng = _as_rng(seed)
-    keyed = []
-    for c in components:
-        s = scaled_mass(c.weight_by_type, rho, Q)
-        if s > 0:
-            keyed.append((rng.exponential(1.0 / s), c))
-    keyed.sort(key=lambda kc: kc[0])
-    return [c for _, c in keyed]
-
-
 def _check_rho(rho: Sequence[float], m: int) -> None:
     if len(rho) != m:
         raise ValueError(f"direction vector has length {len(rho)}, expected {m}")
@@ -295,28 +279,13 @@ def factor_kernel(Q: Sequence[Sequence[float]]) -> KernelFactorization:
     return KernelFactorization(True, rho, nu, worst)
 
 
-def build_q_parametrization(Q, rho: Sequence[float], nu: Sequence[float]) -> dict:
-    """Express a factorizable kernel through a single cross rate.
-
-    With R[i][j] = rho_i * nu_j and Q symmetric, Q_ii * rho_i / nu_i is
-    constant; calling it q0 gives Q_ij = q0 * nu_i * nu_j off the diagonal
-    and Q_ii = q_i * nu_i^2 with q_i = Q_ii / nu_i^2.  Edges then connect
-    with the rank-one intensities of the nu-scaled weights.
-    """
-    m = len(Q)
-    q0s = [Q[j][j] * rho[j] / nu[j] for j in range(m)]
-    q0 = q0s[0]
-    for j, val in enumerate(q0s):
-        if abs(val - q0) > FACTOR_TOL * max(1.0, abs(q0)):
-            raise ValueError(f"q0 is not constant across types (type {j}: {val} vs {q0})")
-    qs = tuple(Q[i][i] / nu[i] ** 2 for i in range(m))
-    return {"q0": q0, "q": qs, "scaling": tuple(nu)}
-
-
 def normalize_kernel(model: BlockModel) -> BlockModel:
     """Move the kernel diagonal into the weights: w -> sqrt(Q_ii) w and
-    Q -> Q_ij / sqrt(Q_ii Q_jj).  Edge probabilities are unchanged, but the
-    component weight vectors of the coupled graphs differ."""
+    Q -> Q_ij / sqrt(Q_ii Q_jj).
+
+    Backs the caveat that the encoding is stated for the model as given:
+    edge probabilities are unchanged, but the component weight vectors of
+    the coupled graphs differ."""
     m = model.m
     roots = [math.sqrt(model.Q[i][i]) for i in range(m)]
     weights = tuple(tuple(roots[i] * w for w in model.weights[i]) for i in range(m))

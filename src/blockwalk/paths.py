@@ -170,59 +170,6 @@ class PiecewisePath:
             return self.limit_at_infinity()
         return self.eval_left(t)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {
-            "initial": self.initial,
-            "terminal_slope": self.terminal_slope,
-            "breakpoints": [
-                {
-                    "t": b.t,
-                    "left": b.left,
-                    "right": b.right,
-                    "slope": self._outgoing_slope(k),
-                }
-                for k, b in enumerate(self.breakpoints)
-            ],
-        }
-
-    def _outgoing_slope(self, k: int) -> float:
-        bps = self.breakpoints
-        if k == len(bps) - 1:
-            return self.terminal_slope
-        nxt = bps[k + 1]
-        return (nxt.left - bps[k].right) / (nxt.t - bps[k].t)
-
-
-def path_from_json_obj(obj: dict) -> PiecewisePath:
-    """Inverse of :meth:`PiecewisePath.to_json_obj` with schema checking."""
-    allowed = {"initial", "terminal_slope", "breakpoints"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise PathDomainError(f"unknown path fields: {sorted(unknown)}")
-    try:
-        initial = float(obj["initial"])
-        terminal = float(obj["terminal_slope"])
-        raw = obj["breakpoints"]
-    except (KeyError, TypeError) as exc:
-        raise PathDomainError(f"malformed path object: {exc}") from exc
-    anchors = []
-    for k, r in enumerate(raw):
-        extra = set(r) - {"t", "left", "right", "slope"}
-        if extra:
-            raise PathDomainError(f"breakpoint {k}: unknown fields {sorted(extra)}")
-        anchors.append((float(r["t"]), float(r["left"]), float(r["right"])))
-    path = _build(initial, anchors, terminal, 1.0)
-    for k, r in enumerate(raw):
-        if "slope" in r and k < len(raw) - 1:
-            implied = path._outgoing_slope(k)
-            if abs(float(r["slope"]) - implied) > 1e-9:
-                raise PathDomainError(
-                    f"breakpoint {k}: slope {r['slope']} inconsistent with values (implied {implied})"
-                )
-    return path
-
 
 # -- canonical construction ---------------------------------------------------
 
@@ -328,6 +275,9 @@ def pure_jumps(jumps: list[tuple[float, float]]) -> PiecewisePath:
 
 
 def polyline(nodes: list[tuple[float, float]], terminal_rise: float, terminal_run: float = 1.0) -> PiecewisePath:
+    """Continuous path through (t, value) nodes.  Backs the worked
+    instance's exactness claim (acceptance criterion 1): its closed-form
+    curve and combined level are written as polylines."""
     return _polyline(list(nodes), terminal_rise, terminal_run)
 
 
@@ -772,11 +722,6 @@ def _first_rise(d: PiecewisePath, moves: list[tuple], k: int, a: float, b: float
             if d.eval(lo) > 0 or rise > 0:
                 return lo
     return None
-
-
-def ord_lengths(path: PiecewisePath) -> list[float]:
-    """Excursion lengths in nonincreasing order."""
-    return sorted((length for _, _, length in excursions(path)), reverse=True)
 
 
 # -- comparison helpers -------------------------------------------------------

@@ -580,36 +580,14 @@ def compare_encoding_laws(config: ExperimentConfig) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    n_seeds: int
-    rejections: int
-    alpha: float
-
-    @property
-    def rate(self) -> float:
-        return self.rejections / self.n_seeds
-
-
 def component_law_p_value(model: BlockModel, rho, n_reps: int, seed: int) -> float:
-    """p-value of the graph sampler against the exact oracle for one seed;
-    picklable, so calibration re-runs can fan out over processes."""
+    """p-value of the graph sampler against the exact oracle for one seed."""
     expected = exact_partition_distribution(model).signature_distribution()
     counts = mc_component_distribution(model, rho, n_reps, seed, "graph")
     return chi_square(counts, expected).p_value
 
 
-def calibrate(
-    p_value_of_seed: Callable[[int], float], n_seeds: int, alpha: float, jobs: int = 1
-) -> CalibrationResult:
-    """Re-run a seeded test and count rejections; a sound test rejects at
-    roughly the nominal rate.  The outcome does not depend on ``jobs``."""
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            p_values = list(pool.map(p_value_of_seed, range(n_seeds)))
-    else:
-        p_values = [p_value_of_seed(s) for s in range(n_seeds)]
-    rejections = sum(1 for p in p_values if p < alpha)
-    return CalibrationResult(n_seeds, rejections, alpha)
+def calibrate(p_value_of_seed: Callable[[int], float], n_seeds: int, alpha: float) -> int:
+    """Re-run a seeded test on seeds 0 to n_seeds - 1 and count its
+    rejections; a sound test rejects at roughly the nominal rate."""
+    return sum(1 for s in range(n_seeds) if p_value_of_seed(s) < alpha)

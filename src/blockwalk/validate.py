@@ -1,0 +1,313 @@
+"""The checks behind the paper's claims, each written once.
+
+``blockwalk validate`` and the acceptance tests run them; each returns
+Check records.  encoding_checks: the field encoding (acceptance criterion
+2); path_algebra_checks: the composition identities behind the curve (3);
+curve_checks: the curve and the one-dimensional reformulation (4);
+law_checks and calibration_check: the laws of the encoding (5).  ``encode``
+and ``curve`` use jump_gaps and curve_identity_gap.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_right
+from dataclasses import asdict, dataclass
+
+import numpy as np
+
+from .curve import CurveBundle, build_curve, composed_processes, encode_components, level_hit_times
+from .field import HittingProcess, build_field, encoded_jump, field_exploration, hitting_process
+from .field import sample_clocks, solver_jump
+from .instances import random_block_model, random_monotone_path, random_probe_direction, staircase_counterexample
+from .model import BlockModel
+from .paths import add, classify, generalized_inverse, identity, probe_times, smooth_compose, sup_distance
+from .stats import ChiSquareResult, ExperimentConfig, KSResult, calibrate, component_law_p_value
+from .stats import compare_component_laws, compare_encoding_laws
+
+#: agreement of jumps computed two ways, and of curve increments with jumps
+EXACT = 1e-12
+#: identities that pass through the spline composition or the curve
+PROP = 1e-9
+#: significance level of the statistical checks
+ALPHA = 0.001
+
+#: the name of this check also in the pathwise_report.json of ``blockwalk curve``
+CURVE_THROUGH_HITTING_TIMES = "curve passes through hitting times"
+
+
+@dataclass(frozen=True)
+class Check:
+    """Outcome of one check over all its draws: the worst ``gap`` seen
+    passes when it is at most ``tol`` (gap 0 or inf for a property that
+    holds or not), except that a statistical test passes when its p-value
+    ``gap`` is at least the significance level ``tol``.  ``seed`` seeds the
+    draws (None for a fixed instance); ``instance`` is the first failing
+    draw."""
+
+    name: str
+    passed: bool
+    gap: float
+    tol: float
+    seed: int | None
+    instance: int | None = None
+
+    def to_json_obj(self) -> dict:
+        return asdict(self)
+
+
+def _checks(specs, rows, seed: int) -> list[Check]:
+    """One Check per (name, tol) in specs from per-draw rows of gaps in the
+    same order; a NaN gap fails."""
+    out = []
+    for (name, tol), gaps in zip(specs, list(zip(*rows)) or [()] * len(specs)):
+        failed = [k for k, gap in enumerate(gaps) if not gap <= tol]
+        worst = math.nan if any(gap != gap for gap in gaps) else max([0.0, *gaps])
+        out.append(Check(name, not failed, worst, tol, seed, failed[0] if failed else None))
+    return out
+
+
+def _worst(gaps) -> float:
+    return max(gaps, default=0.0)
+
+
+def _holds(ok: bool) -> float:
+    return 0.0 if ok else math.inf
+
+
+def _random_instance(rng):
+    model = random_block_model(rng, max_types=3, max_vertices=6)
+    rho = random_probe_direction(rng, model)
+    return model, rho, build_field(model, sample_clocks(model, rng))
+
+
+# -- criterion 2: the field encoding ---------------------------------------------
+
+
+def jump_gaps(process: HittingProcess, jumps) -> list[float]:
+    """Per jump of the hitting process, the largest coordinate gap to the
+    matching entry of ``jumps``.  ``blockwalk encode`` writes these gaps
+    for the solver's jumps into encoding.json."""
+    return [max(abs(a - b) for a, b in zip(delta, other)) for delta, other in zip(process.deltas, jumps)]
+
+
+def encoding_checks(n: int, seed: int) -> list[Check]:
+    """On n random instances of at most three types and six vertices, the
+    sweep's jumps are R times its components' weights, the solver finds the
+    same jumps, and the curve has one excursion per jump, whose increment is
+    the jump and whose length is the jump's one-norm."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        model, rho, fld = _random_instance(rng)
+        process = hitting_process(fld, rho)
+        swept = [encoded_jump(model.R, c.weight_by_type) for c in field_exploration(fld, rho).components]
+        solved = [solver_jump(fld, rho, process.levels, level) for level in process.levels]
+        encoded = encode_components(fld, build_curve(fld, rho))
+        rows.append((
+            _worst(jump_gaps(process, swept)) if len(swept) == len(process.deltas) else math.inf,
+            _worst(jump_gaps(process, solved)),
+            _holds(len(encoded) == len(process.deltas)),
+            _worst(jump_gaps(process, [e.increment for e in encoded])),
+            _worst(abs(e.length - sum(d)) for e, d in zip(encoded, process.deltas)),
+        ))
+    specs = [
+        ("sweep jumps equal R times the component weights", 0.0),
+        ("solver jumps match the sweep", EXACT),
+        ("one excursion per jump", 0.0),
+        ("curve increments match the jumps", EXACT),
+        ("excursion lengths equal the jump one-norms", EXACT),
+    ]
+    return _checks(specs, rows, seed)
+
+
+# -- criterion 3: the path algebra ---------------------------------------------------
+
+
+def path_algebra_checks(n: int, seed: int) -> list[Check]:
+    """On n pairs of random invertible monotone paths g1, g2 with inverses
+    i1, i2 and kappa the inverse of i1 + i2: double inversion is exact, a
+    path smoothly composed with its inverse is the identity, the smooth
+    composition is additive, and gamma = i1 smoothly composed with kappa is
+    continuous, nondecreasing and between the left and right values of i1
+    at kappa.  On the staircase counterexample only the ordinary
+    composition with the inverse overshoots."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        g1 = random_monotone_path(rng)
+        g2 = random_monotone_path(rng)
+        inv1, inv2 = generalized_inverse(g1), generalized_inverse(g2)
+        total = add(inv1, inv2)
+        kappa = generalized_inverse(total)
+        gamma = smooth_compose(inv1, kappa)
+        sandwich = 0.0
+        for s in probe_times(gamma, kappa):
+            ks, value = kappa.eval(s), gamma.eval(s)
+            sandwich = max(sandwich, inv1.eval_left(ks) - value, value - inv1.eval(ks))
+        rows.append((
+            _holds(generalized_inverse(inv1) == g1),
+            max(sup_distance(smooth_compose(g1, inv1), identity()), sup_distance(smooth_compose(inv1, g1), identity())),
+            sup_distance(add(gamma, smooth_compose(inv2, kappa)), smooth_compose(total, kappa)),
+            _worst(abs(b.left - b.right) for b in gamma.breakpoints),
+            _holds(classify(gamma).nondecreasing),
+            sandwich,
+        ))
+    specs = [
+        ("double inverse returns the same representation", 0.0),
+        ("smooth composition with inverse is the identity", PROP),
+        ("smooth composition is additive", PROP),
+        ("smooth composition is continuous", 0.0),
+        ("smooth composition is nondecreasing", 0.0),
+        ("smooth composition lies between the inverse's left and right values", PROP),
+    ]
+    ge = staircase_counterexample()
+    gei = generalized_inverse(ge)
+    ordinary = ge.eval(gei.eval(1.0))
+    smooth = smooth_compose(ge, gei).eval(1.0)
+    return _checks(specs, rows, seed) + [
+        Check("staircase: ordinary composition overshoots (= 2)", ordinary == 2.0, abs(ordinary - 2.0), 0.0, None),
+        Check("staircase: smooth composition restores (= 1)", smooth == 1.0, abs(smooth - 1.0), 0.0, None),
+    ]
+
+
+# -- criterion 4: the curve -----------------------------------------------------------
+
+
+def _evaluate_sorted(process: HittingProcess, ys: list[float]) -> np.ndarray:
+    """process.evaluate(y) for each of the sorted ys, one row each.
+
+    Every row gets the same float additions in the same order as evaluate:
+    r * y, then the delta of each level below y in level order.  The rows
+    with y above a level are a suffix of the sorted ys, so one slice
+    addition per level does it.
+    """
+    acc = np.array(ys)[:, None] * np.array(process.rho)
+    for level, delta in zip(process.levels, process.deltas):
+        acc[bisect_right(ys, level) :] += delta
+    return acc
+
+
+def curve_identity_gap(bundle: CurveBundle, process: HittingProcess) -> float:
+    """Largest coordinate gap between T(y) and the curve at sum(T(y)), for
+    y at 0, at and 1e-6 around each jump level, and 1 past the last one."""
+    ys = {0.0}
+    for level in process.levels:
+        ys.update((level, level + 1e-6, max(level - 1e-6, 0.0)))
+    ys.add(max(process.levels, default=0.0) + 1.0)
+    worst = 0.0
+    for t in _evaluate_sorted(process, sorted(ys)).tolist():
+        point = bundle.curve_point(sum(t))
+        worst = max(worst, max(abs(a - b) for a, b in zip(point, t)))
+    return worst
+
+
+def curve_checks(n: int, seed: int) -> list[Check]:
+    """On n random instances, at the curve's breakpoints and on a 1001-point
+    grid, the coordinates sum to the parameter, are nondecreasing and
+    one-Lipschitz, and each level map sandwiches the combined level.  The
+    curve passes through the hitting times, and every composed process
+    first reaches each level -rho_i*y at the total time sum(T(y))."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        _, rho, fld = _random_instance(rng)
+        bundle = build_curve(fld, rho)
+        process = hitting_process(fld, rho)
+        base = probe_times(*bundle.curve)
+        grid = sorted(set(base) | {base[-1] * j / 1000 for j in range(1001)})
+        norm = drop = rise = sandwich = hits = 0.0
+        prev, prev_s = [0.0] * fld.m, 0.0
+        for s in grid:
+            point = bundle.curve_point(s)
+            norm = max(norm, abs(sum(point) - s))
+            for i in range(fld.m):
+                move = point[i] - prev[i]
+                drop = max(drop, -move)
+                rise = max(rise, move - (s - prev_s))
+            prev, prev_s = point, s
+            level = bundle.combined_level.eval(s)
+            for g, c in zip(bundle.levels, bundle.curve):
+                at = c.eval(s)
+                sandwich = max(sandwich, g.eval_left(at) - level, level - g.eval(at))
+        processes = composed_processes(fld, bundle)
+        for level in process.levels:
+            for y in (level / 2, level + 0.05):
+                expected = process.total_time(y)
+                hits = max(hits, max(abs(t - expected) for t in level_hit_times(processes, rho, y)))
+        rows.append((norm, drop, rise, sandwich, curve_identity_gap(bundle, process), hits))
+    specs = [
+        ("curve coordinates sum to the parameter", PROP),
+        ("curve coordinates are nondecreasing", EXACT),
+        ("curve coordinates are one-Lipschitz", PROP),
+        ("level maps sandwich the combined level along the curve", PROP),
+        (CURVE_THROUGH_HITTING_TIMES, PROP),
+        ("composed processes hit each level at the total hitting time", PROP),
+    ]
+    return _checks(specs, rows, seed)
+
+
+# -- criterion 5: the laws ---------------------------------------------------------------
+
+
+#: the two small fixtures of the law comparisons, probed along FIXTURE_RHO
+FIXTURES = (
+    BlockModel(((1.0,), (1.0,)), ((1.0, 0.5), (0.5, 1.0))),
+    BlockModel(((1.0, 0.7), (0.5, 0.4)), ((0.9, 0.6), (0.6, 1.2))),
+)
+FIXTURE_RHO = (1.0, 1.0)
+
+
+@dataclass(frozen=True)
+class LawComparison:
+    """The law checks on one fixture, and the experiment they read as JSON."""
+
+    checks: tuple[Check, ...]
+    experiment: dict
+
+
+def law_checks(fixture: int, n_reps: int, seed: int) -> LawComparison:
+    """On FIXTURES[fixture] at seed + fixture: the component laws of graph
+    and field against the exact oracle, with no mass outside its support,
+    the first jump of either against the exact first-jump law, the two
+    jump sequences against each other, and the first root gap against its
+    exponential law."""
+    config = ExperimentConfig(FIXTURES[fixture], FIXTURE_RHO, n_reps, seed + fixture, ALPHA)
+    comp = compare_component_laws(config)
+    enc = compare_encoding_laws(config)
+
+    def law(name, result, support=False):
+        passed = not result.reject(ALPHA) and not (support and result.unknown_mass)
+        return Check(f"fixture {fixture}: {name}", passed, result.p_value, ALPHA, config.seed)
+
+    checks = (
+        law("graph components vs exact oracle", comp["graph_vs_exact"], support=True),
+        law("field exploration vs exact oracle", comp["field_vs_exact"], support=True),
+        law("first field jump vs exact first-jump law", enc["field_first_vs_exact"]),
+        law("first size-biased graph jump vs exact first-jump law", enc["graph_first_vs_exact"]),
+        law("field vs graph jump sequences", enc["sequence_two_sample"]),
+        law("first root gap vs its exponential law", enc["first_gap_ks"]),
+    )
+    experiment = {
+        "config": dict(
+            model=config.model.to_json_obj(), rho=list(config.rho), n_reps=n_reps, seed=config.seed, alpha=ALPHA
+        ),
+        "counts": {repr(k): v for k, v in sorted(comp["counts"]["graph"].items(), key=repr)},
+        "expected": {repr(k): p for k, p in sorted(comp["expected"].items(), key=repr)},
+        "tests": {
+            name: result.to_json_obj()
+            for name, result in [*comp.items(), *enc.items()]
+            if isinstance(result, (ChiSquareResult, KSResult))
+        },
+        "pass": comp["pass"] and enc["pass"],
+    }
+    return LawComparison(checks, experiment)
+
+
+def calibration_check(n_seeds: int) -> Check:
+    """The graph sampler against the exact oracle on FIXTURES[0] at 2000
+    replications, on seeds 0 to n_seeds - 1: a sound test rejects at about
+    the rate ALPHA, so at most max(2, 3 * ALPHA * n_seeds) rejections pass."""
+    rejections = calibrate(lambda s: component_law_p_value(FIXTURES[0], FIXTURE_RHO, 2000, s), n_seeds, ALPHA)
+    allowed = max(2, int(3 * ALPHA * n_seeds))
+    return Check(f"calibration over {n_seeds} seeds", rejections <= allowed, rejections, allowed, 0)

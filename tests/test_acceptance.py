@@ -1,52 +1,27 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines as they complete.  Seeds are pinned; the statistical checks use
-100000 replications at significance 0.001.
+lines as they complete.  Criteria 2 to 5 run the checks of
+``blockwalk.validate``, the same code as ``blockwalk validate``, at pinned
+seeds, counts and tolerances, and assert that every returned record
+passed at the tolerance listed for it here.  The statistical checks use
+100000 replications at significance 0.001.  Criteria 1 and 6 have no
+command and are checked here directly.
 """
-
-import math
 
 import numpy as np
 import pytest
 
+from blockwalk import validate
 from blockwalk.curve import build_curve, encode_components
-from blockwalk.field import (
-    build_field,
-    field_exploration,
-    hitting_process,
-    hitting_time,
-    sample_clocks,
-    solver_jump,
-)
-from blockwalk.instances import (
-    random_block_model,
-    random_monotone_path,
-    random_probe_direction,
-    staircase_counterexample,
-    worked_instance,
-)
-from blockwalk.model import BlockModel, factor_kernel
-from blockwalk.paths import (
-    add,
-    classify,
-    generalized_inverse,
-    identity,
-    polyline,
-    probe_times,
-    smooth_compose,
-    sup_distance,
-)
-from blockwalk.stats import (
-    ExperimentConfig,
-    calibrate,
-    compare_component_laws,
-    compare_encoding_laws,
-    component_law_p_value,
-)
+from blockwalk.field import hitting_process, hitting_time
+from blockwalk.instances import worked_instance
+from blockwalk.model import factor_kernel
+from blockwalk.paths import polyline, sup_distance
 
 EXACT = 1e-12
 PROP = 1e-9
+ALPHA = 0.001
 
 
 def report(line: str) -> None:
@@ -82,179 +57,61 @@ def test_criterion_1_worked_instance_exactness():
     report("worked two-type instance reproduced to 1e-12")
 
 
+def passed(checks, tols):
+    """Assert that every check passed, at the tolerances listed for them in order."""
+    for check in checks:
+        assert check.passed, check
+    assert [c.tol for c in checks] == tols
+    return {c.name: c.gap for c in checks}
+
+
 def test_criterion_2_pathwise_encoding_equivalence():
-    rng = np.random.default_rng(1001)
-    worst_solver = worst_curve = 0.0
-    for _ in range(100):
-        model = random_block_model(rng, max_types=3, max_vertices=6)
-        rho = random_probe_direction(rng, model)
-        fld = build_field(model, sample_clocks(model, rng))
-        trace = field_exploration(fld, rho)
-        hp = hitting_process(fld, rho)
-
-        from blockwalk.field import encoded_jump
-
-        for comp, delta, level in zip(trace.components, hp.deltas, hp.levels):
-            swept = encoded_jump(model.R, comp.weight_by_type)
-            assert max(abs(a - b) for a, b in zip(delta, swept)) == 0.0
-            direct = solver_jump(fld, rho, hp.levels, level)
-            worst_solver = max(
-                worst_solver, max(abs(a - b) for a, b in zip(direct, delta))
-            )
-
-        bundle = build_curve(fld, rho)
-        records = encode_components(fld, bundle)
-        assert len(records) == len(hp.deltas)
-        for rec, delta in zip(records, hp.deltas):
-            worst_curve = max(
-                worst_curve, max(abs(a - b) for a, b in zip(rec.increment, delta))
-            )
-    assert worst_solver <= EXACT
-    assert worst_curve <= EXACT
+    gaps = passed(validate.encoding_checks(100, 1001), [0.0, EXACT, 0.0, EXACT, EXACT])
     report(
         "100 random instances: solver jumps = scaled component weights = "
-        f"curve increments (worst gaps {worst_solver:.2e}, {worst_curve:.2e})"
+        f"curve increments (worst gaps {gaps['solver jumps match the sweep']:.2e}, "
+        f"{gaps['curve increments match the jumps']:.2e})"
     )
 
 
 def test_criterion_3_function_algebra_suite():
-    rng = np.random.default_rng(2002)
-    worst_id = worst_add = 0.0
-    for _ in range(1000):
-        g1 = random_monotone_path(rng)
-        g2 = random_monotone_path(rng)
-        inv1, inv2 = generalized_inverse(g1), generalized_inverse(g2)
-
-        assert generalized_inverse(inv1) == g1
-
-        worst_id = max(worst_id, sup_distance(smooth_compose(g1, inv1), identity()))
-        worst_id = max(worst_id, sup_distance(smooth_compose(inv1, g1), identity()))
-
-        f = add(inv1, inv2)
-        kappa = generalized_inverse(f)
-        left = add(smooth_compose(inv1, kappa), smooth_compose(inv2, kappa))
-        right = smooth_compose(f, kappa)
-        worst_add = max(worst_add, sup_distance(left, right))
-
-        gamma = smooth_compose(inv1, kappa)
-        for b in gamma.breakpoints:
-            assert b.left == b.right  # continuity
-        assert classify(gamma).nondecreasing
-        for s in probe_times(gamma, kappa):
-            ks = kappa.eval(s)
-            assert inv1.eval_left(ks) - PROP <= gamma.eval(s) <= inv1.eval(ks) + PROP
-
-    assert worst_id <= PROP
-    assert worst_add <= PROP
-
-    ge = staircase_counterexample()
-    gei = generalized_inverse(ge)
-    assert ge.eval(gei.eval(1.0)) == 2.0
-    assert smooth_compose(ge, gei).eval(1.0) == 1.0
+    gaps = passed(validate.path_algebra_checks(1000, 2002), [0.0, PROP, PROP, 0.0, 0.0, PROP, 0.0, 0.0])
     report(
         "1000 random monotone paths: inverse identities, additivity, "
-        f"sandwich and continuity hold (worst gaps {worst_id:.2e}, {worst_add:.2e}); "
+        f"sandwich and continuity hold (worst gaps "
+        f"{gaps['smooth composition with inverse is the identity']:.2e}, "
+        f"{gaps['smooth composition is additive']:.2e}); "
         "staircase counterexample separates the compositions"
     )
 
 
 def test_criterion_4_curve_invariants():
-    rng = np.random.default_rng(3003)
-    worst_norm = worst_trace = worst_sandwich = 0.0
-    for _ in range(60):
-        model = random_block_model(rng, max_types=3, max_vertices=6)
-        rho = random_probe_direction(rng, model)
-        fld = build_field(model, sample_clocks(model, rng))
-        bundle = build_curve(fld, rho)
-        hp = hitting_process(fld, rho)
-
-        base = probe_times(*bundle.curve)
-        hi = base[-1]
-        grid = sorted(set(base) | {hi * k / 1000 for k in range(1001)})
-        prev = [0.0] * fld.m
-        prev_s = 0.0
-        for s in grid:
-            point = bundle.curve_point(s)
-            worst_norm = max(worst_norm, abs(sum(point) - s))
-            for i in range(fld.m):
-                move = point[i] - prev[i]
-                assert -EXACT <= move <= (s - prev_s) + PROP  # one-Lipschitz
-            prev, prev_s = list(point), s
-            k = bundle.combined_level.eval(s)
-            for g, c in zip(bundle.levels, bundle.curve):
-                lo = g.eval_left(c.eval(s))
-                hi_v = g.eval(c.eval(s))
-                worst_sandwich = max(worst_sandwich, max(lo - k, k - hi_v, 0.0))
-
-        ys = {0.0, max(hp.levels, default=0.0) + 1.0}
-        for level in hp.levels:
-            ys.update((level, level + 1e-6, max(level - 1e-6, 0.0)))
-        for y in sorted(ys):
-            t = hp.evaluate(y)
-            point = bundle.curve_point(sum(t))
-            worst_trace = max(worst_trace, max(abs(a - b) for a, b in zip(point, t)))
-
-        processes = None
-        from blockwalk.curve import composed_processes, level_hit_times
-
-        processes = composed_processes(fld, bundle)
-        for level in hp.levels:
-            for y in (level / 2, level + 0.05):
-                times = level_hit_times(processes, rho, y)
-                expected = hp.total_time(y)
-                assert max(abs(t - expected) for t in times) <= PROP
-
-    assert worst_norm <= PROP
-    assert worst_trace <= PROP
-    assert worst_sandwich <= PROP
+    gaps = passed(validate.curve_checks(60, 3003), [PROP, EXACT, PROP, PROP, PROP, PROP])
     report(
         "60 random instances: coordinate sums, curve-through-hitting-times, "
         "level sandwich, one-Lipschitz bound and identical hit-time maps "
-        f"(worst gaps {worst_norm:.2e}, {worst_trace:.2e}, {worst_sandwich:.2e})"
+        f"(worst gaps {gaps['curve coordinates sum to the parameter']:.2e}, "
+        f"{gaps['curve passes through hitting times']:.2e}, "
+        f"{gaps['level maps sandwich the combined level along the curve']:.2e})"
     )
 
 
-DESK_FIXTURES = [
-    BlockModel(((1.0,), (1.0,)), ((1.0, 0.5), (0.5, 1.0))),
-    BlockModel(((1.0, 0.7), (0.5, 0.4)), ((0.9, 0.6), (0.6, 1.2))),
-]
-
-
-@pytest.mark.parametrize("fixture", range(len(DESK_FIXTURES)))
+@pytest.mark.parametrize("fixture", range(len(validate.FIXTURES)))
 def test_criterion_5_distributional_suite(fixture):
-    model = DESK_FIXTURES[fixture]
-    rho = (1.0, 1.0)
-    config = ExperimentConfig(model, rho, n_reps=100_000, seed=500 + fixture, alpha=0.001)
-
-    comp = compare_component_laws(config)
-    assert not comp["graph_vs_exact"].reject(config.alpha), comp["graph_vs_exact"]
-    assert not comp["field_vs_exact"].reject(config.alpha), comp["field_vs_exact"]
-    assert comp["graph_vs_exact"].unknown_mass == 0
-    assert comp["field_vs_exact"].unknown_mass == 0
-
-    enc = compare_encoding_laws(config)
-    assert not enc["field_first_vs_exact"].reject(config.alpha), enc["field_first_vs_exact"]
-    assert not enc["graph_first_vs_exact"].reject(config.alpha), enc["graph_first_vs_exact"]
-    assert not enc["sequence_two_sample"].reject(config.alpha), enc["sequence_two_sample"]
-    assert not enc["first_gap_ks"].reject(config.alpha), enc["first_gap_ks"]
+    law = validate.law_checks(fixture, 100_000, 500)
+    config = law.experiment["config"]
+    assert (config["seed"], config["n_reps"], config["alpha"]) == (500 + fixture, 100_000, ALPHA)
+    p = list(passed(law.checks, [ALPHA] * 6).values())
     report(
         f"fixture {fixture}: components and encodings match the exact oracle "
         f"and each other at N=100000, alpha=0.001 (p-values "
-        f"{comp['graph_vs_exact'].p_value:.3f}, {comp['field_vs_exact'].p_value:.3f}, "
-        f"{enc['field_first_vs_exact'].p_value:.3f}, {enc['first_gap_ks'].p_value:.3f})"
+        f"{p[0]:.3f}, {p[1]:.3f}, {p[2]:.3f}, {p[5]:.3f})"
     )
 
 
 def test_criterion_5_calibration():
-    from functools import partial
-
-    model = DESK_FIXTURES[0]
-    p_of = partial(component_law_p_value, model, (1.0, 1.0), 2000)
-    cal = calibrate(p_of, 100, 0.001)
-    assert cal.rejections <= 2  # nominal rate 0.1 over 100 seeds
-    report(
-        f"calibration: {cal.rejections} rejections in 100 seeded reruns at alpha=0.001"
-    )
+    (rejections,) = passed([validate.calibration_check(100)], [2]).values()  # nominal rate 0.1 over 100 seeds
+    report(f"calibration: {rejections} rejections in 100 seeded reruns at alpha=0.001")
 
 
 def test_criterion_6_kernel_factorization():

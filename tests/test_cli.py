@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import blockwalk
-from blockwalk import cli, curve
+from blockwalk import cli, curve, validate
 from blockwalk.cli import ConfigError, load_config, main
 
 WORKED = {
@@ -176,12 +176,20 @@ class TestConfig:
             (("columns", 0, 0, "t"), float("inf"), r"config.field: columns\[0\]\[0\].t must be finite"),
             (("columns", 0, 0, "w"), float("nan"), r"config.field: columns\[0\]\[0\].w must be finite"),
             (("columns", 0, 0, "w"), float("-inf"), r"config.field: columns\[0\]\[0\].w must be finite"),
+            (("columns", 0, 0, "w"), -1.0, r"config.field: columns\[0\]\[0\].w must be finite and nonnegative"),
+            (("R", 0, 1), -0.5, r"config.field: R\[0\]\[1\] must be finite and nonnegative"),
         ],
-        ids=["R-nan-unused", "R-inf-used", "t-negative", "t-nan", "t-inf", "w-nan", "w-minus-inf"],
+        ids=[
+            "R-nan-unused", "R-inf-used", "t-negative", "t-nan", "t-inf", "w-nan", "w-minus-inf",
+            "w-negative", "R-negative",
+        ],
     )
     def test_bad_field_values_exit_with_two(self, tmp_path, capsys, where, value, match):
         # before they were rejected, an unused NaN in R passed the solver
-        # check and a negative time failed as "level must be nonnegative"
+        # check, a negative time failed as "level must be nonnegative", a
+        # negative weight failed inside past_infimum (and explore accepted
+        # it), and a negative R entry failed as a level map that is not
+        # invertible
         spec = json.loads(json.dumps(WORKED))
         parent = spec["field"]
         for key in where[:-1]:
@@ -262,7 +270,7 @@ class TestCurveCommand:
             return wrapper
 
         for name in calls:
-            for module in (cli, curve):
+            for module in (cli, curve, validate):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         assert main(["curve", "--config", str(model_config), "--out", str(tmp_path / "c")]) == 0
@@ -341,6 +349,17 @@ class TestValidate:
             ]
         )
         assert code == 0
+
+    def test_runs_the_checks_of_the_validate_module(self, tmp_path, capsys, monkeypatch):
+        # the acceptance tests call the same functions, so a failure there
+        # is a failure of the command
+        failing = validate.Check("planted failing check", False, 1.0, 0.0, 0, instance=3)
+        monkeypatch.setattr(validate, "path_algebra_checks", lambda n, seed: [failing])
+        assert main(["validate", "functions", "--out", str(tmp_path / "v")]) == 1
+        assert "[FAIL] planted failing check" in capsys.readouterr().out
+        report = json.loads((tmp_path / "v" / "validate_functions.json").read_text())
+        assert not report["pass"]
+        assert report["checks"] == [failing.to_json_obj()]
 
     def test_output_root_env(self, worked_config, tmp_path, monkeypatch):
         monkeypatch.setenv("BLOCKWALK_OUT", str(tmp_path / "root"))

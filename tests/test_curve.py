@@ -66,10 +66,6 @@ class TestSymmetry:
         assert col == 0
         assert {i, j} == {1, 2}
 
-    def test_model_input_delegates_to_factorization(self):
-        model = BlockModel(((1.0,), (1.0,)), ((1.0, 0.5), (0.5, 1.0)))
-        assert check_symmetry(model, (1.0, 1.0)).ok
-
     def test_requires_positive_direction(self):
         fld, _ = worked_instance()
         with pytest.raises(CurveAssumptionError):

@@ -6,7 +6,6 @@ import pytest
 
 import blockwalk.field as field_mod
 from blockwalk.field import (
-    ClockSet,
     build_field,
     field_eval,
     field_eval_left,
@@ -35,13 +34,13 @@ class TestClocks:
         a = sample_clocks(model, 11)
         b = sample_clocks(model, 11)
         assert a == b
-        times = sorted(a.clocks.values())
+        times = sorted(a.values())
         assert all(y > x for x, y in zip(times, times[1:]))
 
     def test_rate_matches_weight(self):
         model = single_type_model(4.0)
         rng = np.random.default_rng(2)
-        draws = [sample_clocks(model, rng).clocks[(0, 0)] for _ in range(50_000)]
+        draws = [sample_clocks(model, rng)[(0, 0)] for _ in range(50_000)]
         assert np.mean(draws) == pytest.approx(0.25, abs=3 * 0.25 / math.sqrt(50_000))
 
 
@@ -304,7 +303,7 @@ class TestRankOne:
         jumps = walk.jumps()
         assert len(jumps) == 1
         assert jumps[0].jump == pytest.approx(0.7, abs=1e-12)
-        assert jumps[0].t == clocks.clocks[(0, 0)] / 2.0
+        assert jumps[0].t == clocks[(0, 0)] / 2.0
 
     def test_walk_matches_field_diagonal(self, rng):
         for _ in range(10):
@@ -383,7 +382,7 @@ def _sample_clocks_per_vertex(model, seed):
         clocks = {v: rng.exponential(1.0 / model.weight(v)) for v in model.vertices()}
         times = sorted(xi / model.Q[v[1]][v[1]] for v, xi in clocks.items())
         if all(b > a for a, b in zip(times, times[1:])):
-            return ClockSet(clocks)
+            return clocks
 
 
 def _field_exploration_loop(fld, rho):
@@ -476,7 +475,7 @@ _TIE_PRONE = BlockModel(((1e160, 1e160), (1e160,)), ((1e161, 1.0), (1.0, 1e161))
 
 
 def _rows_per_vertex(model, rng, n_rows):
-    return [list(_sample_clocks_per_vertex(model, rng).clocks.values()) for _ in range(n_rows)]
+    return [list(_sample_clocks_per_vertex(model, rng).values()) for _ in range(n_rows)]
 
 
 class TestAgainstOldLoops:

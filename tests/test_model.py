@@ -11,7 +11,6 @@ from blockwalk.model import (
     ExplorationStep,
     ExplorationTrace,
     Graph,
-    build_q_parametrization,
     component_weights,
     connected_components,
     edge_probability,
@@ -20,8 +19,8 @@ from blockwalk.model import (
     normalize_kernel,
     sample_graph,
     scaled_mass,
-    size_biased_order,
 )
+from blockwalk.stats import mc_graph_jump_sequences
 
 
 def two_type_unit():
@@ -136,40 +135,33 @@ class TestScaledMassOrdering:
         model = two_type_unit()
         assert scaled_mass((1.0, 1.0), (2.0, 0.0), model.Q) == 2.0
 
+    # the size-biased race is the one in stats.mc_graph_jump_sequences
+
     def test_single_component_returned(self):
-        model = two_type_unit()
-        comps = connected_components(sample_graph(BlockModel(model.weights, ((50.0, 50.0), (50.0, 50.0))), 0))
-        ordered = size_biased_order(comps, (1.0, 1.0), model.Q, 9)
-        assert ordered == comps
+        # a kernel this strong joins the two vertices in every draw
+        model = BlockModel(((1.0,), (1.0,)), ((50.0, 50.0), (50.0, 50.0)))
+        assert set(mc_graph_jump_sequences(model, (1.0, 1.0), 1000, 9)) == {((2.0, 2.0),)}
 
     def test_two_to_one_race(self):
-        from blockwalk.model import Component
-
-        big = Component(((0, 0),), (2.0,))
-        small = Component(((1, 0),), (1.0,))
-        rng = np.random.default_rng(17)
+        # a kernel this weak never joins the vertices of weights 2 and 1,
+        # so the race between them has rates in the ratio 2:1
+        model = BlockModel(((2.0, 1.0),), ((1e-12,),))
         n = 100_000
-        wins = sum(
-            size_biased_order([big, small], (1.0,), ((1.0,),), rng)[0] is big
-            for _ in range(n)
-        )
+        seqs = mc_graph_jump_sequences(model, (1.0,), n, 17)
+        assert set(seqs) == {((2.0,), (1.0,)), ((1.0,), (2.0,))}
+        wins = sum(s[0] == (2.0,) for s in seqs)
         sigma = math.sqrt(n * (2 / 3) * (1 / 3))
         assert abs(wins - n * 2 / 3) <= 3 * sigma
 
     def test_zero_direction_excludes_components(self):
-        from blockwalk.model import Component
-
-        pure_two = Component(((0, 1),), (0.0, 1.0))
-        mixed = Component(((0, 0),), (1.0, 0.0))
-        model = two_type_unit()
-        ordered = size_biased_order([pure_two, mixed], (1.0, 0.0), model.Q, 3)
-        assert ordered == [mixed]
+        # the two types are never joined, and direction (1, 0) gives the
+        # type-1 vertex zero mass
+        model = BlockModel(((1.0,), (1.0,)), ((1.0, 0.0), (0.0, 1.0)))
+        assert set(mc_graph_jump_sequences(model, (1.0, 0.0), 1000, 3)) == {((1.0, 0.0),)}
 
     def test_all_zero_masses_give_empty_order(self):
-        from blockwalk.model import Component
-
-        pure_two = Component(((0, 1),), (0.0, 1.0))
-        assert size_biased_order([pure_two], (1.0, 0.0), two_type_unit().Q, 0) == []
+        model = BlockModel(((), (1.0,)), ((1.0, 0.5), (0.5, 1.0)))
+        assert set(mc_graph_jump_sequences(model, (1.0, 0.0), 1000, 0)) == {()}
 
 
 class TestFactorization:
@@ -232,20 +224,6 @@ class TestFactorization:
         result = factor_kernel(tuple(map(tuple, Q)))
         assert result.ok
         assert result.max_residual <= 1e-9
-
-    def test_q_parametrization_identities(self, rng):
-        for _ in range(50):
-            model = random_block_model(rng, max_types=3)
-            if model.m == 1:
-                continue
-            result = factor_kernel(model.Q)
-            params = build_q_parametrization(model.Q, result.rho, result.nu)
-            q0, qs, nu = params["q0"], params["q"], params["scaling"]
-            for i in range(model.m):
-                assert qs[i] * nu[i] ** 2 == pytest.approx(model.Q[i][i], rel=1e-12)
-                for j in range(model.m):
-                    if i != j:
-                        assert q0 * nu[i] * nu[j] == pytest.approx(model.Q[i][j], rel=1e-9)
 
 
 class TestNormalizeKernel:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -28,9 +27,7 @@ from blockwalk.paths import (
     first_time_at_or_below,
     generalized_inverse,
     identity,
-    ord_lengths,
     past_infimum,
-    path_from_json_obj,
     polyline,
     probe_times,
     pure_jumps,
@@ -304,10 +301,6 @@ class TestExcursions:
         p = add(add(drift(-1.0), step(0.5, 1.0)), step(1.5, 1.0))
         assert excursions(p) == [(0.5, 2.5, 2.0)]
 
-    def test_ord_lengths(self):
-        p = add(add(drift(-1.0), step(0.5, 0.25)), step(3.0, 1.0))
-        assert ord_lengths(p) == [1.0, 0.25]
-
     def test_never_returning_path_rejected(self):
         with pytest.raises(PathClassError):
             excursions(add(drift(1.0), step(1.0, 1.0)))
@@ -368,28 +361,6 @@ class TestFirstTime:
     def test_unreachable_level_is_inf(self):
         m = past_infimum(pure_jumps([(1.0, 1.0)]))
         assert first_time_at_or_below(m, -1.0) == math.inf
-
-
-class TestJson:
-    def test_round_trip(self, rng):
-        for _ in range(20):
-            p = _random_walk_path(rng)
-            blob = json.dumps(p.to_json_obj())
-            assert path_from_json_obj(json.loads(blob)) == p
-
-    def test_unknown_field_rejected(self):
-        obj = identity().to_json_obj()
-        obj["color"] = "red"
-        with pytest.raises(PathDomainError):
-            path_from_json_obj(obj)
-
-    def test_inconsistent_slope_rejected(self):
-        p = _build(0.0, [(1.0, 1.0, 2.0), (2.0, 3.0, 3.0)], 2.0, 1.0)
-        assert len(p.breakpoints) == 2
-        obj = p.to_json_obj()
-        obj["breakpoints"][0]["slope"] = 99.0
-        with pytest.raises(PathDomainError):
-            path_from_json_obj(obj)
 
 
 @settings(max_examples=150, deadline=None)

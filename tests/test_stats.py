@@ -30,6 +30,7 @@ from blockwalk.stats import (
     partition_signature,
     sample_partition_batch,
 )
+from blockwalk.validate import FIXTURES
 from test_field import _TIE_PRONE, _field_exploration_loop, _sample_clocks_per_vertex
 from test_model import _random_rho
 
@@ -201,9 +202,9 @@ class TestCalibration:
     def test_null_p_values_reject_at_nominal_rate(self):
         rng = np.random.default_rng(19)
         draws = rng.uniform(size=1000)
-        res = calibrate(lambda s: float(draws[s]), 1000, 0.05)
+        rejections = calibrate(lambda s: float(draws[s]), 1000, 0.05)
         sigma = math.sqrt(1000 * 0.05 * 0.95)
-        assert abs(res.rejections - 50) <= 3 * sigma
+        assert abs(rejections - 50) <= 3 * sigma
 
     def test_component_law_p_value_is_deterministic(self):
         model = two_vertex_model()
@@ -211,17 +212,8 @@ class TestCalibration:
         b = component_law_p_value(model, (1.0, 1.0), 2000, 4)
         assert a == b
 
-    def test_parallel_matches_sequential(self):
-        draws = np.random.default_rng(3).uniform(size=40)
 
-        def p_of(seed):
-            return float(draws[seed])
-
-        seq = calibrate(p_of, 40, 0.1, jobs=1)
-        assert seq.rejections == sum(d < 0.1 for d in draws)
-
-
-# -- references: the per-replication samplers, one ClockSet, Field and full
+# -- references: the per-replication samplers, one clock draw, Field and full
 # -- exploration trace per field draw and one pass per graph draw
 
 
@@ -273,12 +265,6 @@ def _mc_graph_jump_sequences_loop(model, rho, n_reps, rng):
     return out
 
 
-#: the two fixtures of acceptance criterion 5
-DESK_FIXTURES = (
-    BlockModel(((1.0,), (1.0,)), ((1.0, 0.5), (0.5, 1.0))),
-    BlockModel(((1.0, 0.7), (0.5, 0.4)), ((0.9, 0.6), (0.6, 1.2))),
-)
-
 
 def _assert_same_as_loops(model, rho, n_reps, seed):
     pairs = [
@@ -304,7 +290,7 @@ class TestAgainstPerReplicationLoops:
     @pytest.mark.parametrize("fixture", [0, 1])
     @pytest.mark.parametrize("seed", [3, 17, 500])
     def test_desk_fixtures(self, fixture, seed):
-        _assert_same_as_loops(DESK_FIXTURES[fixture], (1.0, 1.0), 1500, seed)
+        _assert_same_as_loops(FIXTURES[fixture], (1.0, 1.0), 1500, seed)
 
     def test_random_models(self, rng):
         for _ in range(6):
@@ -315,7 +301,7 @@ class TestAgainstPerReplicationLoops:
         _assert_same_as_loops(_TIE_PRONE, (1.0, 1.0), 1000, 4)
 
     def test_integer_seed_same_as_fresh_generator(self):
-        model = DESK_FIXTURES[1]
+        model = FIXTURES[1]
         assert mc_field_samples(model, (1.0, 1.0), 1000, 9) == _mc_field_samples_loop(
             model, (1.0, 1.0), 1000, np.random.default_rng(9)
         )
