@@ -159,9 +159,9 @@ def _stays_level(low: PiecewisePath) -> bool:
     return low.terminal_rise >= 0.0
 
 
-def build_combined(levels: Sequence[PiecewisePath]) -> tuple[PiecewisePath, PiecewisePath]:
-    """Total time to reach a level across all axes, and its inverse."""
-    inverses = [generalized_inverse(g) for g in levels]
+def build_combined(inverses: Sequence[PiecewisePath]) -> tuple[PiecewisePath, PiecewisePath]:
+    """Total time to reach a level across all axes, and its inverse, from
+    the inverses of the level maps."""
     total = inverses[0]
     for inv in inverses[1:]:
         total = add(total, inv)
@@ -177,7 +177,7 @@ def build_curve(fld: Field, rho) -> CurveBundle:
         raise CurveAssumptionError(report.summary())
     levels = build_levels(fld, rho)
     inverses = tuple(generalized_inverse(g) for g in levels)
-    combined_time, combined_level = build_combined(levels)
+    combined_time, combined_level = build_combined(inverses)
     try:
         curve = tuple(smooth_compose(inv, combined_level) for inv in inverses)
     except Exception as exc:  # noqa: BLE001 - re-tag construction bugs
@@ -328,5 +328,6 @@ def special_case_curve(fld: Field, rho) -> tuple[PiecewisePath, ...]:
             raise CurveAssumptionError(f"level map {i} is discontinuous")
         if any(v1 <= v0 for _, v0, _, v1 in g.finite_segments()):
             raise CurveAssumptionError(f"level map {i} is not strictly increasing")
-    _, combined_level = build_combined(levels)
-    return tuple(compose(generalized_inverse(g), combined_level) for g in levels)
+    inverses = [generalized_inverse(g) for g in levels]
+    _, combined_level = build_combined(inverses)
+    return tuple(compose(inv, combined_level) for inv in inverses)

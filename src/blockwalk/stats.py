@@ -1,4 +1,6 @@
-"""Distributional checks: exact small-graph oracles, Monte Carlo, tests.
+"""Exact small-graph oracles, Monte Carlo samplers and test statistics
+for the law checks of blockwalk.validate, which makes every pass or fail
+decision.
 
 The laws being compared are stated at the level of per-type component
 weight vectors, so empirical and exact distributions are both projected
@@ -137,34 +139,18 @@ def exact_partition_distribution(model: BlockModel) -> PartitionDistribution:
 
 
 def brute_force_partition_distribution(model: BlockModel) -> PartitionDistribution:
-    """Sum over every edge configuration; only for very small graphs."""
-    verts = model.vertices()
-    n = len(verts)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    if len(pairs) > 15:
+    """Sum over every edge configuration; only for very small graphs.  The
+    reference that exact_partition_distribution is tested against."""
+    table = _pair_table(model)
+    if len(table.pairs) > 15:
         raise ValueError("brute force limited to 15 vertex pairs")
-    probs_edge = [edge_probability(model, verts[a], verts[b]) for a, b in pairs]
+    probs = table.probs.tolist()
     out: dict[tuple, float] = {}
-    for mask in range(1 << len(pairs)):
+    for mask in range(1 << len(probs)):
         prob = 1.0
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for k, (a, b) in enumerate(pairs):
-            if mask >> k & 1:
-                prob *= probs_edge[k]
-                parent[find(a)] = find(b)
-            else:
-                prob *= 1.0 - probs_edge[k]
-        groups: dict[int, list] = {}
-        for x in range(n):
-            groups.setdefault(find(x), []).append(verts[x])
-        key = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+        for k, p in enumerate(probs):
+            prob *= p if mask >> k & 1 else 1.0 - p
+        key = _partition_of_mask(table, mask)
         out[key] = out.get(key, 0.0) + prob
     return PartitionDistribution(model, out)
 
@@ -484,110 +470,3 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KSResult:
 
 def exponential_cdf(rate: float) -> Callable[[float], float]:
     return lambda x: -math.expm1(-rate * x) if x > 0 else 0.0
-
-
-# -- experiment drivers ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model: BlockModel
-    rho: tuple[float, ...]
-    n_reps: int = 100_000
-    seed: int = 0
-    alpha: float = 0.001
-
-    def __post_init__(self) -> None:
-        _check_rho(self.rho, self.model.m)
-        _check_reps(self.n_reps)
-        if not 0 < self.alpha < 1:
-            raise ValueError("significance level must lie in (0, 1)")
-
-
-def compare_component_laws(config: ExperimentConfig) -> dict:
-    """Graph sampler and field exploration against the exact oracle, plus
-    the two samplers against each other."""
-    expected = exact_partition_distribution(config.model).signature_distribution()
-    graph_counts = mc_component_distribution(
-        config.model, config.rho, config.n_reps, config.seed, "graph"
-    )
-    field_counts = mc_component_distribution(
-        config.model, config.rho, config.n_reps, config.seed + 1, "field"
-    )
-    graph_vs_exact = chi_square(graph_counts, expected)
-    field_vs_exact = chi_square(field_counts, expected)
-    both = chi_square_two_sample(graph_counts, field_counts)
-    return {
-        "graph_vs_exact": graph_vs_exact,
-        "field_vs_exact": field_vs_exact,
-        "graph_vs_field": both,
-        "counts": {"graph": graph_counts, "field": field_counts},
-        "expected": expected,
-        "pass": not any(
-            r.reject(config.alpha) or r.unknown_mass
-            for r in (graph_vs_exact, field_vs_exact)
-        )
-        and not both.reject(config.alpha),
-    }
-
-
-def compare_encoding_laws(config: ExperimentConfig) -> dict:
-    """Chronological hitting-process jumps against size-biased component
-    jumps: first-jump law against the exact oracle on both sides, full
-    sequences two-sample, and the first root gap against its exponential
-    law."""
-    model, rho = config.model, config.rho
-    field_samples = mc_field_samples(model, rho, config.n_reps, config.seed)
-    graph_seqs = mc_graph_jump_sequences(model, rho, config.n_reps, config.seed + 1)
-
-    exact_first = exact_first_jump_distribution(model, rho)
-    none_prob = 1.0 - sum(exact_first.values())
-    if none_prob > 1e-12:
-        exact_first["none"] = none_prob
-
-    def first_of(seq):
-        return seq[0] if seq else "none"
-
-    field_first = Counter(first_of(s.jump_sequence) for s in field_samples)
-    graph_first = Counter(first_of(s) for s in graph_seqs)
-    field_vs_exact = chi_square(field_first, exact_first)
-    graph_vs_exact = chi_square(graph_first, exact_first)
-    seq_two_sample = chi_square_two_sample(
-        Counter(s.jump_sequence for s in field_samples), Counter(graph_seqs)
-    )
-
-    total_rate = sum(
-        rho[v[1]] * model.Q[v[1]][v[1]] * model.weight(v) for v in model.vertices()
-    )
-    gaps = [s.first_gap for s in field_samples if s.first_gap is not None]
-    gap_ks = ks_one_sample(gaps, exponential_cdf(total_rate))
-
-    support_ok = field_vs_exact.unknown_mass == 0 and graph_vs_exact.unknown_mass == 0
-    if not support_ok:
-        raise RuntimeError(
-            "observed a jump category outside the exact support: "
-            f"field={field_vs_exact.unknown_mass}, graph={graph_vs_exact.unknown_mass}"
-        )
-    return {
-        "field_first_vs_exact": field_vs_exact,
-        "graph_first_vs_exact": graph_vs_exact,
-        "sequence_two_sample": seq_two_sample,
-        "first_gap_ks": gap_ks,
-        "pass": not any(
-            r.reject(config.alpha)
-            for r in (field_vs_exact, graph_vs_exact, seq_two_sample, gap_ks)
-        ),
-    }
-
-
-def component_law_p_value(model: BlockModel, rho, n_reps: int, seed: int) -> float:
-    """p-value of the graph sampler against the exact oracle for one seed."""
-    expected = exact_partition_distribution(model).signature_distribution()
-    counts = mc_component_distribution(model, rho, n_reps, seed, "graph")
-    return chi_square(counts, expected).p_value
-
-
-def calibrate(p_value_of_seed: Callable[[int], float], n_seeds: int, alpha: float) -> int:
-    """Re-run a seeded test on seeds 0 to n_seeds - 1 and count its
-    rejections; a sound test rejects at roughly the nominal rate."""
-    return sum(1 for s in range(n_seeds) if p_value_of_seed(s) < alpha)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,8 +23,6 @@ from .field import sample_clocks, solver_jump
 from .instances import random_block_model, random_monotone_path, random_probe_direction, staircase_counterexample
 from .model import BlockModel
 from .paths import add, classify, generalized_inverse, identity, probe_times, smooth_compose, sup_distance
-from .stats import ChiSquareResult, ExperimentConfig, KSResult, calibrate, component_law_p_value
-from .stats import compare_component_laws, compare_encoding_laws
 
 #: agreement of jumps computed two ways, and of curve increments with jumps
 EXACT = 1e-12
@@ -250,7 +249,7 @@ def curve_checks(n: int, seed: int) -> list[Check]:
 # -- criterion 5: the laws ---------------------------------------------------------------
 
 
-#: the two small fixtures of the law comparisons, probed along FIXTURE_RHO
+#: the two small fixtures of the law checks, probed along FIXTURE_RHO
 FIXTURES = (
     BlockModel(((1.0,), (1.0,)), ((1.0, 0.5), (0.5, 1.0))),
     BlockModel(((1.0, 0.7), (0.5, 0.4)), ((0.9, 0.6), (0.6, 1.2))),
@@ -268,38 +267,62 @@ class LawComparison:
 
 def law_checks(fixture: int, n_reps: int, seed: int) -> LawComparison:
     """On FIXTURES[fixture] at seed + fixture: the component laws of graph
-    and field against the exact oracle, with no mass outside its support,
-    the first jump of either against the exact first-jump law, the two
-    jump sequences against each other, and the first root gap against its
-    exponential law."""
-    config = ExperimentConfig(FIXTURES[fixture], FIXTURE_RHO, n_reps, seed + fixture, ALPHA)
-    comp = compare_component_laws(config)
-    enc = compare_encoding_laws(config)
+    and field against the exact oracle and against each other, the first
+    jump of either against the exact first-jump law, the two jump sequences
+    against each other, and the first root gap against its exponential
+    law.  A test against an exact law also fails on mass outside its
+    support."""
+    from . import stats  # scipy.stats is slow to import and only these checks need it
 
-    def law(name, result, support=False):
-        passed = not result.reject(ALPHA) and not (support and result.unknown_mass)
-        return Check(f"fixture {fixture}: {name}", passed, result.p_value, ALPHA, config.seed)
+    model, rho, seed = FIXTURES[fixture], FIXTURE_RHO, seed + fixture
+    expected = stats.exact_partition_distribution(model).signature_distribution()
+    graph_counts = stats.mc_component_distribution(model, rho, n_reps, seed, "graph")
+    field_counts = stats.mc_component_distribution(model, rho, n_reps, seed + 1, "field")
+    field_samples = stats.mc_field_samples(model, rho, n_reps, seed)
+    field_seqs = [s.jump_sequence for s in field_samples]
+    graph_seqs = stats.mc_graph_jump_sequences(model, rho, n_reps, seed + 1)
 
-    checks = (
-        law("graph components vs exact oracle", comp["graph_vs_exact"], support=True),
-        law("field exploration vs exact oracle", comp["field_vs_exact"], support=True),
-        law("first field jump vs exact first-jump law", enc["field_first_vs_exact"]),
-        law("first size-biased graph jump vs exact first-jump law", enc["graph_first_vs_exact"]),
-        law("field vs graph jump sequences", enc["sequence_two_sample"]),
-        law("first root gap vs its exponential law", enc["first_gap_ks"]),
+    exact_first = stats.exact_first_jump_distribution(model, rho)
+    none_prob = 1.0 - sum(exact_first.values())
+    if none_prob > 1e-12:
+        exact_first["none"] = none_prob
+
+    def first_jumps(seqs) -> Counter:
+        return Counter(seq[0] if seq else "none" for seq in seqs)
+
+    total_rate = sum(rho[v[1]] * model.Q[v[1]][v[1]] * model.weight(v) for v in model.vertices())
+    gaps = [s.first_gap for s in field_samples if s.first_gap is not None]
+    # (JSON key, check name, result, whether mass outside the exact support fails it)
+    table = (
+        ("graph_vs_exact", "graph components vs exact oracle", stats.chi_square(graph_counts, expected), True),
+        ("field_vs_exact", "field exploration vs exact oracle", stats.chi_square(field_counts, expected), True),
+        ("graph_vs_field", "graph components vs field exploration",
+         stats.chi_square_two_sample(graph_counts, field_counts), False),
+        ("field_first_vs_exact", "first field jump vs exact first-jump law",
+         stats.chi_square(first_jumps(field_seqs), exact_first), True),
+        ("graph_first_vs_exact", "first size-biased graph jump vs exact first-jump law",
+         stats.chi_square(first_jumps(graph_seqs), exact_first), True),
+        ("sequence_two_sample", "field vs graph jump sequences",
+         stats.chi_square_two_sample(Counter(field_seqs), Counter(graph_seqs)), False),
+        ("first_gap_ks", "first root gap vs its exponential law",
+         stats.ks_one_sample(gaps, stats.exponential_cdf(total_rate)), False),
+    )
+    checks = tuple(
+        Check(
+            f"fixture {fixture}: {name}",
+            not result.reject(ALPHA) and not (support and result.unknown_mass),
+            result.p_value,
+            ALPHA,
+            seed,
+        )
+        for _, name, result, support in table
     )
     experiment = {
-        "config": dict(
-            model=config.model.to_json_obj(), rho=list(config.rho), n_reps=n_reps, seed=config.seed, alpha=ALPHA
-        ),
-        "counts": {repr(k): v for k, v in sorted(comp["counts"]["graph"].items(), key=repr)},
-        "expected": {repr(k): p for k, p in sorted(comp["expected"].items(), key=repr)},
-        "tests": {
-            name: result.to_json_obj()
-            for name, result in [*comp.items(), *enc.items()]
-            if isinstance(result, (ChiSquareResult, KSResult))
-        },
-        "pass": comp["pass"] and enc["pass"],
+        "config": dict(model=model.to_json_obj(), rho=list(rho), n_reps=n_reps, seed=seed, alpha=ALPHA),
+        "counts": {repr(k): v for k, v in sorted(graph_counts.items(), key=repr)},
+        "expected": {repr(k): p for k, p in sorted(expected.items(), key=repr)},
+        "tests": {key: result.to_json_obj() for key, _, result, _ in table},
+        "pass": all(c.passed for c in checks),
     }
     return LawComparison(checks, experiment)
 
@@ -308,6 +331,13 @@ def calibration_check(n_seeds: int) -> Check:
     """The graph sampler against the exact oracle on FIXTURES[0] at 2000
     replications, on seeds 0 to n_seeds - 1: a sound test rejects at about
     the rate ALPHA, so at most max(2, 3 * ALPHA * n_seeds) rejections pass."""
-    rejections = calibrate(lambda s: component_law_p_value(FIXTURES[0], FIXTURE_RHO, 2000, s), n_seeds, ALPHA)
+    from . import stats
+
+    model = FIXTURES[0]
+    expected = stats.exact_partition_distribution(model).signature_distribution()
+    rejections = sum(
+        stats.chi_square(stats.mc_component_distribution(model, FIXTURE_RHO, 2000, s, "graph"), expected).reject(ALPHA)
+        for s in range(n_seeds)
+    )
     allowed = max(2, int(3 * ALPHA * n_seeds))
     return Check(f"calibration over {n_seeds} seeds", rejections <= allowed, rejections, allowed, 0)

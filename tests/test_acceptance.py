@@ -5,7 +5,8 @@ lines as they complete.  Criteria 2 to 5 run the checks of
 ``blockwalk.validate``, the same code as ``blockwalk validate``, at pinned
 seeds, counts and tolerances, and assert that every returned record
 passed at the tolerance listed for it here.  The statistical checks use
-100000 replications at significance 0.001.  Criteria 1 and 6 have no
+100000 replications at significance 0.001: on each fixture, seven tests
+of the component and encoding laws, every one of them a check.  Criteria 1 and 6 have no
 command and are checked here directly.
 """
 
@@ -101,11 +102,12 @@ def test_criterion_5_distributional_suite(fixture):
     law = validate.law_checks(fixture, 100_000, 500)
     config = law.experiment["config"]
     assert (config["seed"], config["n_reps"], config["alpha"]) == (500 + fixture, 100_000, ALPHA)
-    p = list(passed(law.checks, [ALPHA] * 6).values())
+    p = list(passed(law.checks, [ALPHA] * 7).values())
+    assert law.experiment["pass"] == all(c.passed for c in law.checks)
     report(
         f"fixture {fixture}: components and encodings match the exact oracle "
         f"and each other at N=100000, alpha=0.001 (p-values "
-        f"{p[0]:.3f}, {p[1]:.3f}, {p[2]:.3f}, {p[5]:.3f})"
+        f"{p[0]:.3f}, {p[1]:.3f}, {p[3]:.3f}, {p[6]:.3f}; graph vs field components {p[2]:.3f})"
     )
 
 

@@ -28,13 +28,21 @@ MODEL = {
 }
 
 
-def _run_cli(argv, timeout):
-    """Run blockwalk in a fresh interpreter, so that a hang ends in TimeoutExpired."""
+def _run_python(args, timeout):
+    """Run a fresh interpreter that imports this blockwalk, so that a hang ends in TimeoutExpired."""
     src = Path(blockwalk.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "blockwalk.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def _run_cli(argv, timeout):
+    return _run_python(["-m", "blockwalk.cli", *argv], timeout)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import and only the distributional checks use it
+    proc = _run_python(["-c", "import sys, blockwalk.cli; sys.exit('scipy.stats' in sys.modules)"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture

@@ -9,16 +9,11 @@ from blockwalk.field import build_field, encoded_jump
 from blockwalk.instances import random_block_model
 from blockwalk.model import BlockModel, component_weights, scaled_mass
 from blockwalk.stats import (
-    ExperimentConfig,
     FieldSample,
     _round_vec,
     brute_force_partition_distribution,
-    calibrate,
     chi_square,
     chi_square_two_sample,
-    compare_component_laws,
-    compare_encoding_laws,
-    component_law_p_value,
     exact_first_jump_distribution,
     exact_partition_distribution,
     exponential_cdf,
@@ -161,16 +156,6 @@ class TestSamplers:
 
 
 class TestLawComparisons:
-    def test_component_laws_agree_at_moderate_n(self):
-        cfg = ExperimentConfig(two_vertex_model(), (1.0, 1.0), n_reps=20_000, seed=11)
-        res = compare_component_laws(cfg)
-        assert res["pass"], res
-
-    def test_encoding_laws_agree_at_moderate_n(self):
-        cfg = ExperimentConfig(two_vertex_model(), (1.0, 1.0), n_reps=20_000, seed=13)
-        res = compare_encoding_laws(cfg)
-        assert res["pass"], res
-
     def test_exact_first_jump_distribution_two_vertices(self):
         model = two_vertex_model()
         dist = exact_first_jump_distribution(model, (1.0, 1.0))
@@ -188,29 +173,6 @@ class TestLawComparisons:
         dist = exact_first_jump_distribution(model, (1.0, 0.0))
         # a lone type-two component can never come first
         assert (0.5, 1.0) not in dist
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(two_vertex_model(), (1.0, 1.0), n_reps=10)
-        with pytest.raises(ValueError):
-            ExperimentConfig(two_vertex_model(), (1.0, 1.0), alpha=2.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(two_vertex_model(), (0.0, 0.0))
-
-
-class TestCalibration:
-    def test_null_p_values_reject_at_nominal_rate(self):
-        rng = np.random.default_rng(19)
-        draws = rng.uniform(size=1000)
-        rejections = calibrate(lambda s: float(draws[s]), 1000, 0.05)
-        sigma = math.sqrt(1000 * 0.05 * 0.95)
-        assert abs(rejections - 50) <= 3 * sigma
-
-    def test_component_law_p_value_is_deterministic(self):
-        model = two_vertex_model()
-        a = component_law_p_value(model, (1.0, 1.0), 2000, 4)
-        b = component_law_p_value(model, (1.0, 1.0), 2000, 4)
-        assert a == b
 
 
 # -- references: the per-replication samplers, one clock draw, Field and full

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from blockwalk import validate
+from blockwalk import stats, validate
 from blockwalk.curve import build_curve
 from blockwalk.field import build_field, hitting_process, sample_clocks
 from blockwalk.instances import random_block_model, random_probe_direction
@@ -90,6 +91,34 @@ class TestCheckRecords:
 
     @pytest.mark.parametrize("n_seeds, allowed", [(5, 2), (100, 2), (1000, 3), (2000, 6)])
     def test_calibration_allowance(self, monkeypatch, n_seeds, allowed):
-        monkeypatch.setattr(validate, "component_law_p_value", lambda *args: 1.0)
+        law = stats.exact_partition_distribution(validate.FIXTURES[0]).signature_distribution()
+        fitting = Counter({sig: round(p * 2000) for sig, p in law.items()})
+        skewed = Counter({max(law, key=law.get): 2000})
+        monkeypatch.setattr(stats, "mc_component_distribution", lambda model, rho, n, seed, sampler: fitting)
         check = validate.calibration_check(n_seeds)
         assert check.passed and check.gap == 0 and check.tol == allowed
+        monkeypatch.setattr(stats, "mc_component_distribution", lambda model, rho, n, seed, sampler: skewed)
+        check = validate.calibration_check(n_seeds)
+        assert not check.passed and check.gap == n_seeds and check.tol == allowed
+
+
+class TestLawChecks:
+    def test_first_jump_outside_exact_support_fails(self, monkeypatch):
+        exact_first_jumps = stats.exact_first_jump_distribution
+
+        def without_merged_component(model, rho):
+            law = exact_first_jumps(model, rho)
+            del law[max(law, key=sum)]
+            return law
+
+        monkeypatch.setattr(stats, "exact_first_jump_distribution", without_merged_component)
+        law = validate.law_checks(0, 1000, 0)
+        failed = {c.name for c in law.checks if not c.passed}
+        assert failed == {
+            "fixture 0: first field jump vs exact first-jump law",
+            "fixture 0: first size-biased graph jump vs exact first-jump law",
+        }
+        tests = law.experiment["tests"]
+        assert tests["field_first_vs_exact"]["unknown_mass"] > 0
+        assert tests["graph_first_vs_exact"]["unknown_mass"] > 0
+        assert not law.experiment["pass"]
