@@ -8,12 +8,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
+from importlib import metadata
 from pathlib import Path
 
 from . import __version__, validate
@@ -149,18 +153,52 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out: Path, command: str, args, started: float, seed: int | None) -> None:
+def _write_manifest(
+    out: Path, command: str, args, started: float, seed: int | None, stage_seconds: dict | None = None
+) -> None:
+    config = getattr(args, "config", None)
     _write_json(
         out / "manifest.json",
         {
             "command": command,
-            "config": str(args.config) if getattr(args, "config", None) else None,
+            "config": str(config) if config else None,
+            "config_sha256": hashlib.sha256(Path(config).read_bytes()).hexdigest() if config else None,
             "seed": seed,
             "out_dir": str(out),
             "artifact_version": __version__,
+            "versions": {
+                "python": platform.python_version(),
+                "numpy": _dist_version("numpy"),
+                "scipy": _dist_version("scipy"),
+            },
+            "stage_seconds": stage_seconds,
             "wall_clock_seconds": round(time.time() - started, 6),
         },
     )
+
+
+@functools.cache
+def _dist_version(name: str) -> str | None:
+    # read from the installed metadata, so that recording scipy's version
+    # does not import it; the lookup scans sys.path, so it is made once
+    try:
+        return metadata.version(name)
+    except metadata.PackageNotFoundError:
+        return None
+
+
+class _Stages:
+    """Seconds of consecutive stages: ``lap(name)`` ends the stage that
+    began at the previous lap (or at construction)."""
+
+    def __init__(self) -> None:
+        self.seconds: dict[str, float] = {}
+        self._mark = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.seconds[name] = round(now - self._mark, 6)
+        self._mark = now
 
 
 def _effective_config(args) -> RunConfig:
@@ -224,38 +262,48 @@ def cmd_explore(args) -> int:
 
 def cmd_encode(args) -> int:
     started = time.time()
+    stages = _Stages()
     cfg = _effective_config(args)
     out = _out_dir(args, "encode")
     fld = cfg.realize_field()
+    stages.lap("build")
     process = hitting_process(fld, cfg.rho)
+    stages.lap("encode")
     solved = [solver_jump(fld, cfg.rho, process.levels, level) for level in process.levels]
     checks = [
         {"y": level, "solver_gap": gap, "pass": gap <= validate.EXACT}
         for level, gap in zip(process.levels, validate.jump_gaps(process, solved))
     ]
     ok = all(c["pass"] for c in checks)
+    stages.lap("verify")
     obj = process.to_json_obj()
     obj["solver_check"] = {"pass": ok, "jumps": checks}
     _write_json(out / "encoding.json", obj)
-    _write_manifest(out, "encode", args, started, cfg.seed)
+    stages.lap("write")
+    _write_manifest(out, "encode", args, started, cfg.seed, stages.seconds)
     print(f"encode: {len(process.levels)} jumps, solver check {'pass' if ok else 'FAIL'} -> {out}")
     return 0 if ok else 1
 
 
 def cmd_curve(args) -> int:
     started = time.time()
+    stages = _Stages()
     cfg = _effective_config(args)
     out = _out_dir(args, "curve")
     fld = cfg.realize_field()
     bundle = build_curve(fld, cfg.rho)
+    stages.lap("build")
     processes = composed_processes(fld, bundle)
-    encoded = encode_components(fld, bundle, processes)
+    encoded = encode_components(fld, bundle)
+    stages.lap("encode")
     process = hitting_process(fld, bundle.rho)
-    report = verify_encoding(fld, bundle, process, encoded)
+    report = verify_encoding(fld, bundle, process)
+    stages.lap("verify")
     identity_gap = validate.curve_identity_gap(bundle, process)
     identity_ok = identity_gap <= validate.PROP
     report["checks"].append({"name": validate.CURVE_THROUGH_HITTING_TIMES, "pass": identity_ok, "gap": identity_gap})
     report["pass"] = report["pass"] and identity_ok
+    stages.lap("identity_gap")
 
     grid = probe_times(*bundle.curve, *processes)
     with (out / "curve.csv").open("w", newline="") as fh:
@@ -272,7 +320,8 @@ def cmd_curve(args) -> int:
         [e.to_json_obj() for e in encoded],
     )
     _write_json(out / "pathwise_report.json", report)
-    _write_manifest(out, "curve", args, started, cfg.seed)
+    stages.lap("write")
+    _write_manifest(out, "curve", args, started, cfg.seed, stages.seconds)
     print(f"curve: pathwise report {'pass' if report['pass'] else 'FAIL'} -> {out}")
     return 0 if report["pass"] else 1
 

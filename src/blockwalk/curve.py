@@ -10,13 +10,16 @@ jumps of T into excursions of real-valued processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .field import Field, HittingProcess, hitting_process
 from .model import _check_rho
 from .paths import (
     PiecewisePath,
+    _compose_via,
+    _inner_inverse,
     add,
     classify,
     compose,
@@ -99,7 +102,10 @@ class CurveBundle:
     off-diagonal load plus rescaled depth of the diagonal's running
     infimum); ``combined_time`` sums the inverse maps, and its inverse
     ``combined_level`` recovers the level from total time.  ``curve[i]``
-    is the time spent on axis i as a function of total time.
+    is the time spent on axis i as a function of total time.  ``fld`` is
+    the field the bundle was built from; the later stages, the composed
+    processes and the encoded components, are built from it once, on
+    first use.
     """
 
     rho: tuple[float, ...]
@@ -109,6 +115,7 @@ class CurveBundle:
     combined_time: PiecewisePath
     combined_level: PiecewisePath
     curve: tuple[PiecewisePath, ...]
+    fld: Field = field(compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -116,6 +123,37 @@ class CurveBundle:
 
     def curve_point(self, s: float) -> tuple[float, ...]:
         return tuple(g.eval(s) for g in self.curve)
+
+    @cached_property
+    def processes(self) -> tuple[PiecewisePath, ...]:
+        """See :func:`composed_processes`.  Each curve coordinate is checked
+        and inverted once, and every row's entry is pulled back through
+        that one inverse."""
+        inverses = [_inner_inverse(g) for g in self.curve]
+        out = []
+        for row in self.fld.paths:
+            total = _compose_via(row[0], self.curve[0], inverses[0])
+            for j in range(1, self.m):
+                total = add(total, _compose_via(row[j], self.curve[j], inverses[j]))
+            out.append(total)
+        return tuple(out)
+
+    @cached_property
+    def encoded(self) -> tuple[EncodedComponent, ...]:
+        """See :func:`encode_components`."""
+        base = excursions(self.processes[0], level_tol=EXCURSION_LEVEL_TOL)
+        for i in range(1, self.m):
+            other = excursions(self.processes[i], level_tol=EXCURSION_LEVEL_TOL)
+            if len(other) != len(base) or any(
+                abs(a[0] - b[0]) > 1e-9 or abs(a[1] - b[1]) > 1e-9 for a, b in zip(base, other)
+            ):
+                raise CurveInvariantError(
+                    f"excursion intervals of rows 0 and {i} disagree: {base} vs {other}"
+                )
+        return tuple(
+            EncodedComponent(l, r, length, tuple(g.eval(r) - g.eval(l) for g in self.curve))
+            for l, r, length in base
+        )
 
 
 def shared_column(fld: Field, rho, col: int) -> PiecewisePath:
@@ -190,22 +228,25 @@ def build_curve(fld: Field, rho) -> CurveBundle:
         combined_time,
         combined_level,
         curve,
+        fld,
     )
 
 
 # -- composed processes and the one-dimensional encoding ---------------------------
 
 
-def composed_process(fld: Field, bundle: CurveBundle, i: int) -> PiecewisePath:
-    """Row i of the field evaluated along the curve: s -> sum_j x_ij(curve_j(s))."""
-    total = compose(fld.paths[i][0], bundle.curve[0])
-    for j in range(1, fld.m):
-        total = add(total, compose(fld.paths[i][j], bundle.curve[j]))
-    return total
-
-
 def composed_processes(fld: Field, bundle: CurveBundle) -> tuple[PiecewisePath, ...]:
-    return tuple(composed_process(fld, bundle, i) for i in range(fld.m))
+    """Row i of the field evaluated along the curve, s -> sum_j x_ij(curve_j(s)),
+    for every row; built once per bundle."""
+    return _built_from(fld, bundle).processes
+
+
+def _built_from(fld: Field, bundle: CurveBundle) -> CurveBundle:
+    """The bundle, once ``fld`` is known to be the field it was built from,
+    so that its cached stages belong to ``fld``."""
+    if fld != bundle.fld:
+        raise ValueError("the field is not the one the curve bundle was built from")
+    return bundle
 
 
 def level_hit_times(
@@ -238,47 +279,25 @@ class EncodedComponent:
 EXCURSION_LEVEL_TOL = 1e-9
 
 
-def encode_components(
-    fld: Field, bundle: CurveBundle, processes: Sequence[PiecewisePath] | None = None
-) -> list[EncodedComponent]:
+def encode_components(fld: Field, bundle: CurveBundle) -> list[EncodedComponent]:
     """Excursions of the composed processes with their curve increments.
 
     All rows share the same excursion intervals; the curve increment over
     each excursion reproduces the corresponding jump of the hitting
     process.  The intervals are cross-checked across rows before the first
-    row's version is returned.  ``processes`` are the rows'
-    :func:`composed_processes` when the caller already has them.
+    row's version is returned.  Built once per bundle.
     """
-    if processes is None:
-        processes = composed_processes(fld, bundle)
-    base = excursions(processes[0], level_tol=EXCURSION_LEVEL_TOL)
-    for i in range(1, fld.m):
-        other = excursions(processes[i], level_tol=EXCURSION_LEVEL_TOL)
-        if len(other) != len(base) or any(
-            abs(a[0] - b[0]) > 1e-9 or abs(a[1] - b[1]) > 1e-9 for a, b in zip(base, other)
-        ):
-            raise CurveInvariantError(
-                f"excursion intervals of rows 0 and {i} disagree: {base} vs {other}"
-            )
-    out = []
-    for l, r, length in base:
-        increment = tuple(g.eval(r) - g.eval(l) for g in bundle.curve)
-        out.append(EncodedComponent(l, r, length, increment))
-    return out
+    return list(_built_from(fld, bundle).encoded)
 
 
-def verify_encoding(
-    fld: Field,
-    bundle: CurveBundle,
-    process: HittingProcess | None = None,
-    encoded: Sequence[EncodedComponent] | None = None,
-) -> dict:
+def verify_encoding(fld: Field, bundle: CurveBundle, process: HittingProcess | None = None) -> dict:
     """Pathwise check that curve increments over excursions match the
     hitting-process jumps, and that excursion lengths match their one-norms.
-    ``process`` and ``encoded`` are the field's :func:`hitting_process` and
-    the bundle's :func:`encode_components` when the caller already has them."""
+    ``process`` is the field's :func:`hitting_process` when the caller
+    already has it."""
+    _built_from(fld, bundle)
     process = hitting_process(fld, bundle.rho) if process is None else process
-    encoded = encode_components(fld, bundle) if encoded is None else encoded
+    encoded = bundle.encoded
     checks = []
     ok = len(encoded) == len(process.deltas)
     checks.append({"name": "excursion count equals jump count", "pass": ok})

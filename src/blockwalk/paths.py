@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 #: breakpoints closer than this are merged during canonicalization
 MERGE_EPS = 1e-12
@@ -38,8 +40,7 @@ class IncompatiblePairError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class Breakpoint:
+class Breakpoint(NamedTuple):
     t: float
     left: float
     right: float
@@ -186,7 +187,7 @@ def _build(
     simultaneous jump) and anchors carrying neither a jump nor a slope
     change are dropped.
     """
-    anchors = sorted(anchors, key=lambda a: a[0])
+    anchors = sorted(anchors, key=itemgetter(0))
     merged: list[list[float]] = []
     for t, left, right in anchors:
         if merged and t - merged[-1][0] <= MERGE_EPS:
@@ -195,37 +196,32 @@ def _build(
             merged.append([t, left, right])
 
     # drop anchors carrying neither a jump nor a slope change, cascading so
-    # that every survivor is tested against its final neighbors
+    # that every survivor is tested against its final neighbors; (pt, pv)
+    # is the point before the top of ``kept``
     kept: list[list[float]] = []
-
-    def prev_point() -> tuple[float, float]:
-        if len(kept) >= 2:
-            return kept[-2][0], kept[-2][2]
-        return 0.0, initial
-
-    def top_redundant(nt: float, nl: float) -> bool:
-        t, left, right = kept[-1]
-        if left != right:
-            return False
-        pt, pv = prev_point()
-        return (left - pv) * (nt - pt) == (nl - pv) * (t - pt)
-
     for anchor in merged:
-        while kept and top_redundant(anchor[0], anchor[1]):
+        nt, nl = anchor[0], anchor[1]
+        while kept:
+            t, left, right = kept[-1]
+            if left != right:
+                break
+            pt, pv = (kept[-2][0], kept[-2][2]) if len(kept) >= 2 else (0.0, initial)
+            if (left - pv) * (nt - pt) != (nl - pv) * (t - pt):
+                break
             kept.pop()
         kept.append(anchor)
     while kept:
         t, left, right = kept[-1]
         if left != right:
             break
-        pt, pv = prev_point()
+        pt, pv = (kept[-2][0], kept[-2][2]) if len(kept) >= 2 else (0.0, initial)
         if (left - pv) * terminal_run == terminal_rise * (t - pt):
             kept.pop()
         else:
             break
     return PiecewisePath(
         initial,
-        tuple(Breakpoint(t, l, r) for t, l, r in kept),
+        tuple(map(Breakpoint._make, kept)),
         terminal_rise,
         terminal_run,
     )
@@ -525,9 +521,18 @@ def check_compatible(g: PiecewisePath, kappa: PiecewisePath) -> CompatibilityRep
     """H1: every jump of g pulls back to an interval of positive length
     under kappa.  H2: across every jump of kappa, g takes the same value at
     the left limit and at the left edge of the landing point."""
+    return _compatibility(g, kappa, _checked_inverse(g, kappa))
+
+
+def _checked_inverse(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
+    """The class checks of :func:`check_compatible`, then kappa's inverse."""
     require_invertible(g, "check_compatible")
     require_invertible(kappa, "check_compatible")
-    kinv = generalized_inverse(kappa)
+    return generalized_inverse(kappa)
+
+
+def _compatibility(g: PiecewisePath, kappa: PiecewisePath, kinv: PiecewisePath) -> CompatibilityReport:
+    """:func:`check_compatible` given ``kinv``, the inverse of kappa."""
     h1_bad = tuple(
         b.t for b in g.jumps() if kinv.eval(b.t) - kinv.eval_left(b.t) <= 0.0
     )
@@ -549,10 +554,10 @@ def smooth_compose(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
     and nondecreasing, and composing a path with its generalized inverse in
     either order yields the identity.
     """
-    report = check_compatible(g, kappa)
+    kinv = _checked_inverse(g, kappa)
+    report = _compatibility(g, kappa, kinv)
     if not report.ok:
         raise IncompatiblePairError(report)
-    kinv = generalized_inverse(kappa)
 
     # structural nodes: every breakpoint of g pulled back through kappa
     # keeps its stored values, so the spline endpoints are exact and no
@@ -570,7 +575,7 @@ def smooth_compose(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
         if _near_taken(taken, b.t):
             continue
         nodes.append((b.t, g.eval(b.right)))
-    nodes.sort(key=lambda nv: nv[0])
+    nodes.sort(key=itemgetter(0))
     nodes.insert(0, (0.0, g.eval(kappa.eval(0.0))))
     return _polyline(
         nodes,
@@ -599,11 +604,21 @@ def compose(outer: PiecewisePath, inner: PiecewisePath) -> PiecewisePath:
     keeps its stored values, so jumps survive the float roundtrip of
     inverting and re-evaluating.
     """
+    return _compose_via(outer, inner, _inner_inverse(inner))
+
+
+def _inner_inverse(inner: PiecewisePath) -> PiecewisePath:
+    """The class checks :func:`compose` makes of its inner path, then the
+    inner path's inverse."""
     require_invertible(inner, "compose")
     if inner.jumps():
         raise PathClassError("compose: inner path must be continuous")
-    iinv = generalized_inverse(inner)
+    return generalized_inverse(inner)
 
+
+def _compose_via(outer: PiecewisePath, inner: PiecewisePath, iinv: PiecewisePath) -> PiecewisePath:
+    """:func:`compose` given ``iinv = _inner_inverse(inner)``, so that one
+    inversion serves every outer path composed with the same inner one."""
     anchors: list[tuple[float, float, float]] = []
     for b in outer.breakpoints:
         s_lo, s_hi = iinv.eval_left(b.t), iinv.eval(b.t)

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import pytest
@@ -246,6 +249,31 @@ class TestEncode:
         assert main(["encode", "--config", str(model_config), "--seed", "8", "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["seed"] == 8
 
+    def test_manifest_records_config_hash_versions_and_stage_times(self, model_config, tmp_path):
+        digest = hashlib.sha256(model_config.read_bytes()).hexdigest()
+        versions = {
+            "python": platform.python_version(),
+            "numpy": metadata.version("numpy"),
+            "scipy": metadata.version("scipy"),
+        }
+        stages = {
+            "encode": {"build", "encode", "verify", "write"},
+            "curve": {"build", "encode", "verify", "identity_gap", "write"},
+        }
+        for command, names in stages.items():
+            out = tmp_path / command
+            assert main([command, "--config", str(model_config), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config_sha256"] == digest
+            assert manifest["versions"] == versions
+            assert set(manifest["stage_seconds"]) == names
+            assert all(s >= 0.0 for s in manifest["stage_seconds"].values())
+        out = tmp_path / "validate"
+        assert main(["validate", "functions", "--reps", "1000", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] is None and manifest["stage_seconds"] is None
+        assert manifest["versions"] == versions
+
     def test_seed_override_changes_output(self, model_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["encode", "--config", str(model_config), "--out", str(out_a)])
@@ -277,12 +305,23 @@ class TestCurveCommand:
 
             return wrapper
 
-        for name in calls:
+        for name in list(calls):
             for module in (cli, curve, validate):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        # the bundle builds its stages on first read; count the builds too
+        for stage in ("processes", "encoded"):
+            calls[f"build {stage}"] = 0
+            prop = vars(curve.CurveBundle)[stage]
+            monkeypatch.setattr(prop, "func", counted(f"build {stage}", prop.func))
         assert main(["curve", "--config", str(model_config), "--out", str(tmp_path / "c")]) == 0
-        assert calls == {"composed_processes": 1, "encode_components": 1, "hitting_process": 1}
+        assert calls == {
+            "composed_processes": 1,
+            "encode_components": 1,
+            "hitting_process": 1,
+            "build processes": 1,
+            "build encoded": 1,
+        }
 
     def test_rerun_byte_identical(self, worked_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

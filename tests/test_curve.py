@@ -7,7 +7,6 @@ from blockwalk.curve import (
     CurveAssumptionError,
     build_curve,
     check_symmetry,
-    composed_process,
     composed_processes,
     encode_components,
     level_hit_times,
@@ -106,7 +105,7 @@ class TestWorkedInstance:
             assert sum(g.eval(s) for g in self.bundle.curve) == pytest.approx(s, abs=1e-12)
 
     def test_composed_process_values(self):
-        c = composed_process(self.fld, self.bundle, 0)
+        c = composed_processes(self.fld, self.bundle)[0]
         assert c.eval(0.5) == -0.25
         assert c.eval_left(1.0) == -0.5
         assert c.eval(1.0) == 0.5
@@ -145,6 +144,17 @@ class TestWorkedInstance:
 
     def test_verify_encoding_passes(self):
         assert verify_encoding(self.fld, self.bundle)["pass"]
+
+    def test_stages_refuse_another_field(self):
+        # the bundle caches its stages, so another field would get this one's
+        other = field_from_jumps([[(0.7, 1.0)], []], [[1.0, 0.0], [0.3, 1.0]])
+        for stage in (composed_processes, encode_components, verify_encoding):
+            with pytest.raises(ValueError, match=r"^the field is not the one the curve bundle was built from$"):
+                stage(other, self.bundle)
+        # an equal field has the same stages
+        same, _ = worked_instance()
+        assert same is not self.fld
+        assert composed_processes(same, self.bundle) is composed_processes(self.fld, self.bundle)
 
 
 def curve_identity_gap(fld, bundle, eps=1e-6):
