@@ -18,8 +18,6 @@ from .field import Field, HittingProcess, hitting_process
 from .model import _check_rho
 from .paths import (
     PiecewisePath,
-    _compose_via,
-    _inner_inverse,
     add,
     classify,
     compose,
@@ -100,8 +98,8 @@ class CurveBundle:
 
     ``levels[i]`` maps type-i time to a common progress level (shared
     off-diagonal load plus rescaled depth of the diagonal's running
-    infimum); ``combined_time`` sums the inverse maps, and its inverse
-    ``combined_level`` recovers the level from total time.  ``curve[i]``
+    infimum); ``combined_level`` is the inverse of the sum of their
+    inverses, and recovers the level from total time.  ``curve[i]``
     is the time spent on axis i as a function of total time.  ``fld`` is
     the field the bundle was built from; the later stages, the composed
     processes and the encoded components, are built from it once, on
@@ -109,10 +107,8 @@ class CurveBundle:
     """
 
     rho: tuple[float, ...]
-    shared_columns: tuple[PiecewisePath, ...]
     levels: tuple[PiecewisePath, ...]
     level_inverses: tuple[PiecewisePath, ...]
-    combined_time: PiecewisePath
     combined_level: PiecewisePath
     curve: tuple[PiecewisePath, ...]
     fld: Field = field(compare=False, repr=False)
@@ -126,15 +122,13 @@ class CurveBundle:
 
     @cached_property
     def processes(self) -> tuple[PiecewisePath, ...]:
-        """See :func:`composed_processes`.  Each curve coordinate is checked
-        and inverted once, and every row's entry is pulled back through
-        that one inverse."""
-        inverses = [_inner_inverse(g) for g in self.curve]
+        """See :func:`composed_processes`.  Each curve coordinate keeps its
+        inverse, so every row's entry is pulled back through one inversion."""
         out = []
         for row in self.fld.paths:
-            total = _compose_via(row[0], self.curve[0], inverses[0])
+            total = compose(row[0], self.curve[0])
             for j in range(1, self.m):
-                total = add(total, _compose_via(row[j], self.curve[j], inverses[j]))
+                total = add(total, compose(row[j], self.curve[j]))
             out.append(total)
         return tuple(out)
 
@@ -156,10 +150,9 @@ class CurveBundle:
         )
 
 
-def shared_column(fld: Field, rho, col: int) -> PiecewisePath:
+def _shared_column(fld: Field, rho: tuple[float, ...], col: int) -> PiecewisePath:
     """The common rescaled off-diagonal path of one column (zero when the
     field has a single type)."""
-    rho = _positive_rho(rho, fld.m)
     if fld.m == 1:
         return PiecewisePath(0.0)
     row = 0 if col != 0 else 1
@@ -182,7 +175,7 @@ def build_levels(fld: Field, rho) -> tuple[PiecewisePath, ...]:
             raise CurveAssumptionError(f"diagonal {i} does not drift to -infinity")
         if _stays_level(low):
             raise CurveAssumptionError(f"diagonal {i} does not fall below zero immediately")
-        g = add(shared_column(fld, rho, i), scale(low, -1.0 / rho[i]))
+        g = add(_shared_column(fld, rho, i), scale(low, -1.0 / rho[i]))
         if not classify(g).invertible:
             raise CurveAssumptionError(f"level map of type {i} is not invertible monotone")
         out.append(g)
@@ -197,13 +190,13 @@ def _stays_level(low: PiecewisePath) -> bool:
     return low.terminal_rise >= 0.0
 
 
-def build_combined(inverses: Sequence[PiecewisePath]) -> tuple[PiecewisePath, PiecewisePath]:
-    """Total time to reach a level across all axes, and its inverse, from
-    the inverses of the level maps."""
+def build_combined(inverses: Sequence[PiecewisePath]) -> PiecewisePath:
+    """The level reached as a function of total time: the inverse of the
+    sum of the level maps' inverses, each the time one axis needs."""
     total = inverses[0]
     for inv in inverses[1:]:
         total = add(total, inv)
-    return total, generalized_inverse(total)
+    return generalized_inverse(total)
 
 
 def build_curve(fld: Field, rho) -> CurveBundle:
@@ -215,21 +208,12 @@ def build_curve(fld: Field, rho) -> CurveBundle:
         raise CurveAssumptionError(report.summary())
     levels = build_levels(fld, rho)
     inverses = tuple(generalized_inverse(g) for g in levels)
-    combined_time, combined_level = build_combined(inverses)
+    combined_level = build_combined(inverses)
     try:
         curve = tuple(smooth_compose(inv, combined_level) for inv in inverses)
     except Exception as exc:  # noqa: BLE001 - re-tag construction bugs
         raise CurveInvariantError(f"smooth composition failed on a guaranteed-compatible pair: {exc}") from exc
-    return CurveBundle(
-        rho,
-        tuple(shared_column(fld, rho, i) for i in range(fld.m)),
-        levels,
-        inverses,
-        combined_time,
-        combined_level,
-        curve,
-        fld,
-    )
+    return CurveBundle(rho, levels, inverses, combined_level, curve, fld)
 
 
 # -- composed processes and the one-dimensional encoding ---------------------------
@@ -348,5 +332,5 @@ def special_case_curve(fld: Field, rho) -> tuple[PiecewisePath, ...]:
         if any(v1 <= v0 for _, v0, _, v1 in g.finite_segments()):
             raise CurveAssumptionError(f"level map {i} is not strictly increasing")
     inverses = [generalized_inverse(g) for g in levels]
-    _, combined_level = build_combined(inverses)
+    combined_level = build_combined(inverses)
     return tuple(compose(inv, combined_level) for inv in inverses)

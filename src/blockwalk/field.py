@@ -173,8 +173,13 @@ def field_from_jumps(
     """Deterministic field from explicit per-column (time, weight) jumps;
     vertex ranks follow weight order within each column.  Entries of R,
     times and weights must be finite and nonnegative, as they are in every
-    field a block model produces."""
+    field a block model produces, and R must be m x m for the m columns."""
+    m = len(column_jumps)
+    if len(R) != m:
+        raise ValueError(f"R has {len(R)} rows, expected {m}")
     for i, row in enumerate(R):
+        if len(row) != m:
+            raise ValueError(f"R[{i}] has {len(row)} entries, expected {m}")
         for j, x in enumerate(row):
             if not (math.isfinite(x) and x >= 0):
                 raise ValueError(f"R[{i}][{j}] must be finite and nonnegative, got {x}")
@@ -184,7 +189,6 @@ def field_from_jumps(
                 raise ValueError(f"columns[{j}][{k}].t must be finite and nonnegative, got {t}")
             if not (math.isfinite(w) and w >= 0):
                 raise ValueError(f"columns[{j}][{k}].w must be finite and nonnegative, got {w}")
-    m = len(column_jumps)
     cols = []
     for j, jumps in enumerate(column_jumps):
         ranked = sorted(range(len(jumps)), key=lambda k: -jumps[k][1])

@@ -5,8 +5,9 @@ breakpoints carrying (time, left value, right value), and the direction of
 the final unbounded segment. Interior slopes are implied by the stored
 endpoint values, so sums, generalized inverses, compositions, running
 infima and excursion extraction all stay closed over the representation.
-In particular double inversion returns the identical object, not just a
-numerically close one.
+In particular double inversion returns an equal representation, not just a
+numerically close one.  A path builds its generalized inverse once, on first
+read of ``inverse``, and keeps it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -171,6 +173,36 @@ class PiecewisePath:
             return self.limit_at_infinity()
         return self.eval_left(t)
 
+    # -- generalized inverse --------------------------------------------------
+
+    @cached_property
+    def inverse(self) -> PiecewisePath:
+        """Right-continuous generalized inverse s -> inf{u > 0 : h(u) > s}.
+
+        Defined on the class of nondecreasing paths that vanish at 0, are
+        strictly positive right after 0 and grow without bound; other paths
+        raise :class:`PathClassError` on every read.  Jumps become flat
+        pieces of the inverse and vice versa; inverting the inverse builds
+        a representation equal to this one.  Built on first read and kept,
+        outside the compared fields.
+        """
+        require_invertible(self, "generalized_inverse")
+        inverted: list[tuple] = []
+        for mv in _moves(self):
+            if mv[0] == "seg":
+                _, x0, y0, x1, y1 = mv
+                if y1 == y0:
+                    inverted.append(("jump", y0, x0, x1))
+                else:
+                    inverted.append(("seg", y0, x0, y1, x1))
+            elif mv[0] == "jump":
+                _, x, y0, y1 = mv
+                inverted.append(("seg", y0, x, y1, x))
+            else:
+                _, x, y, rise, run = mv
+                inverted.append(("ray", y, x, run, rise))
+        return _from_moves(inverted)
+
 
 # -- canonical construction ---------------------------------------------------
 
@@ -282,26 +314,23 @@ def polyline(nodes: list[tuple[float, float]], terminal_rise: float, terminal_ru
 
 @dataclass(frozen=True)
 class PathClasses:
-    no_negative_jumps: bool
     nondecreasing: bool
     invertible: bool  # zero at 0, nondecreasing, positive after 0, unbounded
 
 
 def classify(path: PiecewisePath) -> PathClasses:
-    no_neg = all(b.right >= b.left for b in path.breakpoints)
-    nondec = no_neg and path.terminal_rise >= 0
-    if nondec:
-        for _, v0, _, v1 in path.finite_segments():
-            if v1 < v0:
-                nondec = False
-                break
+    nondec = (
+        path.terminal_rise >= 0
+        and all(b.right >= b.left for b in path.breakpoints)
+        and all(v1 >= v0 for _, v0, _, v1 in path.finite_segments())
+    )
     invertible = (
         nondec
         and path.initial == 0.0
         and path.terminal_rise > 0
         and (not path.breakpoints or path.breakpoints[0].left > 0.0)
     )
-    return PathClasses(no_neg, nondec, invertible)
+    return PathClasses(nondec, invertible)
 
 
 def require_no_negative_jumps(path: PiecewisePath, op: str) -> None:
@@ -462,29 +491,8 @@ def _from_moves(moves: list[tuple]) -> PiecewisePath:
 
 
 def generalized_inverse(h: PiecewisePath) -> PiecewisePath:
-    """Right-continuous generalized inverse s -> inf{u > 0 : h(u) > s}.
-
-    Defined on the class of nondecreasing paths that vanish at 0, are
-    strictly positive right after 0 and grow without bound.  Jumps of ``h``
-    become flat pieces of the inverse and vice versa; applying the inverse
-    twice returns the identical representation.
-    """
-    require_invertible(h, "generalized_inverse")
-    inverted: list[tuple] = []
-    for mv in _moves(h):
-        if mv[0] == "seg":
-            _, x0, y0, x1, y1 = mv
-            if y1 == y0:
-                inverted.append(("jump", y0, x0, x1))
-            else:
-                inverted.append(("seg", y0, x0, y1, x1))
-        elif mv[0] == "jump":
-            _, x, y0, y1 = mv
-            inverted.append(("seg", y0, x, y1, x))
-        else:
-            _, x, y, rise, run = mv
-            inverted.append(("ray", y, x, run, rise))
-    return _from_moves(inverted)
+    """The path's generalized inverse, :attr:`PiecewisePath.inverse`."""
+    return h.inverse
 
 
 # -- compatibility and smooth composition -------------------------------------
@@ -521,28 +529,39 @@ def check_compatible(g: PiecewisePath, kappa: PiecewisePath) -> CompatibilityRep
     """H1: every jump of g pulls back to an interval of positive length
     under kappa.  H2: across every jump of kappa, g takes the same value at
     the left limit and at the left edge of the landing point."""
-    return _compatibility(g, kappa, _checked_inverse(g, kappa))
-
-
-def _checked_inverse(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
-    """The class checks of :func:`check_compatible`, then kappa's inverse."""
     require_invertible(g, "check_compatible")
     require_invertible(kappa, "check_compatible")
-    return generalized_inverse(kappa)
-
-
-def _compatibility(g: PiecewisePath, kappa: PiecewisePath, kinv: PiecewisePath) -> CompatibilityReport:
-    """:func:`check_compatible` given ``kinv``, the inverse of kappa."""
-    h1_bad = tuple(
-        b.t for b in g.jumps() if kinv.eval(b.t) - kinv.eval_left(b.t) <= 0.0
-    )
+    kinv = kappa.inverse
+    h1_bad = []
+    for b in g.jumps():
+        s_lo, s_hi = _pullback(kinv, b.t)
+        if s_hi - s_lo <= 0.0:
+            h1_bad.append(b.t)
     h2_bad = []
     for b in kappa.jumps():
         lhs = g.eval(b.left)
         rhs = g.eval_left(b.right)
         if lhs != rhs and abs(lhs - rhs) > VALUE_TOL:
             h2_bad.append((b.t, lhs, rhs))
-    return CompatibilityReport(not h1_bad, not h2_bad, h1_bad, tuple(h2_bad))
+    return CompatibilityReport(not h1_bad, not h2_bad, tuple(h1_bad), tuple(h2_bad))
+
+
+def _pullback(kinv: PiecewisePath, u: float) -> tuple[float, float]:
+    """(kinv(u-), kinv(u)): where the path inverted by ``kinv`` reaches the
+    level u and where it leaves it.  When u is not a breakpoint of kinv but
+    a jump of kinv lies within MERGE_EPS of u, that jump is read instead:
+    a sum merges jumps that close into one anchor, so a level computed
+    through another path may miss the merged jump by rounding."""
+    times = kinv._times
+    k = bisect_left(times, u)
+    if k < len(times) and times[k] == u:
+        b = kinv.breakpoints[k]
+        return b.left, b.right
+    for b in kinv.breakpoints[max(k - 1, 0):k + 1]:
+        if b.right != b.left and abs(b.t - u) <= MERGE_EPS:
+            return b.left, b.right
+    v = kinv.eval(u)
+    return v, v
 
 
 def smooth_compose(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
@@ -554,17 +573,17 @@ def smooth_compose(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
     and nondecreasing, and composing a path with its generalized inverse in
     either order yields the identity.
     """
-    kinv = _checked_inverse(g, kappa)
-    report = _compatibility(g, kappa, kinv)
+    report = check_compatible(g, kappa)
     if not report.ok:
         raise IncompatiblePairError(report)
+    kinv = kappa.inverse
 
     # structural nodes: every breakpoint of g pulled back through kappa
     # keeps its stored values, so the spline endpoints are exact and no
     # jump is lost to the rounding of re-evaluating g at kappa(s)
     nodes: list[tuple[float, float]] = []
     for b in g.breakpoints:
-        s_lo, s_hi = kinv.eval_left(b.t), kinv.eval(b.t)
+        s_lo, s_hi = _pullback(kinv, b.t)
         nodes.append((s_lo, b.left))
         if s_hi > s_lo:
             nodes.append((s_hi, b.right))
@@ -602,23 +621,13 @@ def compose(outer: PiecewisePath, inner: PiecewisePath) -> PiecewisePath:
     Breakpoints of the output are taken structurally: each breakpoint of
     the outer path is pulled back through the inverse of the inner one and
     keeps its stored values, so jumps survive the float roundtrip of
-    inverting and re-evaluating.
+    inverting and re-evaluating.  The inner path keeps its inverse, so
+    every outer path composed with it shares one inversion.
     """
-    return _compose_via(outer, inner, _inner_inverse(inner))
-
-
-def _inner_inverse(inner: PiecewisePath) -> PiecewisePath:
-    """The class checks :func:`compose` makes of its inner path, then the
-    inner path's inverse."""
     require_invertible(inner, "compose")
     if inner.jumps():
         raise PathClassError("compose: inner path must be continuous")
-    return generalized_inverse(inner)
-
-
-def _compose_via(outer: PiecewisePath, inner: PiecewisePath, iinv: PiecewisePath) -> PiecewisePath:
-    """:func:`compose` given ``iinv = _inner_inverse(inner)``, so that one
-    inversion serves every outer path composed with the same inner one."""
+    iinv = inner.inverse
     anchors: list[tuple[float, float, float]] = []
     for b in outer.breakpoints:
         s_lo, s_hi = iinv.eval_left(b.t), iinv.eval(b.t)

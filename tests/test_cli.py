@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import blockwalk
-from blockwalk import cli, curve, validate
+from blockwalk import cli, curve, paths, validate
 from blockwalk.cli import ConfigError, load_config, main
 
 WORKED = {
@@ -189,10 +189,12 @@ class TestConfig:
             (("columns", 0, 0, "w"), float("-inf"), r"config.field: columns\[0\]\[0\].w must be finite"),
             (("columns", 0, 0, "w"), -1.0, r"config.field: columns\[0\]\[0\].w must be finite and nonnegative"),
             (("R", 0, 1), -0.5, r"config.field: R\[0\]\[1\] must be finite and nonnegative"),
+            (("R", 1), [0.3], r"config.field: R\[1\] has 1 entries, expected 2"),
+            (("R", 0), [1.0, 0.0, 2.0], r"config.field: R\[0\] has 3 entries, expected 2"),
         ],
         ids=[
             "R-nan-unused", "R-inf-used", "t-negative", "t-nan", "t-inf", "w-nan", "w-minus-inf",
-            "w-negative", "R-negative",
+            "w-negative", "R-negative", "R-short-row", "R-long-row",
         ],
     )
     def test_bad_field_values_exit_with_two(self, tmp_path, capsys, where, value, match):
@@ -200,7 +202,9 @@ class TestConfig:
         # check, a negative time failed as "level must be nonnegative", a
         # negative weight failed inside past_infimum (and explore accepted
         # it), and a negative R entry failed as a level map that is not
-        # invertible
+        # invertible; rows of R of the wrong length were accepted, and a
+        # short one failed with an IndexError once its missing entry's
+        # column had jumps
         spec = json.loads(json.dumps(WORKED))
         parent = spec["field"]
         for key in where[:-1]:
@@ -295,6 +299,22 @@ class TestCurveCommand:
         assert header == "s,curve_0,curve_1,process_0"
         assert (out / "manifest.json").exists()
 
+    def test_level_plateaus_one_rounding_apart(self, tmp_path):
+        # the level maps plateau at 0.5 + 0.3 = 0.8 and 0.7 + 0.1 =
+        # 0.7999999999999999; the sum of their inverses merges both jumps at
+        # the lower level, and the compatibility check used to find no jump
+        # at 0.8 and fail with a CurveInvariantError traceback
+        spec = json.loads(json.dumps(WORKED))
+        spec["field"]["R"] = [[1.0, 0.2], [0.3, 1.0]]
+        spec["field"]["columns"] = [[{"t": 0.5, "w": 1.0}], [{"t": 0.7, "w": 0.5}]]
+        path = tmp_path / "plateaus.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "curve"
+        assert main(["curve", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "pathwise_report.json").read_text())
+        assert report["pass"]
+        assert max(c.get("gap", 0.0) for c in report["checks"]) <= 1e-15
+
     def test_each_stage_runs_once(self, model_config, tmp_path, monkeypatch):
         calls = dict.fromkeys(("composed_processes", "encode_components", "hitting_process"), 0)
 
@@ -314,6 +334,11 @@ class TestCurveCommand:
             calls[f"build {stage}"] = 0
             prop = vars(curve.CurveBundle)[stage]
             monkeypatch.setattr(prop, "func", counted(f"build {stage}", prop.func))
+        # a path inverts itself once: two level maps, the combined level, and
+        # the two curve coordinates for both rows' compositions
+        calls["build inverse"] = 0
+        prop = vars(paths.PiecewisePath)["inverse"]
+        monkeypatch.setattr(prop, "func", counted("build inverse", prop.func))
         assert main(["curve", "--config", str(model_config), "--out", str(tmp_path / "c")]) == 0
         assert calls == {
             "composed_processes": 1,
@@ -321,6 +346,7 @@ class TestCurveCommand:
             "hitting_process": 1,
             "build processes": 1,
             "build encoded": 1,
+            "build inverse": 6,
         }
 
     def test_rerun_byte_identical(self, worked_config, tmp_path):

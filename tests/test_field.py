@@ -80,6 +80,19 @@ class TestBuildField:
         assert [b.t for b in fld.paths[0][0].jumps()] == [0.5]
         assert [b.t for b in fld.paths[1][0].jumps()] == [0.5]
 
+    @pytest.mark.parametrize(
+        "R, match",
+        [
+            ([[1.0, 0.0]], r"R has 1 rows, expected 2"),
+            ([[1.0, 0.0], [0.3, 1.0], [0.0, 0.0]], r"R has 3 rows, expected 2"),
+            ([[1.0, 0.0], [0.3]], r"R\[1\] has 1 entries, expected 2"),
+            ([[1.0, 0.0, 0.5], [0.3, 1.0]], r"R\[0\] has 3 entries, expected 2"),
+        ],
+    )
+    def test_from_jumps_needs_square_r(self, R, match):
+        with pytest.raises(ValueError, match=match):
+            field_from_jumps([[(0.5, 1.0)], [(0.7, 0.5)]], R)
+
 
 class TestFieldEval:
     def test_zero_vector(self):

@@ -152,7 +152,31 @@ class TestGeneralizedInverse:
         rng = np.random.default_rng(7)
         for _ in range(1000):
             h = random_monotone_path(rng)
-            assert generalized_inverse(generalized_inverse(h)) == h
+            hii = generalized_inverse(generalized_inverse(h))
+            # equal, and built afresh: an inverse is never linked back to its source
+            assert hii == h and hii is not h
+
+    def test_inverse_built_once_and_kept(self):
+        h = random_monotone_path(np.random.default_rng(5))
+        assert generalized_inverse(h) is h.inverse is h.inverse
+
+    def test_non_invertible_path_raises_on_every_read(self):
+        flat_start = pure_jumps([(1.0, 1.0)])
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(PathClassError) as info:
+                flat_start.inverse
+            messages.add(str(info.value))
+        assert messages == {"generalized_inverse: path is not strictly positive immediately after 0"}
+
+    def test_cached_inverse_leaves_eq_hash_repr_alone(self):
+        h = random_monotone_path(np.random.default_rng(6))
+        fresh = PiecewisePath(h.initial, h.breakpoints, h.terminal_rise, h.terminal_run)
+        before = (hash(h), repr(h))
+        h.inverse
+        assert "inverse" in vars(h) and "inverse" not in vars(fresh)
+        assert h == fresh and fresh == h
+        assert (hash(h), repr(h)) == before == (hash(fresh), repr(fresh))
 
     def test_left_right_inversion_inequalities_on_1000_paths(self):
         # h^{-1}(h(u)) = u where h strictly increases from the right;

@@ -1,14 +1,17 @@
 """The curve stages against a reference that does every piece of work afresh.
 
-A ``CurveBundle`` builds its composed processes and encoded components once
-and inverts each curve coordinate once for every row; ``smooth_compose``
-inverts its inner path once.  The reference below is the pipeline without
-any of that sharing: ``compose`` per entry, each call inverting its inner
-path; ``check_compatible`` followed by a second inversion in
-``smooth_compose``; a fresh ``composed_processes`` and ``excursions`` inside
-``verify_encoding``; and canonicalization by the closure-based ``_build``.
-The arithmetic is the same, so the results must be equal, not close.
+A ``CurveBundle`` builds its composed processes and encoded components once,
+and every path keeps the generalized inverse it builds on first read, so
+each curve coordinate is inverted once for every row.  The reference below
+is the pipeline without any of that sharing: ``compose`` per entry, each
+call inverting a fresh copy of its inner path; ``check_compatible`` followed
+by a second inversion in ``smooth_compose``; a fresh ``composed_processes``
+and ``excursions`` inside ``verify_encoding``; and canonicalization by the
+closure-based ``_build``.  The arithmetic is the same, so the results must
+be equal, not close.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,11 +93,16 @@ def _reference_polyline(nodes, terminal_rise, terminal_run):
     return _reference_build(dedup[0][1], [(t, v, v) for t, v in dedup[1:]], terminal_rise, terminal_run)
 
 
+def _fresh_inverse(path):
+    """The inverse of an equal path that has not built one yet."""
+    return generalized_inverse(replace(path))
+
+
 def _reference_compose(outer, inner):
     require_invertible(inner, "compose")
     if inner.jumps():
         raise PathClassError("compose: inner path must be continuous")
-    iinv = generalized_inverse(inner)
+    iinv = _fresh_inverse(inner)
     anchors = []
     for b in outer.breakpoints:
         s_lo, s_hi = iinv.eval_left(b.t), iinv.eval(b.t)
@@ -121,7 +129,7 @@ def _reference_smooth_compose(g, kappa):
     report = check_compatible(g, kappa)
     if not report.ok:
         raise IncompatiblePairError(report)
-    kinv = generalized_inverse(kappa)
+    kinv = _fresh_inverse(kappa)
     nodes = []
     for b in g.breakpoints:
         s_lo, s_hi = kinv.eval_left(b.t), kinv.eval(b.t)
