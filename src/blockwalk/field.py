@@ -405,6 +405,111 @@ def _sweep(columns, R, rho, steps: list | None = None) -> list[tuple]:
     return components
 
 
+def _sweep_rows(times: np.ndarray, weights, R, rho) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep of _sweep run on every row of a _clock_rows chunk at once.
+
+    ``times`` holds one row per replication: the jump times xi / Q_jj in
+    vertices() order, distinct within a row; ``weights`` are the per-type
+    weights by rank.  Every row takes the steps _sweep takes on its columns
+    with the same float64 operations in the same order (the root gap
+    (t - tail) / rho, the frontier tail + rho * gap, windows low + w * R[:, i]
+    chained from the tail, the strict < that lets the first type win a
+    tied root), so every comparison, and with it every result, is the same
+    bit for bit; a jump behind the frontier in any row raises _sweep's
+    error.  A row processes its s-th discovered vertex at step s, so the
+    Python loops run over steps, types and the children of one window, each
+    pass one vectorized operation over the rows.
+
+    Returns per row the discovery-order component label of each vertex, -1
+    for a vertex no component reaches, and the level of the first root,
+    NaN in a row without components.
+    """
+    n, n_verts = times.shape
+    m = len(weights)
+    r_columns = np.asarray(R, dtype=float).T  # r_columns[j][i] = R[i][j]
+    rho = np.asarray(rho, dtype=float)
+    rows = np.arange(n)
+    # column j of each row: the type-j jump times sorted, padded with +inf,
+    # which no window end exceeds, and their weights and vertex indices
+    sizes = [len(ws) for ws in weights]
+    width = max(sizes, default=0)
+    col_t = np.full((n, m, width), np.inf)
+    col_w = np.zeros((n, m, width))
+    col_v = np.zeros((n, m, width), dtype=np.intp)
+    start = 0
+    for j, ws in enumerate(weights):
+        stop = start + sizes[j]
+        order = np.argsort(times[:, start:stop], axis=1)
+        col_t[:, j, : sizes[j]] = np.take_along_axis(times[:, start:stop], order, axis=1)
+        col_w[:, j, : sizes[j]] = np.asarray(ws, dtype=float)[order]
+        col_v[:, j, : sizes[j]] = order + start
+        start = stop
+    labels = np.full((n, n_verts), -1, dtype=np.intp)
+    first = np.full(n, np.nan)
+    level = np.zeros(n)
+    tail = np.zeros((n, m))
+    pointer = np.zeros((n, m), dtype=np.intp)
+    found = np.zeros(n, dtype=np.intp)  # vertices discovered so far
+    component = np.full(n, -1, dtype=np.intp)
+    # window end of each discovered vertex; a child's window starts where
+    # that of the vertex discovered just before it ends
+    high = np.zeros((n, n_verts, m))
+    with np.errstate(all="ignore"):  # like Python floats: overflow to inf, NaN quietly
+        for s in range(n_verts):
+            idle = found == s  # queue empty: choose a root
+            root = np.zeros(n, dtype=bool)
+            root_gap = np.zeros(n)
+            ri = np.zeros(n, dtype=np.intp)
+            for i in range(m):
+                if rho[i] <= 0 or not sizes[i]:
+                    continue
+                p = pointer[:, i]
+                t = col_t[rows, i, np.minimum(p, sizes[i] - 1)]
+                gap = (t - tail[:, i]) / rho[i]
+                better = idle & (p < sizes[i]) & (~root | (gap < root_gap))
+                root_gap = np.where(better, gap, root_gap)
+                ri = np.where(better, i, ri)
+                root |= better
+            active = (found > s) | root
+            if not active.any():
+                break
+            low = high[:, s - 1].copy() if s else np.zeros((n, m))
+            r_rows = np.flatnonzero(root)
+            if len(r_rows):
+                level = np.where(root, level + root_gap, level)
+                first = np.where(root & (component < 0), level, first)
+                component += root
+                r_type = ri[r_rows]
+                r_pos = pointer[r_rows, r_type]
+                pointer[r_rows, r_type] += 1
+                r_low = tail[r_rows] + rho * root_gap[r_rows, None]
+                r_low[np.arange(len(r_rows)), r_type] = col_t[r_rows, r_type, r_pos]
+                r_high = r_low + col_w[r_rows, r_type, r_pos][:, None] * r_columns[r_type]
+                low[r_rows] = r_low
+                high[r_rows, s] = tail[r_rows] = r_high
+                labels[r_rows, col_v[r_rows, r_type, r_pos]] = component[r_rows]
+                found[r_rows] += 1
+            window_end = high[:, s]
+            for i in range(m):
+                if not sizes[i]:
+                    continue
+                p = pointer[:, i]
+                inside = (col_t[:, i] < window_end[:, i, None]).sum(axis=1)
+                n_children = np.where(active, np.maximum(inside - p, 0), 0)
+                t = col_t[rows, i, np.minimum(p, sizes[i] - 1)]
+                if ((n_children > 0) & (t < low[:, i])).any():
+                    raise RuntimeError("unexplored jump behind the sweep frontier")
+                for c in range(int(n_children.max())):
+                    c_rows = np.flatnonzero(n_children > c)
+                    c_pos = p[c_rows] + c
+                    hi = tail[c_rows] + col_w[c_rows, i, c_pos][:, None] * r_columns[i]
+                    high[c_rows, found[c_rows]] = tail[c_rows] = hi
+                    labels[c_rows, col_v[c_rows, i, c_pos]] = component[c_rows]
+                    found[c_rows] += 1
+                pointer[:, i] = p + n_children
+    return labels, first
+
+
 # -- the hitting process ----------------------------------------------------------
 
 

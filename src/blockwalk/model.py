@@ -208,6 +208,8 @@ def scaled_mass(weight_by_type: Sequence[float], rho: Sequence[float], Q: Sequen
 def _check_rho(rho: Sequence[float], m: int) -> None:
     if len(rho) != m:
         raise ValueError(f"direction vector has length {len(rho)}, expected {m}")
+    if not all(math.isfinite(r) for r in rho):
+        raise ValueError("direction vector must be finite")
     if any(r < 0 for r in rho):
         raise ValueError("direction vector must be nonnegative")
     if not any(r > 0 for r in rho):

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import stats as sps
 
-from .field import _clock_rows, _sweep, encoded_jump
+from .field import _clock_rows, _sweep_rows, encoded_jump
 from .model import (
     BlockModel,
     Vertex,
@@ -250,35 +250,34 @@ def mc_component_distribution(
 
 
 def mc_field_samples(model: BlockModel, rho, n_reps: int, seed) -> list[FieldSample]:
-    """One FieldSample per replication: clocks drawn, the field swept and its
-    components read off; the signature and the rounded jump sequence are
-    computed once per distinct tuple of component weight vectors."""
+    """One FieldSample per replication: clocks drawn and the fields swept a
+    chunk of replications at a time; the signature and the rounded jump
+    sequence are computed once per distinct row of component labels."""
     _check_rho(rho, model.m)
     _check_reps(n_reps)
     rng = _as_rng(seed)
-    q_diag = np.array([model.Q[i][i] for _, i in model.vertices()])
-    # per type: its slice of a clock row, its weights and vertices by rank
-    types = []
-    start = 0
-    for i, ws in enumerate(model.weights):
-        types.append((start, start + len(ws), ws, [(rank, i) for rank in range(len(ws))]))
-        start += len(ws)
+    verts = model.vertices()
+    q_diag = np.array([model.Q[i][i] for _, i in verts])
+    by_rank = sorted(range(len(verts)), key=verts.__getitem__)  # (rank, type) order
     outcomes: dict[tuple, tuple] = {}
     out = []
     for xi in _clock_rows(model, rng, n_reps):
-        for times in (xi / q_diag).tolist():
-            # the field's columns: (time, weight, vertex) jumps by time, which are distinct
-            columns = [sorted(zip(times[a:b], ws, vs)) for a, b, ws, vs in types]
-            components = _sweep(columns, model.R, rho)
-            weights = tuple(w for _, w, _ in components)
-            outcome = outcomes.get(weights)
+        labels, first = _sweep_rows(xi / q_diag, model.weights, model.R, rho)
+        for key, level in zip(map(tuple, labels.tolist()), first.tolist()):
+            outcome = outcomes.get(key)
             if outcome is None:
-                outcome = outcomes[weights] = (
+                # each component's weights by type, summed in rank order as _sweep sums them
+                weights = [[0.0] * model.m for _ in range(max(key, default=-1) + 1)]
+                for v in by_rank:
+                    if key[v] >= 0:
+                        rank, i = verts[v]
+                        weights[key[v]][i] += model.weights[i][rank]
+                outcome = outcomes[key] = (
                     tuple(sorted(_round_vec(w) for w in weights)),
                     tuple(_round_vec(encoded_jump(model.R, w)) for w in weights),
                 )
-            first_gap = components[0][2] if components else None  # 0.0 + the first root's gap
-            out.append(FieldSample(outcome[0], first_gap, outcome[1]))
+            # the first level is 0.0 + the first root's gap
+            out.append(FieldSample(outcome[0], level if outcome[1] else None, outcome[1]))
     return out
 
 
@@ -289,9 +288,8 @@ def mc_graph_jump_sequences(model: BlockModel, rho, n_reps: int, seed) -> list[t
     _check_rho(rho, model.m)
     _check_reps(n_reps)
     rng = _as_rng(seed)
-    races: dict[tuple, tuple] = {}  # partition -> (masses, rounded jumps)
-    per_rep = []
-    for part in sample_partition_batch(model, n_reps, rng):
+    races: dict[tuple, tuple] = {}  # partition -> (masses, rounded jumps, its replications)
+    for r, part in enumerate(sample_partition_batch(model, n_reps, rng)):
         race = races.get(part)
         if race is None:
             masses, jumps = [], []
@@ -301,19 +299,20 @@ def mc_graph_jump_sequences(model: BlockModel, rho, n_reps: int, seed) -> list[t
                 if s > 0:
                     masses.append(s)
                     jumps.append(_round_vec(encoded_jump(model.R, w)))
-            race = races[part] = (np.array(masses), tuple(jumps))
-        per_rep.append(race)
+            race = races[part] = (np.array(masses), tuple(jumps), [])
+        race[2].append(r)
+    sizes = np.zeros(n_reps, dtype=np.intp)
+    for _, jumps, reps in races.values():
+        sizes[reps] = len(jumps)
     # the same draws, in the same order, as one exponential call per replication
-    draws = rng.exponential(1.0, size=sum(len(jumps) for _, jumps in per_rep))
-    out = []
-    offset = 0
-    for masses, jumps in per_rep:
-        if len(jumps) < 2:
-            out.append(jumps)
-        else:
-            keys = draws[offset : offset + len(jumps)] / masses
-            out.append(tuple(jumps[k] for k in np.argsort(keys)))
-        offset += len(jumps)
+    draws = rng.exponential(1.0, size=int(sizes.sum()))
+    offsets = np.cumsum(sizes) - sizes
+    out: list[tuple] = [()] * n_reps
+    for masses, jumps, reps in races.values():
+        # a row of keys per replication, each sorted as np.argsort sorts it alone
+        keys = draws[offsets[reps, None] + np.arange(len(jumps))] / masses
+        for r, order in zip(reps, np.argsort(keys, axis=1).tolist()):
+            out[r] = tuple(map(jumps.__getitem__, order))
     return out
 
 

@@ -491,6 +491,28 @@ def _rows_per_vertex(model, rng, n_rows):
     return [list(_sample_clocks_per_vertex(model, rng).values()) for _ in range(n_rows)]
 
 
+def _assert_sweep_rows_match_sweep(model, rho, rng):
+    """_sweep_rows on a chunk of 200 clock rows gives, row by row, the
+    components and the first level of _sweep: labels equal, levels equal
+    bit for bit."""
+    verts = model.vertices()
+    (xi,) = field_mod._clock_rows(model, rng, 200)
+    times = xi / np.array([model.Q[i][i] for _, i in verts])
+    labels, first = field_mod._sweep_rows(times, model.weights, model.R, rho)
+    for row, got, level in zip(xi.tolist(), labels.tolist(), first.tolist()):
+        fld = build_field(model, dict(zip(verts, row)))
+        components = field_mod._sweep(fld.columns, fld.R, rho)
+        want = [-1] * len(verts)
+        for label, (vs, _, _) in enumerate(components):
+            for v in vs:
+                want[verts.index(v)] = label
+        assert got == want
+        if components:
+            assert level.hex() == components[0][2].hex()
+        else:
+            assert math.isnan(level)
+
+
 class TestAgainstOldLoops:
     def test_sample_clocks_matches_per_vertex_loop(self, rng):
         for _ in range(200):
@@ -539,6 +561,7 @@ class TestAgainstOldLoops:
             rho = (1.0,) * m
             assert field_exploration(fld, rho) == _field_exploration_loop(fld, rho)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        _assert_sweep_rows_match_sweep(model, (1.0,) * m, rng_a)
 
     def test_always_tied_draws_raise(self):
         model = BlockModel(((1e200, 1e200), (1e200,)), ((1e200, 1.0), (1.0, 1e200)))
@@ -567,6 +590,20 @@ class TestAgainstOldLoops:
         )
         for rho in ((1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 3.0)):
             assert field_exploration(fld, rho) == _field_exploration_loop(fld, rho)
+
+    def test_sweep_rows_matches_sweep_per_row(self, rng):
+        for _ in range(100):
+            model = random_block_model(rng, max_types=3, max_vertices=int(rng.integers(3, 8)))
+            _assert_sweep_rows_match_sweep(model, _random_rho(rng, model.m), rng)
+
+    def test_sweep_rows_raises_where_sweep_does(self):
+        # tail + rho_1 * gap rounds up past the type-1 jump at t1
+        R, rho = ((1.0, 0.5), (0.5, 1.0)), (1.0, 3.0)
+        t0, t1 = 0.6459721981904619, 1.9379165945713857
+        with pytest.raises(RuntimeError, match="behind the sweep frontier"):
+            field_mod._sweep([[(t0, 1.0, (0, 0))], [(t1, 1.0, (0, 1))]], R, rho)
+        with pytest.raises(RuntimeError, match="behind the sweep frontier"):
+            field_mod._sweep_rows(np.array([[0.1, 5.0], [t0, t1]]), ((1.0,), (1.0,)), R, rho)
 
     def test_solver_jump_bisection_matches_scan(self, rng):
         for _ in range(40):

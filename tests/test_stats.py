@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from blockwalk.field import build_field, encoded_jump
+from blockwalk.field import _CLOCK_CHUNK, build_field, encoded_jump, field_exploration, hitting_process
 from blockwalk.instances import random_block_model
-from blockwalk.model import BlockModel, component_weights, scaled_mass
+from blockwalk.model import BlockModel, component_weights, graph_exploration, sample_graph, scaled_mass
 from blockwalk.stats import (
     FieldSample,
     _round_vec,
@@ -155,6 +155,22 @@ class TestSamplers:
             assert counts[singles] == 2000
 
 
+class TestDirectionChecks:
+    @pytest.mark.parametrize("rho", [(1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)], ids=["nan", "inf", "-inf"])
+    def test_non_finite_direction_rejected(self, rho):
+        model = FIXTURES[1]
+        fld = build_field(model, {v: 1.0 + v[0] + 2 * v[1] for v in model.vertices()})
+        calls = [
+            lambda: hitting_process(fld, rho),
+            lambda: field_exploration(fld, rho),
+            lambda: graph_exploration(sample_graph(model, 0), rho, 0),
+            lambda: mc_field_samples(model, rho, 1000, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="direction vector must be finite"):
+                call()
+
+
 class TestLawComparisons:
     def test_exact_first_jump_distribution_two_vertices(self):
         model = two_vertex_model()
@@ -261,6 +277,10 @@ class TestAgainstPerReplicationLoops:
 
     def test_tied_clock_draws(self):
         _assert_same_as_loops(_TIE_PRONE, (1.0, 1.0), 1000, 4)
+
+    @pytest.mark.parametrize("model", [FIXTURES[1], _TIE_PRONE], ids=["fixture-1", "tie-prone"])
+    def test_more_than_one_clock_chunk(self, model):
+        _assert_same_as_loops(model, (1.0, 1.0), _CLOCK_CHUNK + 1500, 23)
 
     def test_integer_seed_same_as_fresh_generator(self):
         model = FIXTURES[1]
