@@ -133,6 +133,12 @@ class CurveBundle:
         return tuple(out)
 
     @cached_property
+    def process_infima(self) -> tuple[PiecewisePath, ...]:
+        """The running infimum of each composed process, which
+        :func:`level_hit_times` reads at every level."""
+        return tuple(past_infimum(p) for p in self.processes)
+
+    @cached_property
     def encoded(self) -> tuple[EncodedComponent, ...]:
         """See :func:`encode_components`."""
         base = excursions(self.processes[0], level_tol=EXCURSION_LEVEL_TOL)
@@ -233,14 +239,13 @@ def _built_from(fld: Field, bundle: CurveBundle) -> CurveBundle:
     return bundle
 
 
-def level_hit_times(
-    processes: Sequence[PiecewisePath], rho: Sequence[float], y: float
-) -> tuple[float, ...]:
+def level_hit_times(fld: Field, bundle: CurveBundle, y: float) -> tuple[float, ...]:
     """Per row, the first s at which the composed process's left limits
     reach -rho_i*y.  Backs the one-dimensional reformulation: every row
     hits every level at the same s, the total time sum(T(y)) (acceptance
-    criterion 4)."""
-    return tuple(first_time_at_or_below(past_infimum(p), -r * y) for p, r in zip(processes, rho))
+    criterion 4).  Each process's running infimum is built once per bundle."""
+    infima = _built_from(fld, bundle).process_infima
+    return tuple(first_time_at_or_below(low, -r * y) for low, r in zip(infima, bundle.rho))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import stats as sps
@@ -30,6 +30,8 @@ from .model import (
 
 SIG_DIGITS = 12
 MAX_EXACT_VERTICES = 8
+#: uniforms drawn by one generator call in _pair_keys
+_PAIR_CHUNK_CELLS = 1 << 20
 
 
 def _round_vec(v: Sequence[float]) -> tuple[float, ...]:
@@ -150,7 +152,7 @@ def brute_force_partition_distribution(model: BlockModel) -> PartitionDistributi
         prob = 1.0
         for k, p in enumerate(probs):
             prob *= p if mask >> k & 1 else 1.0 - p
-        key = _partition_of_mask(table, mask)
+        key = _partition_of_edges(table, _bits(mask))
         out[key] = out.get(key, 0.0) + prob
     return PartitionDistribution(model, out)
 
@@ -179,7 +181,9 @@ def _pair_table(model: BlockModel) -> _PairTable:
     return _PairTable(verts, pairs, probs)
 
 
-def _partition_of_mask(table: _PairTable, mask: int) -> tuple[tuple[Vertex, ...], ...]:
+def _partition_of_edges(table: _PairTable, edges: Iterable[int]) -> tuple[tuple[Vertex, ...], ...]:
+    """The component partition of the graph whose edges are the pairs
+    with the given indices into table.pairs."""
     n = len(table.verts)
     parent = list(range(n))
 
@@ -189,35 +193,54 @@ def _partition_of_mask(table: _PairTable, mask: int) -> tuple[tuple[Vertex, ...]
             x = parent[x]
         return x
 
-    for k, (a, b) in enumerate(table.pairs):
-        if mask >> k & 1:
-            parent[find(a)] = find(b)
+    for k in edges:
+        a, b = table.pairs[k]
+        parent[find(a)] = find(b)
     groups: dict[int, list[Vertex]] = {}
     for x in range(n):
         groups.setdefault(find(x), []).append(table.verts[x])
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
+def _partition_of_key(table: _PairTable, key: bytes) -> tuple[tuple[Vertex, ...], ...]:
+    """Decode a _pair_keys key: a union over only the pairs that are set."""
+    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=len(table.pairs))
+    return _partition_of_edges(table, np.flatnonzero(bits).tolist())
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D array: one hashable key per row."""
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1] * rows.itemsize
+    if width == 0:
+        return [b""] * len(rows)
+    return rows.view(np.dtype((np.void, width))).ravel().tolist()
+
+
+def _pair_keys(table: _PairTable, rng: np.random.Generator, n_reps: int) -> list[bytes]:
+    """One key per replication: its row of pair indicators (pair k is an
+    edge when its uniform falls below probs[k]), packed eight pairs to a
+    byte, so that a key holds every pair.  The uniforms are drawn a chunk of
+    at most _PAIR_CHUNK_CELLS at a time; chunks of whole rows are the same
+    floats, in the same order, as one rng.random((n_reps, k)) call."""
+    k = len(table.pairs)
+    chunk = max(1, _PAIR_CHUNK_CELLS // max(k, 1))
+    keys: list[bytes] = []
+    for start in range(0, n_reps, chunk):
+        edges = rng.random((min(chunk, n_reps - start), k)) < table.probs
+        keys += _row_keys(np.packbits(edges, axis=1))
+    return keys
+
+
 def sample_partition_batch(model: BlockModel, n_reps: int, seed) -> list[tuple]:
     """n_reps independent component partitions, vectorized over the pair
-    indicators; same law as sampling graphs one by one."""
-    rng = _as_rng(seed)
+    indicators; same law as sampling graphs one by one, and the same
+    uniforms and decisions as n_reps sample_graph calls on one generator.
+    Each distinct row of indicators is decoded once."""
     table = _pair_table(model)
-    k = len(table.pairs)
-    if k == 0:
-        single = _partition_of_mask(table, 0)
-        return [single] * n_reps
-    draws = rng.random((n_reps, k)) < table.probs
-    weights = 1 << np.arange(k, dtype=np.uint64)
-    masks = (draws.astype(np.uint64) * weights).sum(axis=1)
-    cache: dict[int, tuple] = {}
-    out = []
-    for mask in masks.tolist():
-        part = cache.get(mask)
-        if part is None:
-            part = cache[mask] = _partition_of_mask(table, int(mask))
-        out.append(part)
-    return out
+    keys = _pair_keys(table, _as_rng(seed), n_reps)
+    parts = {key: _partition_of_key(table, key) for key in dict.fromkeys(keys)}
+    return list(map(parts.__getitem__, keys))
 
 
 # -- Monte Carlo laws ----------------------------------------------------------------
@@ -236,71 +259,102 @@ def mc_component_distribution(
     model: BlockModel, rho, n_reps: int, seed, sampler: str = "graph"
 ) -> Counter:
     """Empirical law of the component-weight signature under either the
-    direct graph sampler or the field exploration."""
+    direct graph sampler or the field exploration.  Replications are
+    counted by key, and each distinct key is mapped to its signature once,
+    in the order keys first occur."""
     _check_rho(rho, model.m)
     _check_reps(n_reps)
     if sampler == "graph":
-        counts: Counter = Counter()
-        for part, count in Counter(sample_partition_batch(model, n_reps, seed)).items():
-            counts[partition_signature(model, part)] += count
-        return counts
-    if sampler == "field":
-        return Counter(s.partition_signature for s in mc_field_samples(model, rho, n_reps, seed))
-    raise ValueError(f"unknown sampler {sampler!r}")
+        table = _pair_table(model)
+        keys = Counter(_pair_keys(table, _as_rng(seed), n_reps))
+        signatures = (partition_signature(model, _partition_of_key(table, key)) for key in keys)
+    elif sampler == "field":
+        keys = Counter()
+        for chunk, _ in _field_rows(model, rho, n_reps, seed):
+            keys.update(chunk)
+        signatures = (_field_outcome(model, key)[0] for key in keys)
+    else:
+        raise ValueError(f"unknown sampler {sampler!r}")
+    counts: Counter = Counter()
+    for signature, count in zip(signatures, keys.values()):
+        counts[signature] += count
+    return counts
+
+
+def _field_rows(model: BlockModel, rho, n_reps: int, seed):
+    """Per clock chunk, one key per replication, the bytes of its row of
+    component labels from field._sweep_rows, and each row's first root
+    level: the clocks are drawn and the fields swept a chunk at a time."""
+    rng = _as_rng(seed)
+    q_diag = np.array([model.Q[i][i] for _, i in model.vertices()])
+    for xi in _clock_rows(model, rng, n_reps):
+        labels, first = _sweep_rows(xi / q_diag, model.weights, model.R, rho)
+        yield _row_keys(labels), first.tolist()
+
+
+def _field_outcome(model: BlockModel, key: bytes) -> tuple[tuple, tuple]:
+    """The signature and the rounded jump sequence of a _field_rows key."""
+    labels = np.frombuffer(key, dtype=np.intp).tolist()
+    verts = model.vertices()
+    # each component's weights by type, summed in rank order as _sweep sums them
+    weights = [[0.0] * model.m for _ in range(max(labels, default=-1) + 1)]
+    for v in sorted(range(len(verts)), key=verts.__getitem__):  # (rank, type) order
+        if labels[v] >= 0:
+            rank, i = verts[v]
+            weights[labels[v]][i] += model.weights[i][rank]
+    return (
+        tuple(sorted(_round_vec(w) for w in weights)),
+        tuple(_round_vec(encoded_jump(model.R, w)) for w in weights),
+    )
 
 
 def mc_field_samples(model: BlockModel, rho, n_reps: int, seed) -> list[FieldSample]:
-    """One FieldSample per replication: clocks drawn and the fields swept a
-    chunk of replications at a time; the signature and the rounded jump
+    """One FieldSample per replication; the signature and the rounded jump
     sequence are computed once per distinct row of component labels."""
     _check_rho(rho, model.m)
     _check_reps(n_reps)
-    rng = _as_rng(seed)
-    verts = model.vertices()
-    q_diag = np.array([model.Q[i][i] for _, i in verts])
-    by_rank = sorted(range(len(verts)), key=verts.__getitem__)  # (rank, type) order
-    outcomes: dict[tuple, tuple] = {}
-    out = []
-    for xi in _clock_rows(model, rng, n_reps):
-        labels, first = _sweep_rows(xi / q_diag, model.weights, model.R, rho)
-        for key, level in zip(map(tuple, labels.tolist()), first.tolist()):
-            outcome = outcomes.get(key)
-            if outcome is None:
-                # each component's weights by type, summed in rank order as _sweep sums them
-                weights = [[0.0] * model.m for _ in range(max(key, default=-1) + 1)]
-                for v in by_rank:
-                    if key[v] >= 0:
-                        rank, i = verts[v]
-                        weights[key[v]][i] += model.weights[i][rank]
-                outcome = outcomes[key] = (
-                    tuple(sorted(_round_vec(w) for w in weights)),
-                    tuple(_round_vec(encoded_jump(model.R, w)) for w in weights),
-                )
-            # the first level is 0.0 + the first root's gap
-            out.append(FieldSample(outcome[0], level if outcome[1] else None, outcome[1]))
+    outcomes: dict[bytes, tuple] = {}
+    out: list[FieldSample] = []
+    for keys, firsts in _field_rows(model, rho, n_reps, seed):
+        for key in dict.fromkeys(keys):
+            if key not in outcomes:
+                outcomes[key] = _field_outcome(model, key)
+        # the first level is 0.0 + the first root's gap
+        out += [
+            FieldSample(signature, level if jumps else None, jumps)
+            for (signature, jumps), level in zip(map(outcomes.__getitem__, keys), firsts)
+        ]
     return out
 
 
 def mc_graph_jump_sequences(model: BlockModel, rho, n_reps: int, seed) -> list[tuple]:
     """Size-biased component jump sequences read off sampled graphs: the
     components with positive scaled mass, ordered by an exponential race
-    with those masses as rates."""
+    with those masses as rates.  Each distinct key is decoded once, each
+    distinct partition's race set up once, and each distinct order of a
+    race turned into its tuple of jumps once."""
     _check_rho(rho, model.m)
     _check_reps(n_reps)
     rng = _as_rng(seed)
+    table = _pair_table(model)
     races: dict[tuple, tuple] = {}  # partition -> (masses, rounded jumps, its replications)
-    for r, part in enumerate(sample_partition_batch(model, n_reps, rng)):
-        race = races.get(part)
-        if race is None:
-            masses, jumps = [], []
-            for block in part:
-                w = component_weights(model, list(block))
-                s = scaled_mass(w, rho, model.Q)
-                if s > 0:
-                    masses.append(s)
-                    jumps.append(_round_vec(encoded_jump(model.R, w)))
-            race = races[part] = (np.array(masses), tuple(jumps), [])
-        race[2].append(r)
+    reps_of: dict[bytes, list[int]] = {}  # key -> the replications of its partition
+    for r, key in enumerate(_pair_keys(table, rng, n_reps)):
+        reps = reps_of.get(key)
+        if reps is None:
+            part = _partition_of_key(table, key)
+            race = races.get(part)
+            if race is None:
+                masses, jumps = [], []
+                for block in part:
+                    w = component_weights(model, list(block))
+                    s = scaled_mass(w, rho, model.Q)
+                    if s > 0:
+                        masses.append(s)
+                        jumps.append(_round_vec(encoded_jump(model.R, w)))
+                race = races[part] = (np.array(masses), tuple(jumps), [])
+            reps = reps_of[key] = race[2]
+        reps.append(r)
     sizes = np.zeros(n_reps, dtype=np.intp)
     for _, jumps, reps in races.values():
         sizes[reps] = len(jumps)
@@ -311,8 +365,11 @@ def mc_graph_jump_sequences(model: BlockModel, rho, n_reps: int, seed) -> list[t
     for masses, jumps, reps in races.values():
         # a row of keys per replication, each sorted as np.argsort sorts it alone
         keys = draws[offsets[reps, None] + np.arange(len(jumps))] / masses
-        for r, order in zip(reps, np.argsort(keys, axis=1).tolist()):
-            out[r] = tuple(map(jumps.__getitem__, order))
+        orders = _row_keys(np.argsort(keys, axis=1))
+        sequences = {order: tuple(jumps[k] for k in np.frombuffer(order, dtype=np.intp).tolist())
+                     for order in dict.fromkeys(orders)}
+        for r, order in zip(reps, orders):
+            out[r] = sequences[order]
     return out
 
 

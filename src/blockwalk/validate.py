@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curve import CurveBundle, build_curve, composed_processes, encode_components, level_hit_times
+from .curve import CurveBundle, build_curve, encode_components, level_hit_times
 from .field import HittingProcess, build_field, encoded_jump, field_exploration, hitting_process
 from .field import sample_clocks, solver_jump
 from .instances import random_block_model, random_monotone_path, random_probe_direction, staircase_counterexample
@@ -229,11 +229,10 @@ def curve_checks(n: int, seed: int) -> list[Check]:
             for g, c in zip(bundle.levels, bundle.curve):
                 at = c.eval(s)
                 sandwich = max(sandwich, g.eval_left(at) - level, level - g.eval(at))
-        processes = composed_processes(fld, bundle)
         for level in process.levels:
             for y in (level / 2, level + 0.05):
                 expected = process.total_time(y)
-                hits = max(hits, max(abs(t - expected) for t in level_hit_times(processes, rho, y)))
+                hits = max(hits, max(abs(t - expected) for t in level_hit_times(fld, bundle, y)))
         rows.append((norm, drop, rise, sandwich, curve_identity_gap(bundle, process), hits))
     specs = [
         ("curve coordinates sum to the parameter", PROP),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import blockwalk.curve as curve_module
 from blockwalk.curve import (
     CurveAssumptionError,
     build_curve,
@@ -28,6 +29,7 @@ from blockwalk.paths import (
     add,
     drift,
     excursions,
+    past_infimum,
     polyline,
     probe_times,
     pure_jumps,
@@ -137,10 +139,19 @@ class TestWorkedInstance:
         assert hp.total_time(0.6) == pytest.approx(2.5, abs=1e-12)
 
     def test_level_hit_times_agree_across_rows(self):
-        processes = composed_processes(self.fld, self.bundle)
         for y in (0.1, 0.3, 0.45, 0.6, 0.9):
-            times = level_hit_times(processes, self.rho, y)
+            times = level_hit_times(self.fld, self.bundle, y)
             assert times[0] == pytest.approx(times[1], abs=1e-12)
+
+    def test_level_hit_times_take_one_infimum_per_process(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(curve_module, "past_infimum", lambda p: calls.append(p) or past_infimum(p))
+        bundle = build_curve(self.fld, self.rho)
+        for y in (0.1, 0.3, 0.45, 0.6, 0.9):
+            level_hit_times(self.fld, bundle, y)
+        assert calls == list(composed_processes(self.fld, bundle))
+        with pytest.raises(ValueError, match=r"^the field is not the one the curve bundle was built from$"):
+            level_hit_times(field_from_jumps([[(0.7, 1.0)], []], [[1.0, 0.0], [0.3, 1.0]]), bundle, 0.1)
 
     def test_verify_encoding_passes(self):
         assert verify_encoding(self.fld, self.bundle)["pass"]
@@ -210,12 +221,11 @@ class TestCurveInvariants:
         for _ in range(10):
             _, rho, fld = random_curve_instance(rng)
             bundle = build_curve(fld, rho)
-            processes = composed_processes(fld, bundle)
             hp = hitting_process(fld, rho)
             levels = list(hp.levels)
             ys = [lv / 2 for lv in levels] + [lv + 0.1 for lv in levels] + [0.05]
             for y in ys:
-                times = level_hit_times(processes, rho, y)
+                times = level_hit_times(fld, bundle, y)
                 expected = hp.total_time(y)
                 for t in times:
                     assert t == pytest.approx(expected, abs=1e-9)

@@ -4,11 +4,22 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from blockwalk.field import _CLOCK_CHUNK, build_field, encoded_jump, field_exploration, hitting_process
 from blockwalk.instances import random_block_model
-from blockwalk.model import BlockModel, component_weights, graph_exploration, sample_graph, scaled_mass
+from blockwalk.model import (
+    BlockModel,
+    component_weights,
+    connected_components,
+    edge_probability,
+    graph_exploration,
+    sample_graph,
+    scaled_mass,
+)
 from blockwalk.stats import (
+    _PAIR_CHUNK_CELLS,
     FieldSample,
     _round_vec,
     brute_force_partition_distribution,
@@ -153,6 +164,57 @@ class TestSamplers:
         for sampler in ("graph", "field"):
             counts = mc_component_distribution(model, (1.0, 1.0), 2000, 1, sampler)
             assert counts[singles] == 2000
+
+
+def one_type_model(n, weight=0.5):
+    return BlockModel(((weight,) * n,), ((1.0,),))
+
+
+def _graph_partition(graph):
+    return tuple(sorted(tuple(sorted(c.vertices)) for c in connected_components(graph)))
+
+
+class TestGraphSamplerAgainstSampleGraph:
+    """sample_partition_batch and sample_graph draw the same uniforms for
+    the same pairs in the same order and make the same edge decisions, so
+    row r of a batch is the graph of the r-th sample_graph call."""
+
+    @pytest.mark.parametrize("n", [11, 12, 16])  # 55, 66 and 120 vertex pairs
+    def test_rows_match_sample_graph(self, n):
+        model = one_type_model(n)
+        rng = np.random.default_rng(n)
+        want = [_graph_partition(sample_graph(model, rng)) for _ in range(1000)]
+        batch_rng = np.random.default_rng(n)
+        assert sample_partition_batch(model, 1000, batch_rng) == want
+        assert batch_rng.bit_generator.state == rng.bit_generator.state
+        counts = Counter(partition_signature(model, part) for part in want)
+        got = mc_component_distribution(model, (1.0,), 1000, n, "graph")
+        assert got == counts
+        assert list(got.items()) == list(counts.items())
+
+    def test_draws_cross_chunk_boundaries(self):
+        # 780 pairs: the batch draws its uniforms in chunks of fewer rows
+        model = one_type_model(40, weight=0.2)
+        verts = model.vertices()
+        pairs = [(a, b) for a in range(len(verts)) for b in range(a + 1, len(verts))]
+        n_reps = 2 * (_PAIR_CHUNK_CELLS // len(pairs)) + 7
+        rng = np.random.default_rng(5)
+        # the reference: one unchunked draw, components by scipy
+        probs = np.array([edge_probability(model, verts[a], verts[b]) for a, b in pairs])
+        edges = rng.random((n_reps, len(pairs))) < probs
+        rows, cols = np.array(pairs).T
+        want = []
+        for row in edges:
+            adj = coo_matrix((np.ones(row.sum()), (rows[row], cols[row])), shape=(len(verts),) * 2)
+            labels = csgraph_components(adj, directed=False)[1]
+            groups = {}
+            for v, label in zip(verts, labels.tolist()):
+                groups.setdefault(label, []).append(v)
+            want.append(tuple(sorted(tuple(sorted(g)) for g in groups.values())))
+        batch_rng = np.random.default_rng(5)
+        assert sample_partition_batch(model, n_reps, batch_rng) == want
+        assert batch_rng.bit_generator.state == rng.bit_generator.state
+        assert len(set(want)) > 1
 
 
 class TestDirectionChecks:
