@@ -60,9 +60,11 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
     _require_keys(raw, {"schema_version", "rho"}, {"model", "field", "seed"}, "config")
     if raw["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {raw['schema_version']}")
+        raise ConfigError(f"unsupported schema_version {raw['schema_version']!r}")
     if ("model" in raw) == ("field" in raw):
         raise ConfigError("config must contain exactly one of 'model' or 'field'")
     model = None
@@ -110,6 +112,43 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig(model, fld, rho, seed)
 
 
+#: encode and curve check to 1e-12 absolute.  Below VERIFIABLE_MAX a
+#: float's spacing is at most 1.1e-13, so rounding leaves the checks room;
+#: from about 1.4e3 up it alone makes them fail.  A jump below
+#: VERIFIABLE_MIN_JUMP is lost in the path algebra's tolerances.
+VERIFIABLE_MAX = 2.0**10
+VERIFIABLE_MIN_JUMP = 2.0**-20
+
+
+def _check_verifiable(fld: Field, rho: tuple[float, ...]) -> None:
+    """Refuse a field whose pathwise checks rounding alone could fail.
+
+    Row i reaches -rho_i * y about when the others reach their share of
+    it, so the checks, which probe one level past the last jump, meet
+    times up to the last jump time plus the largest row mass plus one,
+    stretched by the spread of rho; that reach must stay below
+    VERIFIABLE_MAX, and every jump, shrunk by the largest rho, above
+    VERIFIABLE_MIN_JUMP.
+    """
+    positive = [r for r in rho if r > 0]
+    low, high = min([1.0, *positive]), max([1.0, *positive])
+    times = [c.time for col in fld.columns for c in col]
+    masses = [sum(fld.R[i][j] * c.weight for j, col in enumerate(fld.columns) for c in col) for i in range(fld.m)]
+    reach = high / low * (max(times, default=0.0) + max(masses, default=0.0) + 1.0)
+    if not reach < VERIFIABLE_MAX:
+        raise ConfigError(
+            f"the checks would reach times of {reach:.6g}, above {VERIFIABLE_MAX:g}, "
+            "where rounding alone fails them at 1e-12; rescale the config"
+        )
+    jumps = [fld.R[i][j] * c.weight for j, col in enumerate(fld.columns) for c in col for i in range(fld.m)]
+    smallest = min((x for x in jumps if x > 0), default=math.inf) / high
+    if not smallest >= VERIFIABLE_MIN_JUMP:
+        raise ConfigError(
+            f"the smallest jump is {smallest:.6g} in units of rho, below {VERIFIABLE_MIN_JUMP:g}, "
+            "which the path algebra cannot resolve; rescale the config"
+        )
+
+
 def _is_number(x) -> bool:
     """A JSON number that converts to a float (ints past 1e308 do not)."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -145,12 +184,161 @@ def _out_dir(args, command: str) -> Path:
         root = Path(args.out)
     else:
         root = Path(os.environ.get(OUTPUT_ROOT_ENV, "blockwalk-out")) / command
-    root.mkdir(parents=True, exist_ok=True)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # FileExistsError when root is a file
+        raise ConfigError(f"{root}: cannot make output directory: {exc.strerror or exc}") from exc
     return root
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(obj))
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+#: the text of a leaf of exact type str, int, float, bool or None
+_leaf_writer = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}.get
+
+
+def _key_text(key) -> str:
+    # json's conversion of a dict key, in json's order
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With ``indent`` set, json encodes in pure Python, one generator per
+    container.  This writer appends to one list and joins it once, writes
+    a list of only finite floats or only ints with one ``str.join``, and
+    converts and sorts the keys of a dict once per key set.  Leaves go by
+    exact type first, then subclasses (``np.float64``, ``IntEnum``) in
+    json's ``isinstance`` order, so the text is json's.
+    """
+    chunks: list[str] = []
+    out = chunks.append
+    active: set[int] = set()  # ids of the containers being written: json's circular check
+    key_plans: dict[tuple, tuple] = {}  # str key tuple -> (sorted keys, their '"key": ' texts)
+
+    def put(o, nl: str) -> None:
+        # o is not a leaf of exact type; nl is a newline and o's indentation
+        t = type(o)
+        if t is list or t is tuple:
+            put_list(o, nl)
+        elif t is dict:
+            put_dict(o, nl)
+        elif isinstance(o, str):
+            out(_encode_str(o))
+        elif isinstance(o, int):
+            out(int.__repr__(o))
+        elif isinstance(o, float):
+            out(_float_text(o))
+        elif isinstance(o, (list, tuple)):
+            put_list(o, nl)
+        elif isinstance(o, dict):
+            put_dict(o, nl)
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    def enter(o) -> None:
+        if id(o) in active:
+            raise ValueError("Circular reference detected")
+        active.add(id(o))
+
+    def put_list(o, nl: str) -> None:
+        if not o:
+            out("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        first = type(o[0])
+        if first is int or first is float:
+            if len(o) == 2 and type(o[1]) is first:  # vertices and windows: most lists written
+                text = f"{o[0]!r}{sep}{o[1]!r}"
+            else:
+                try:
+                    text = sep.join(map(first.__repr__, o))
+                except TypeError:  # a leaf of another type
+                    text = None
+                if first is int and bool in map(type, o):  # int.__repr__ takes bools
+                    text = None
+            # a finite float's repr has no "n"; nan and inf go item by item
+            if text is not None and "n" not in text:
+                out(f"[{inner}{text}{nl}]")
+                return
+        enter(o)
+        lead = "[" + inner
+        for v in o:
+            leaf = _leaf_writer(type(v))
+            if leaf is None:
+                out(lead)
+                put(v, inner)
+            else:
+                out(lead + leaf(v))
+            lead = sep
+        out(nl + "]")
+        active.remove(id(o))
+
+    def put_dict(o, nl: str) -> None:
+        if not o:
+            out("{}")
+            return
+        enter(o)
+        inner = nl + "  "
+        keys = tuple(o)
+        plan = key_plans.get(keys) if type(o) is dict else None
+        if plan is None and type(o) is dict and all(type(k) is str for k in keys):
+            ordered = sorted(keys)
+            plan = key_plans[keys] = (ordered, [_encode_str(k) + ": " for k in ordered])
+        if plan is None:
+            entries = ((_encode_str(_key_text(k)) + ": ", v) for k, v in sorted(o.items()))
+        else:
+            entries = zip(plan[1], map(o.__getitem__, plan[0]))
+        lead = "{" + inner
+        for name, v in entries:
+            leaf = _leaf_writer(type(v))
+            if leaf is None:
+                out(lead + name)
+                put(v, inner)
+            else:
+                out(lead + name + leaf(v))
+            lead = "," + inner
+        out(nl + "}")
+        active.remove(id(o))
+
+    leaf = _leaf_writer(type(obj))
+    if leaf is None:
+        put(obj, "\n")
+    else:
+        out(leaf(obj))
+    out("\n")
+    return "".join(chunks)
 
 
 def _write_manifest(
@@ -213,18 +401,21 @@ def _effective_config(args) -> RunConfig:
 
 def cmd_sample(args) -> int:
     started = time.time()
+    stages = _Stages()
     cfg = _effective_config(args)
     if cfg.model is None:
         raise ConfigError("sample needs a model config, not a deterministic field")
     out = _out_dir(args, "sample")
     graph = sample_graph(cfg.model, cfg.seed)
+    stages.lap("sample")
+    comps = connected_components(graph)
+    stages.lap("components")
     with (out / "graph.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["u", "v"])
         for e in sorted((sorted(e) for e in graph.edges)):
             (lu, iu), (lv, iv) = e
             writer.writerow([f"{lu}:{iu}", f"{lv}:{iv}"])
-    comps = connected_components(graph)
     _write_json(
         out / "components.json",
         [
@@ -236,26 +427,33 @@ def cmd_sample(args) -> int:
             for c in comps
         ],
     )
-    _write_manifest(out, "sample", args, started, cfg.seed)
+    stages.lap("write")
+    _write_manifest(out, "sample", args, started, cfg.seed, stages.seconds)
     print(f"sample: {len(graph.edges)} edges, {len(comps)} components -> {out}")
     return 0
 
 
 def cmd_explore(args) -> int:
     started = time.time()
+    stages = _Stages()
     cfg = _effective_config(args)
     out = _out_dir(args, "explore")
     if args.mode == "graph":
         if cfg.model is None:
             raise ConfigError("graph exploration needs a model config")
         graph = sample_graph(cfg.model, cfg.seed)
+        stages.lap("sample")
         trace = graph_exploration(graph, cfg.rho, cfg.seed + 1)
+        stages.lap("explore")
     else:
         fld = cfg.realize_field()
-        _write_json(out / "field.json", fld.columns_json_obj())
+        stages.lap("build")
         trace = field_exploration(fld, cfg.rho)
+        stages.lap("explore")
+        _write_json(out / "field.json", fld.columns_json_obj())
     _write_json(out / "trace.json", trace.to_json_obj())
-    _write_manifest(out, "explore", args, started, cfg.seed)
+    stages.lap("write")
+    _write_manifest(out, "explore", args, started, cfg.seed, stages.seconds)
     print(f"explore[{args.mode}]: {len(trace.steps)} steps, {trace.zeta_final} components -> {out}")
     return 0
 
@@ -266,6 +464,7 @@ def cmd_encode(args) -> int:
     cfg = _effective_config(args)
     out = _out_dir(args, "encode")
     fld = cfg.realize_field()
+    _check_verifiable(fld, cfg.rho)
     stages.lap("build")
     process = hitting_process(fld, cfg.rho)
     stages.lap("encode")
@@ -291,6 +490,7 @@ def cmd_curve(args) -> int:
     cfg = _effective_config(args)
     out = _out_dir(args, "curve")
     fld = cfg.realize_field()
+    _check_verifiable(fld, cfg.rho)
     bundle = build_curve(fld, cfg.rho)
     stages.lap("build")
     processes = composed_processes(fld, bundle)

@@ -141,6 +141,7 @@ class CurveBundle:
     @cached_property
     def encoded(self) -> tuple[EncodedComponent, ...]:
         """See :func:`encode_components`."""
+        _check_jumps_reach_every_row(self.fld)
         base = excursions(self.processes[0], level_tol=EXCURSION_LEVEL_TOL)
         for i in range(1, self.m):
             other = excursions(self.processes[i], level_tol=EXCURSION_LEVEL_TOL)
@@ -154,6 +155,21 @@ class CurveBundle:
             EncodedComponent(l, r, length, tuple(g.eval(r) - g.eval(l) for g in self.curve))
             for l, r, length in base
         )
+
+
+def _check_jumps_reach_every_row(fld: Field) -> None:
+    """A component is one excursion of every composed process only if its
+    jump moves every row: a discrete column that jumps needs a positive R
+    entry in each row.  A block model with a zero off-diagonal kernel entry
+    fails this; its curve and hitting times still exist."""
+    if not fld.discrete:
+        return
+    for j, col in enumerate(fld.columns):
+        for i in range(fld.m):
+            if col and not fld.R[i][j] > 0:
+                raise CurveAssumptionError(
+                    f"column {j} jumps but R[{i}][{j}] = {fld.R[i][j]}: its components do not reach row {i}"
+                )
 
 
 def _shared_column(fld: Field, rho: tuple[float, ...], col: int) -> PiecewisePath:

@@ -171,9 +171,10 @@ def field_from_jumps(
     column_jumps: list[list[tuple[float, float]]], R: list[list[float]]
 ) -> Field:
     """Deterministic field from explicit per-column (time, weight) jumps;
-    vertex ranks follow weight order within each column.  Entries of R,
-    times and weights must be finite and nonnegative, as they are in every
-    field a block model produces, and R must be m x m for the m columns."""
+    vertex ranks follow weight order within each column.  Entries of R
+    must be finite and nonnegative and times and weights finite and
+    positive, as they are in every field a block model produces, and R
+    must be m x m for the m columns."""
     m = len(column_jumps)
     if len(R) != m:
         raise ValueError(f"R has {len(R)} rows, expected {m}")
@@ -189,6 +190,10 @@ def field_from_jumps(
                 raise ValueError(f"columns[{j}][{k}].t must be finite and nonnegative, got {t}")
             if not (math.isfinite(w) and w >= 0):
                 raise ValueError(f"columns[{j}][{k}].w must be finite and nonnegative, got {w}")
+            # an exponential clock rings after time 0, and a vertex of a
+            # block model has positive weight
+            if t == 0 or w == 0:
+                raise ValueError(f"columns[{j}][{k}]: t and w must be positive, got t={t}, w={w}")
     cols = []
     for j, jumps in enumerate(column_jumps):
         ranked = sorted(range(len(jumps)), key=lambda k: -jumps[k][1])

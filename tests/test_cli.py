@@ -1,13 +1,22 @@
+import contextlib
+import enum
 import hashlib
+import io
 import json
+import math
 import os
 import platform
+import signal
 import subprocess
 import sys
+import tempfile
 from importlib import metadata
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockwalk
 from blockwalk import cli, curve, paths, validate
@@ -29,6 +38,10 @@ MODEL = {
     "rho": [1.0, 1.0],
     "seed": 7,
 }
+
+
+#: every command that reads a config
+COMMANDS = (("sample",), ("explore", "--mode", "graph"), ("explore", "--mode", "field"), ("encode",), ("curve",))
 
 
 def _run_python(args, timeout):
@@ -98,6 +111,28 @@ class TestConfig:
         path.write_text("{\n  broken\n}")
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_path_exits_with_two(self, tmp_path, kind):
+        # these used to end in a FileNotFoundError or IsADirectoryError traceback
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(path)
+        proc = _run_cli(["sample", "--config", str(path), "--out", str(tmp_path / "o")], timeout=60)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: cannot read config")
+
+    def test_out_that_is_a_file_exits_with_two(self, worked_config, tmp_path):
+        # this used to end in a FileExistsError traceback
+        out = tmp_path / "taken"
+        out.write_text("")
+        proc = _run_cli(["encode", "--config", str(worked_config), "--out", str(out)], timeout=60)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {out}: cannot make output directory")
 
     def test_config_errors_exit_with_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -219,6 +254,53 @@ class TestConfig:
             err = capsys.readouterr().err
             assert err.count("error:") == 1 and err.startswith("error: config.field: ")
 
+    @pytest.mark.parametrize("t, w", [(0.0, 1.0), (0.5, 0.0)], ids=["t-zero", "w-zero"])
+    def test_zero_jump_time_or_weight_exits_with_two(self, tmp_path, capsys, t, w):
+        # a jump at time 0 failed inside the path algebra, and a jump of
+        # weight 0 failed the curve's excursion count with exit 1
+        spec = json.loads(json.dumps(WORKED))
+        spec["field"]["columns"][0][0] = {"t": t, "w": w}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ConfigError, match=r"columns\[0\]\[0\]: t and w must be positive"):
+            load_config(path)
+        for command in (["encode"], ["curve"]):
+            assert main(command + ["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err.count("error:") == 1
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            # times of about 1e5, where float spacing is 1.5e-11: encode and
+            # curve used to report a FAIL of the 1e-12 checks with exit 1
+            (dict(MODEL, model={"m": 1, "weights": [[1e-6, 1e-6]], "Q": [[1.0]]}, rho=[1.0], seed=3),
+             "the checks would reach times of"),
+            (dict(WORKED, rho=[1e-4, 1.0]), "the checks would reach times of"),
+            # no jump at all, but T(y) = rho * y reaches 5.8e16 one level past zero
+            (dict(WORKED, field={"m": 1, "R": [[0.0]], "columns": [[]]}, rho=[5.8e16]), "the checks would reach times of"),
+            # a jump below every tolerance of the path algebra: curve used to
+            # count no excursion for it and exit 1
+            (dict(WORKED, field={"m": 1, "R": [[1e-300]], "columns": [[{"t": 1.0, "w": 1.0}]]}, rho=[1.0]),
+             "the smallest jump is"),
+        ],
+        ids=["tiny-weights", "tiny-rho", "huge-rho", "tiny-jump"],
+    )
+    def test_unverifiable_scale_exits_with_two(self, tmp_path, capsys, spec, match):
+        path = tmp_path / "scale.json"
+        path.write_text(json.dumps(spec))
+        for command in (["encode"], ["curve"]):
+            assert main(command + ["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and err.startswith(f"error: {match}")
+        # the commands that check nothing to 1e-12 still run
+        assert main(["explore", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    def test_config_values_in_errors_stay_on_one_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(WORKED, schema_version="\x0c\n")))
+        assert main(["encode", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: unsupported schema_version '\\x0c\\n'\n"
+
     def test_tied_jump_times_exit_with_two(self, tmp_path):
         # every xi / Q_jj underflows to 0.0, so every clock draw ties; the
         # redraw loop used to run forever
@@ -230,6 +312,175 @@ class TestConfig:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: jump times tie or underflow")
+
+
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+#: a config draws all its numbers from one of these: a scale the checks
+#: resolve, or any JSON number at all
+_config_numbers = (
+    st.floats(min_value=0.05, max_value=3.0),
+    st.floats() | st.integers() | st.floats(min_value=0.0, max_value=3.0) | st.integers(min_value=-2, max_value=4),
+)
+
+
+@st.composite
+def _or_any(draw, strategy):
+    """A well-formed value, or one time in sixteen any JSON value."""
+    return draw(_any_json if draw(st.sampled_from(range(16))) == 0 else strategy)
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """Configs of at most 3 types and 4 vertices per type in which any field
+    may hold any JSON value."""
+    m = draw(st.integers(1, 3))
+    numbers = draw(st.sampled_from(_config_numbers))
+    num = _or_any(numbers)
+    square = st.lists(st.lists(num, min_size=m, max_size=m), min_size=m, max_size=m)
+    if draw(st.booleans()):
+        weights = [sorted(draw(st.lists(numbers, max_size=4)), key=lambda w: -w) for _ in range(m)]
+        Q = draw(square)  # made symmetric, as a valid kernel is
+        Q = [[Q[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]
+        spec = {"model": draw(_or_any(st.fixed_dictionaries({
+            "m": _or_any(st.just(m)), "weights": _or_any(st.just(weights)), "Q": _or_any(st.just(Q)),
+        })))}
+    else:
+        record = st.fixed_dictionaries({"t": num, "w": num})
+        spec = {"field": draw(_or_any(st.fixed_dictionaries({
+            "m": _or_any(st.just(m)),
+            "R": _or_any(square),
+            "columns": _or_any(st.lists(st.lists(_or_any(record), max_size=4), min_size=m, max_size=m)),
+        })))}
+    spec["schema_version"] = draw(_or_any(st.just(1)))
+    spec["rho"] = draw(_or_any(st.lists(num, min_size=m, max_size=m)))
+    seed = draw(st.none() | _or_any(st.integers(0, 2**63)))
+    if seed is not None:
+        spec["seed"] = seed
+    return spec
+
+
+@contextlib.contextmanager
+def _hang_guard(seconds: float):
+    """Raise TimeoutError in this thread if the block runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=5000)
+    @given(_fuzzed_configs())
+    def test_every_config_runs_or_exits_with_one_error_line(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(spec))
+            for command in COMMANDS:
+                stderr = io.StringIO()
+                with _hang_guard(20), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    code = main([*command, "--config", str(path), "--out", str(Path(tmp) / "-".join(command))])
+                err = stderr.getvalue()
+                assert "Traceback" not in err, (command, err)
+                assert code == 0 or (code == 2 and (err.splitlines() or [""])[-1].startswith("error:")), (command, code, err)
+
+
+def _json_reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _outcome(write, obj):
+    """The text ``write`` makes of obj, or the type of what it raises."""
+    try:
+        return write(obj)
+    except Exception as exc:
+        return type(exc)
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+_ints = st.integers() | st.integers(min_value=2**63, max_value=2**200) | st.integers(max_value=-(2**64))
+_floats = (
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.225073858507201e-308])
+    | st.floats().map(np.float64)
+)
+_strings = st.text() | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f\t\n", "\u00e9\u20ac\U0001f600", "\u2028", "NaN", "nan"])
+_leaves = st.none() | st.booleans() | _ints | _floats | _strings | st.sampled_from(list(_Level))
+# keys of one kind per dict, so that most dicts sort; mixed kinds are drawn too
+_keys = st.sampled_from([st.text(), _ints | _floats | st.booleans(), st.none(), _strings | _ints])
+
+
+@st.composite
+def _dicts(draw, values):
+    return draw(st.dictionaries(draw(_keys), values, max_size=5))
+
+
+_json_objects = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | _dicts(inner)
+    | st.lists(_floats | _ints, max_size=6)
+    | st.lists(_ints | st.booleans(), max_size=6)
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6)
+    | st.lists(_ints, max_size=6).map(tuple)
+    | st.tuples(st.integers(), st.integers()),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(_json_objects)
+    def test_writes_json_dumps_text(self, obj):
+        assert _outcome(cli._json_text, obj) == _outcome(_json_reference, obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            object(),
+            np.int64(3),
+            np.bool_(True),
+            [1.0, np.int64(1)],
+            {"a": [object()]},
+            {(1, 2): 0},
+            {"a": 1, 2: 3},
+            {None: 1, True: 2},
+        ],
+        ids=["object", "int64", "numpy-bool", "int64-in-list", "object-in-dict", "tuple-key", "mixed-keys", "none-bool-keys"],
+    )
+    def test_rejects_what_json_rejects(self, obj):
+        expected = _outcome(_json_reference, obj)
+        assert isinstance(expected, type)
+        assert _outcome(cli._json_text, obj) is expected
+
+    def test_rejects_circular_containers(self):
+        loop = []
+        loop.append({"again": loop})
+        assert _outcome(_json_reference, loop) is ValueError
+        assert _outcome(cli._json_text, loop) is ValueError
+
+    def test_artifacts_are_json_dumps_text(self, model_config, tmp_path):
+        for command in COMMANDS:
+            assert main([*command, "--config", str(model_config), "--out", str(tmp_path / "-".join(command))]) == 0
+        written = sorted(p for p in tmp_path.rglob("*.json") if p != model_config)
+        assert len(written) == 12  # 7 artifacts and 5 manifests
+        for path in written:
+            text = path.read_text()
+            assert text == _json_reference(json.loads(text)), path
 
 
 class TestEncode:
@@ -261,12 +512,15 @@ class TestEncode:
             "scipy": metadata.version("scipy"),
         }
         stages = {
-            "encode": {"build", "encode", "verify", "write"},
-            "curve": {"build", "encode", "verify", "identity_gap", "write"},
+            ("sample",): {"sample", "components", "write"},
+            ("explore", "--mode", "graph"): {"sample", "explore", "write"},
+            ("explore", "--mode", "field"): {"build", "explore", "write"},
+            ("encode",): {"build", "encode", "verify", "write"},
+            ("curve",): {"build", "encode", "verify", "identity_gap", "write"},
         }
         for command, names in stages.items():
-            out = tmp_path / command
-            assert main([command, "--config", str(model_config), "--out", str(out)]) == 0
+            out = tmp_path / "-".join(command)
+            assert main([*command, "--config", str(model_config), "--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["config_sha256"] == digest
             assert manifest["versions"] == versions

@@ -343,6 +343,16 @@ class TestAssumptionFailures:
         with pytest.raises(CurveAssumptionError, match="below zero"):
             build_curve(fld, (1.0,))
 
+    def test_uncoupled_type_rejected(self):
+        # with no edges between the types a component moves only its own
+        # row, so the rows' excursions cannot agree; this used to end in a
+        # CurveInvariantError
+        model = BlockModel(((1.0,), (1.0,)), ((1.0, 0.0), (0.0, 1.0)))
+        fld = build_field(model, sample_clocks(model, 0))
+        bundle = build_curve(fld, (1.0, 1.0))
+        with pytest.raises(CurveAssumptionError, match=r"column 0 jumps but R\[1\]\[0\] = 0.0"):
+            encode_components(fld, bundle)
+
     def test_zero_direction_component_rejected(self):
         fld, _ = worked_instance()
         with pytest.raises(CurveAssumptionError):
