@@ -21,9 +21,10 @@ from importlib import metadata
 from pathlib import Path
 
 from . import __version__, validate
-from .curve import build_curve, composed_processes, encode_components, verify_encoding
+from .curve import EXCURSION_LEVEL_TOL, build_curve, composed_processes, encode_components, verify_encoding
 from .field import (
     Field,
+    HittingProcess,
     build_field,
     field_exploration,
     field_from_jumps,
@@ -112,40 +113,31 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig(model, fld, rho, seed)
 
 
-#: encode and curve check to 1e-12 absolute.  Below VERIFIABLE_MAX a
-#: float's spacing is at most 1.1e-13, so rounding leaves the checks room;
-#: from about 1.4e3 up it alone makes them fail.  A jump below
-#: VERIFIABLE_MIN_JUMP is lost in the path algebra's tolerances.
-VERIFIABLE_MAX = 2.0**10
-VERIFIABLE_MIN_JUMP = 2.0**-20
+#: from 2**13 up adjacent floats lie more than 1e-12 apart, so a check
+#: that compares such times to 1e-12 holds only by luck
+RESOLVABLE_TIME = 2.0**13
 
 
-def _check_verifiable(fld: Field, rho: tuple[float, ...]) -> None:
-    """Refuse a field whose pathwise checks rounding alone could fail.
-
-    Row i reaches -rho_i * y about when the others reach their share of
-    it, so the checks, which probe one level past the last jump, meet
-    times up to the last jump time plus the largest row mass plus one,
-    stretched by the spread of rho; that reach must stay below
-    VERIFIABLE_MAX, and every jump, shrunk by the largest rho, above
-    VERIFIABLE_MIN_JUMP.
-    """
-    positive = [r for r in rho if r > 0]
-    low, high = min([1.0, *positive]), max([1.0, *positive])
-    times = [c.time for col in fld.columns for c in col]
-    masses = [sum(fld.R[i][j] * c.weight for j, col in enumerate(fld.columns) for c in col) for i in range(fld.m)]
-    reach = high / low * (max(times, default=0.0) + max(masses, default=0.0) + 1.0)
-    if not reach < VERIFIABLE_MAX:
+def _check_resolvable(largest_time: float) -> None:
+    """Refuse a field whose checks would compare times up to
+    ``largest_time`` to 1e-12 where floats cannot hold them that close."""
+    if not largest_time < RESOLVABLE_TIME:
         raise ConfigError(
-            f"the checks would reach times of {reach:.6g}, above {VERIFIABLE_MAX:g}, "
-            "where rounding alone fails them at 1e-12; rescale the config"
+            f"the checks would compare times up to {largest_time:.6g}, past {RESOLVABLE_TIME:g}, "
+            "where floats lie more than 1e-12 apart; rescale the config"
         )
-    jumps = [fld.R[i][j] * c.weight for j, col in enumerate(fld.columns) for c in col for i in range(fld.m)]
-    smallest = min((x for x in jumps if x > 0), default=math.inf) / high
-    if not smallest >= VERIFIABLE_MIN_JUMP:
+
+
+def _check_excursions_resolvable(process: HittingProcess) -> None:
+    """Refuse a field with a jump that curve cannot read as an excursion:
+    it reads the composed processes' excursions with EXCURSION_LEVEL_TOL
+    of slack for rounding noise, so a jump that moves a row by no more
+    than that cannot be told from the noise."""
+    smallest = min((x for delta in process.deltas for x in delta if x > 0), default=math.inf)
+    if not smallest > EXCURSION_LEVEL_TOL:
         raise ConfigError(
-            f"the smallest jump is {smallest:.6g} in units of rho, below {VERIFIABLE_MIN_JUMP:g}, "
-            "which the path algebra cannot resolve; rescale the config"
+            f"a jump moves a row by only {smallest:.6g}, within the excursions' rounding slack "
+            f"of {EXCURSION_LEVEL_TOL:g}; rescale the config"
         )
 
 
@@ -214,51 +206,48 @@ _leaf_writer = {
 }.get
 
 
+def _leaf_writer_of(o):
+    """The writer of leaf o: that of its exact type, or for a subclass
+    (``np.float64``, ``IntEnum``) that of its base, as json tests them;
+    None for a container or a value json rejects."""
+    leaf = _leaf_writer(type(o))
+    if leaf is None:
+        base = next((b for b in (str, int, float) if isinstance(o, b)), None)
+        leaf = _leaf_writer(base)
+    return leaf
+
+
 def _key_text(key) -> str:
-    # json's conversion of a dict key, in json's order
+    # json writes a key that is not a str as the text of that leaf, quoted
     if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+        return _encode_str(key)
+    leaf = _leaf_writer_of(key)
+    if leaf is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _encode_str(leaf(key))
 
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     With ``indent`` set, json encodes in pure Python, one generator per
-    container.  This writer appends to one list and joins it once, writes
-    a list of only finite floats or only ints with one ``str.join``, and
-    converts and sorts the keys of a dict once per key set.  Leaves go by
-    exact type first, then subclasses (``np.float64``, ``IntEnum``) in
-    json's ``isinstance`` order, so the text is json's.
+    container.  This writer appends to one list and joins it once, and
+    writes a list of only finite floats or only ints with one ``str.join``.
+    Leaves go through :func:`_leaf_writer_of`, so their text is json's.
     """
     chunks: list[str] = []
     out = chunks.append
     active: set[int] = set()  # ids of the containers being written: json's circular check
-    key_plans: dict[tuple, tuple] = {}  # str key tuple -> (sorted keys, their '"key": ' texts)
 
     def put(o, nl: str) -> None:
-        # o is not a leaf of exact type; nl is a newline and o's indentation
+        # nl is a newline and o's indentation
         t = type(o)
         if t is list or t is tuple:
             put_list(o, nl)
         elif t is dict:
             put_dict(o, nl)
-        elif isinstance(o, str):
-            out(_encode_str(o))
-        elif isinstance(o, int):
-            out(int.__repr__(o))
-        elif isinstance(o, float):
-            out(_float_text(o))
+        elif (leaf := _leaf_writer_of(o)) is not None:
+            out(leaf(o))
         elif isinstance(o, (list, tuple)):
             put_list(o, nl)
         elif isinstance(o, dict):
@@ -279,17 +268,12 @@ def _json_text(obj) -> str:
         sep = "," + inner
         first = type(o[0])
         if first is int or first is float:
-            if len(o) == 2 and type(o[1]) is first:  # vertices and windows: most lists written
-                text = f"{o[0]!r}{sep}{o[1]!r}"
-            else:
-                try:
-                    text = sep.join(map(first.__repr__, o))
-                except TypeError:  # a leaf of another type
-                    text = None
-                if first is int and bool in map(type, o):  # int.__repr__ takes bools
-                    text = None
-            # a finite float's repr has no "n"; nan and inf go item by item
-            if text is not None and "n" not in text:
+            try:
+                text = sep.join(map(first.__repr__, o))
+            except TypeError:  # a leaf of another type
+                text = None
+            # nan and inf, and bools, which int.__repr__ takes, go item by item
+            if text is not None and ("n" not in text if first is float else bool not in map(type, o)):
                 out(f"[{inner}{text}{nl}]")
                 return
         enter(o)
@@ -311,17 +295,9 @@ def _json_text(obj) -> str:
             return
         enter(o)
         inner = nl + "  "
-        keys = tuple(o)
-        plan = key_plans.get(keys) if type(o) is dict else None
-        if plan is None and type(o) is dict and all(type(k) is str for k in keys):
-            ordered = sorted(keys)
-            plan = key_plans[keys] = (ordered, [_encode_str(k) + ": " for k in ordered])
-        if plan is None:
-            entries = ((_encode_str(_key_text(k)) + ": ", v) for k, v in sorted(o.items()))
-        else:
-            entries = zip(plan[1], map(o.__getitem__, plan[0]))
         lead = "{" + inner
-        for name, v in entries:
+        for k, v in sorted(o.items()):
+            name = (_encode_str(k) if type(k) is str else _key_text(k)) + ": "
             leaf = _leaf_writer(type(v))
             if leaf is None:
                 out(lead + name)
@@ -332,11 +308,7 @@ def _json_text(obj) -> str:
         out(nl + "}")
         active.remove(id(o))
 
-    leaf = _leaf_writer(type(obj))
-    if leaf is None:
-        put(obj, "\n")
-    else:
-        out(leaf(obj))
+    put(obj, "\n")
     out("\n")
     return "".join(chunks)
 
@@ -464,9 +436,10 @@ def cmd_encode(args) -> int:
     cfg = _effective_config(args)
     out = _out_dir(args, "encode")
     fld = cfg.realize_field()
-    _check_verifiable(fld, cfg.rho)
     stages.lap("build")
     process = hitting_process(fld, cfg.rho)
+    if process.levels:  # with no jump the solver check compares nothing
+        _check_resolvable(max(process.evaluate(process.levels[-1] + 1.0)))
     stages.lap("encode")
     solved = [solver_jump(fld, cfg.rho, process.levels, level) for level in process.levels]
     checks = [
@@ -490,13 +463,16 @@ def cmd_curve(args) -> int:
     cfg = _effective_config(args)
     out = _out_dir(args, "curve")
     fld = cfg.realize_field()
-    _check_verifiable(fld, cfg.rho)
+    process = hitting_process(fld, cfg.rho)
+    # the curve's parameter is the total time; the checks run to one level
+    # past the last jump
+    _check_resolvable(process.total_time(max(process.levels, default=0.0) + 1.0))
+    _check_excursions_resolvable(process)
     bundle = build_curve(fld, cfg.rho)
     stages.lap("build")
     processes = composed_processes(fld, bundle)
     encoded = encode_components(fld, bundle)
     stages.lap("encode")
-    process = hitting_process(fld, bundle.rho)
     report = verify_encoding(fld, bundle, process)
     stages.lap("verify")
     identity_gap = validate.curve_identity_gap(bundle, process)

@@ -588,12 +588,16 @@ def solver_jump(fld: Field, rho, levels, level: float) -> tuple[float, ...]:
     discontinuity of the diagonal infimum.  ``levels`` must be
     nondecreasing, as those of hitting_process are (cumulative nonnegative
     root gaps), so the nearest levels below and above are found by
-    bisection.
+    bisection.  Raises ValueError when a probe rounds onto the level, as
+    half a level does past levels of about 1e16: the jump cannot be read
+    there.
     """
     below = bisect_left(levels, level)
     above = bisect_right(levels, level)
     lo_gap = (level - levels[below - 1]) / 2 if below else level / 2
     hi_gap = (levels[above] - level) / 2 if above < len(levels) else 0.5
+    if level + hi_gap == level or (lo_gap and level - lo_gap == level):
+        raise ValueError(f"solver_jump: a probe beside level {level} rounds onto it; rescale the field")
     before = hitting_time(fld, rho, level - lo_gap).times
     after = hitting_time(fld, rho, level + hi_gap).times
     return tuple(

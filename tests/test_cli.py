@@ -269,29 +269,38 @@ class TestConfig:
             assert capsys.readouterr().err.count("error:") == 1
 
     @pytest.mark.parametrize(
-        "spec, match",
+        "spec, codes, match",
         [
-            # times of about 1e5, where float spacing is 1.5e-11: encode and
+            # times of about 4e5, where floats lie 6e-11 apart: encode and
             # curve used to report a FAIL of the 1e-12 checks with exit 1
             (dict(MODEL, model={"m": 1, "weights": [[1e-6, 1e-6]], "Q": [[1.0]]}, rho=[1.0], seed=3),
-             "the checks would reach times of"),
-            (dict(WORKED, rho=[1e-4, 1.0]), "the checks would reach times of"),
-            # no jump at all, but T(y) = rho * y reaches 5.8e16 one level past zero
-            (dict(WORKED, field={"m": 1, "R": [[0.0]], "columns": [[]]}, rho=[5.8e16]), "the checks would reach times of"),
-            # a jump below every tolerance of the path algebra: curve used to
-            # count no excursion for it and exit 1
+             (2, 2), "error: the checks would compare times up to"),
+            # no jump, so encode compares nothing, but curve's checks meet
+            # T(1) = rho = 5.8e16
+            (dict(WORKED, field={"m": 1, "R": [[0.0]], "columns": [[]]}, rho=[5.8e16]),
+             (0, 2), "error: the checks would compare times up to"),
+            # the solver probes half a level past the only jump, at 1.1e16,
+            # where half a level rounds away: encode used to FAIL with exit 1
+            (dict(MODEL, model={"m": 1, "weights": [[1.0, 0.7]], "Q": [[1.0]]}, rho=[1e-17], seed=3),
+             (2, 0), "error: solver_jump: a probe beside level"),
+            # a jump within the composed processes' rounding slack: curve used
+            # to count no excursion for it and exit 1
             (dict(WORKED, field={"m": 1, "R": [[1e-300]], "columns": [[{"t": 1.0, "w": 1.0}]]}, rho=[1.0]),
-             "the smallest jump is"),
+             (0, 2), "error: a jump moves a row by only"),
+            # fields whose checks hold run, however far rho is spread: times
+            # of 5e3, and of 1e3
+            (dict(WORKED, rho=[1e-4, 1.0]), (0, 0), None),
+            (dict(MODEL, model={"m": 1, "weights": [[1.0, 0.7]], "Q": [[1.0]]}, rho=[1e3], seed=3), (0, 0), None),
         ],
-        ids=["tiny-weights", "tiny-rho", "huge-rho", "tiny-jump"],
+        ids=["tiny-weights", "huge-rho", "tiny-rho-level", "tiny-jump", "spread-rho", "large-rho"],
     )
-    def test_unverifiable_scale_exits_with_two(self, tmp_path, capsys, spec, match):
+    def test_unresolvable_scale_exits_with_two(self, tmp_path, capsys, spec, codes, match):
         path = tmp_path / "scale.json"
         path.write_text(json.dumps(spec))
-        for command in (["encode"], ["curve"]):
-            assert main(command + ["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        for command, code in zip(["encode", "curve"], codes):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == code
             err = capsys.readouterr().err
-            assert err.count("error:") == 1 and err.startswith(f"error: {match}")
+            assert err.startswith(match) and err.count("\n") == 1 if code == 2 else err == ""
         # the commands that check nothing to 1e-12 still run
         assert main(["explore", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
@@ -411,6 +420,10 @@ class _Level(enum.IntEnum):
     HIGH = 2**70
 
 
+class _Name(str):
+    """A str subclass: json writes it as the str it holds."""
+
+
 _ints = st.integers() | st.integers(min_value=2**63, max_value=2**200) | st.integers(max_value=-(2**64))
 _floats = (
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -418,9 +431,14 @@ _floats = (
     | st.floats().map(np.float64)
 )
 _strings = st.text() | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f\t\n", "\u00e9\u20ac\U0001f600", "\u2028", "NaN", "nan"])
-_leaves = st.none() | st.booleans() | _ints | _floats | _strings | st.sampled_from(list(_Level))
+_leaves = st.none() | st.booleans() | _ints | _floats | _strings | st.sampled_from(list(_Level)) | _strings.map(_Name)
 # keys of one kind per dict, so that most dicts sort; mixed kinds are drawn too
-_keys = st.sampled_from([st.text(), _ints | _floats | st.booleans(), st.none(), _strings | _ints])
+_keys = st.sampled_from([
+    st.text() | _strings.map(_Name),
+    _ints | _floats | st.booleans() | st.sampled_from(list(_Level)),
+    st.none(),
+    _strings | _ints,
+])
 
 
 @st.composite
