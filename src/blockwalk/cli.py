@@ -485,12 +485,8 @@ def cmd_curve(args) -> int:
     with (out / "curve.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s"] + [f"curve_{i}" for i in range(fld.m)] + ["process_0"])
-        for s in grid:
-            writer.writerow(
-                [repr(s)]
-                + [repr(g.eval(s)) for g in bundle.curve]
-                + [repr(processes[0].eval(s))]
-            )
+        columns = [grid] + [g.eval_many(grid) for g in (*bundle.curve, processes[0])]
+        writer.writerows(zip(*(map(repr, column) for column in columns)))
     _write_json(
         out / "excursions.json",
         [e.to_json_obj() for e in encoded],

@@ -83,8 +83,9 @@ def _positive_rho(rho, m: int) -> tuple[float, ...]:
 
 
 def _first_disagreement(p: PiecewisePath, q: PiecewisePath) -> float | None:
-    for t in probe_times(p, q):
-        if abs(p.eval(t) - q.eval(t)) > EXACT_TOL or abs(p.eval_left(t) - q.eval_left(t)) > EXACT_TOL:
+    ts = probe_times(p, q)
+    for t, pv, qv, pl, ql in zip(ts, p.eval_many(ts), q.eval_many(ts), p.eval_left_many(ts), q.eval_left_many(ts)):
+        if abs(pv - qv) > EXACT_TOL or abs(pl - ql) > EXACT_TOL:
             return t
     return None
 
@@ -116,9 +117,6 @@ class CurveBundle:
     @property
     def m(self) -> int:
         return len(self.curve)
-
-    def curve_point(self, s: float) -> tuple[float, ...]:
-        return tuple(g.eval(s) for g in self.curve)
 
     @cached_property
     def processes(self) -> tuple[PiecewisePath, ...]:

@@ -13,10 +13,12 @@ read of ``inverse``, and keeps it.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, partial
+from operator import itemgetter, lt
 from typing import NamedTuple
 
 #: breakpoints closer than this are merged during canonicalization
@@ -52,6 +54,14 @@ class Breakpoint(NamedTuple):
         return self.right - self.left
 
 
+#: Breakpoint._make without its Python frame, for trusted 3-tuples
+_new_breakpoint = partial(tuple.__new__, Breakpoint)
+_time_of = itemgetter(0)
+
+#: breakpoint tuples up to this length are checked by a Python loop
+_SHORT = 12
+
+
 @dataclass(frozen=True)
 class PiecewisePath:
     """Right-continuous piecewise-linear function on [0, inf).
@@ -75,33 +85,50 @@ class PiecewisePath:
             raise PathDomainError("terminal_run must be finite and positive")
         if not math.isfinite(self.terminal_rise) or not math.isfinite(self.initial):
             raise PathDomainError("path data must be finite")
-        times = tuple(b.t for b in self.breakpoints)
-        prev = 0.0
-        for b in self.breakpoints:
-            if not (math.isfinite(b.t) and math.isfinite(b.left) and math.isfinite(b.right)):
-                raise PathDomainError("breakpoint data must be finite")
-            if b.t <= prev:
-                raise PathDomainError("breakpoint times must be strictly increasing and positive")
-            prev = b.t
+        bps = self.breakpoints
+        # C-level passes accept a long tuple at once (a sum is finite only if
+        # every term is; finite terms that overflow fall to the loop); they
+        # cost more than the loop below about a dozen breakpoints.  The loop
+        # checks the rest and finds which error comes first.
+        if len(bps) > _SHORT:
+            times, lefts, rights = zip(*bps)
+            checked = math.isfinite(sum(times) + sum(lefts) + sum(rights)) and all(map(lt, (0.0, *times), times))
+        else:
+            times, checked = tuple(map(_time_of, bps)), False
+        if not checked:
+            prev = 0.0
+            for t, left, right in bps:
+                if not (math.isfinite(t) and math.isfinite(left) and math.isfinite(right)):
+                    raise PathDomainError("breakpoint data must be finite")
+                if t <= prev:
+                    raise PathDomainError("breakpoint times must be strictly increasing and positive")
+                prev = t
         object.__setattr__(self, "_times", times)
 
     # -- evaluation ---------------------------------------------------------
 
+    def _piece(self, k: int) -> tuple[float, float, float, float]:
+        """The linear piece after the first ``k`` breakpoints as (t0, v0,
+        rise, run): from (t0, v0) towards the next breakpoint's left value,
+        or along the terminal direction after the last one.  Every
+        evaluation reads the path at t on it as v0 + rise * ((t - t0) / run).
+        """
+        bps = self.breakpoints
+        if k:
+            b = bps[k - 1]
+            t0, v0 = b.t, b.right
+        else:
+            t0, v0 = 0.0, self.initial
+        if k == len(bps):
+            return t0, v0, self.terminal_rise, self.terminal_run
+        nxt = bps[k]
+        return t0, v0, nxt.left - v0, nxt.t - t0
+
     def eval(self, t: float) -> float:
         if t < 0:
             raise PathDomainError(f"path evaluated at negative time {t}")
-        bps = self.breakpoints
-        if not bps:
-            return self.initial + self.terminal_rise * (t / self.terminal_run)
-        k = bisect_right(self._times, t) - 1
-        if k < 0:
-            b = bps[0]
-            return self.initial + (b.left - self.initial) * (t / b.t)
-        b = bps[k]
-        if k == len(bps) - 1:
-            return b.right + self.terminal_rise * ((t - b.t) / self.terminal_run)
-        nxt = bps[k + 1]
-        return b.right + (nxt.left - b.right) * ((t - b.t) / (nxt.t - b.t))
+        t0, v0, rise, run = self._piece(bisect_right(self._times, t))
+        return v0 + rise * ((t - t0) / run)
 
     def eval_left(self, t: float) -> float:
         """Left limit at ``t``; at 0 this is defined as the value itself."""
@@ -112,9 +139,61 @@ class PiecewisePath:
         k = bisect_left(self._times, t)
         if k < len(self._times) and self._times[k] == t:
             return self.breakpoints[k].left
-        return self.eval(t)
+        t0, v0, rise, run = self._piece(k)
+        return v0 + rise * ((t - t0) / run)
 
     __call__ = eval
+
+    def eval_many(self, ts: Iterable[float]) -> list[float]:
+        """``[self.eval(t) for t in ts]`` for nondecreasing ``ts``, in one
+        forward walk over the breakpoints."""
+        return self._walk(ts, False)
+
+    def eval_left_many(self, ts: Iterable[float]) -> list[float]:
+        """``[self.eval_left(t) for t in ts]`` for nondecreasing ``ts``, in
+        one forward walk over the breakpoints."""
+        return self._walk(ts, True)
+
+    def _walk(self, ts: Iterable[float], left: bool) -> list[float]:
+        """Values, or left limits if ``left``, at nondecreasing times.
+
+        The cursor ``k`` counts the breakpoints before t, and for values
+        also the one at t; a time at or past ``edge`` (the first time, then
+        the next breakpoint) moves it and reads the piece after it.  The
+        left limit at 0 is the value at +0.0, so when walking left limits
+        zeros keep ``edge`` at 0.  A NaN time is out of order wherever it
+        stands.
+        """
+        times = self._times
+        n = len(times)
+        k = 0
+        edge = -math.inf
+        prev = 0.0
+        out: list[float] = []
+        for t in ts:
+            if not t >= prev:
+                if not out and t < 0:
+                    raise PathDomainError(f"path evaluated at negative time {t}")
+                raise ValueError(f"times must be nondecreasing: {t} after {prev}")
+            prev = t
+            if t >= edge:
+                if left:
+                    while k < n and times[k] < t:
+                        k += 1
+                    if k < n and times[k] == t:
+                        edge = t
+                        out.append(self.breakpoints[k].left)
+                        continue
+                else:
+                    while k < n and times[k] <= t:
+                        k += 1
+                t0, v0, rise, run = self._piece(k)
+                if left and t == 0:
+                    t = edge = 0.0
+                else:
+                    edge = times[k] if k < n else math.inf
+            out.append(v0 + rise * ((t - t0) / run))
+        return out
 
     # -- structure ----------------------------------------------------------
 
@@ -219,41 +298,42 @@ def _build(
     simultaneous jump) and anchors carrying neither a jump nor a slope
     change are dropped.
     """
-    anchors = sorted(anchors, key=itemgetter(0))
-    merged: list[list[float]] = []
-    for t, left, right in anchors:
-        if merged and t - merged[-1][0] <= MERGE_EPS:
-            merged[-1][2] = right
+    # an anchor is kept as given unless a merge replaces it
+    merged: list = []
+    for anchor in sorted(anchors, key=itemgetter(0)):
+        if merged and anchor[0] - merged[-1][0] <= MERGE_EPS:
+            t, left, _ = merged[-1]
+            merged[-1] = (t, left, anchor[2])
         else:
-            merged.append([t, left, right])
+            merged.append(anchor)
 
     # drop anchors carrying neither a jump nor a slope change, cascading so
-    # that every survivor is tested against its final neighbors; (pt, pv)
-    # is the point before the top of ``kept``
-    kept: list[list[float]] = []
+    # that every survivor is tested against its final neighbors; ``kept``
+    # starts with the origin as (0, nan, initial), which the nan keeps from
+    # ever reading as jump-free, so the point before the top is kept[-2]
+    kept: list = [(0.0, math.nan, initial)]
     for anchor in merged:
         nt, nl = anchor[0], anchor[1]
-        while kept:
+        while True:
             t, left, right = kept[-1]
             if left != right:
                 break
-            pt, pv = (kept[-2][0], kept[-2][2]) if len(kept) >= 2 else (0.0, initial)
+            pt, _, pv = kept[-2]
             if (left - pv) * (nt - pt) != (nl - pv) * (t - pt):
                 break
             kept.pop()
         kept.append(anchor)
-    while kept:
+    while True:
         t, left, right = kept[-1]
         if left != right:
             break
-        pt, pv = (kept[-2][0], kept[-2][2]) if len(kept) >= 2 else (0.0, initial)
-        if (left - pv) * terminal_run == terminal_rise * (t - pt):
-            kept.pop()
-        else:
+        pt, _, pv = kept[-2]
+        if (left - pv) * terminal_run != terminal_rise * (t - pt):
             break
+        kept.pop()
     return PiecewisePath(
         initial,
-        tuple(map(Breakpoint._make, kept)),
+        tuple(map(_new_breakpoint, kept[1:])),
         terminal_rise,
         terminal_run,
     )
@@ -356,29 +436,24 @@ def require_invertible(path: PiecewisePath, op: str) -> None:
 
 def add(p: PiecewisePath, q: PiecewisePath) -> PiecewisePath:
     """Pointwise sum, exact at every breakpoint of either operand."""
-    times = sorted(set(p._times) | set(q._times))
-    anchors = []
-    group_lo = group_hi = None
-    for t in times:
-        if group_lo is None:
-            group_lo = group_hi = t
-        elif t - group_hi <= MERGE_EPS:
-            group_hi = t
+    # times within MERGE_EPS of their predecessor join its group, which
+    # becomes one anchor: left limits at its start, values at its end
+    starts: list[float] = []
+    ends: list[float] = []
+    for t in sorted(set(p._times) | set(q._times)):
+        if ends and t - ends[-1] <= MERGE_EPS:
+            ends[-1] = t
         else:
-            anchors.append(_sum_anchor(p, q, group_lo, group_hi))
-            group_lo = group_hi = t
-    if group_lo is not None:
-        anchors.append(_sum_anchor(p, q, group_lo, group_hi))
+            starts.append(t)
+            ends.append(t)
+    lefts = map(operator.add, p.eval_left_many(starts), q.eval_left_many(starts))
+    rights = map(operator.add, p.eval_many(ends), q.eval_many(ends))
     return _build(
         p.initial + q.initial,
-        anchors,
+        list(zip(starts, lefts, rights)),
         p.terminal_rise * q.terminal_run + q.terminal_rise * p.terminal_run,
         p.terminal_run * q.terminal_run,
     )
-
-
-def _sum_anchor(p, q, lo, hi):
-    return (lo, p.eval_left(lo) + q.eval_left(lo), p.eval(hi) + q.eval(hi))
 
 
 def scale(p: PiecewisePath, c: float) -> PiecewisePath:
@@ -538,11 +613,14 @@ def check_compatible(g: PiecewisePath, kappa: PiecewisePath) -> CompatibilityRep
         if s_hi - s_lo <= 0.0:
             h1_bad.append(b.t)
     h2_bad = []
-    for b in kappa.jumps():
-        lhs = g.eval(b.left)
-        rhs = g.eval_left(b.right)
-        if lhs != rhs and abs(lhs - rhs) > VALUE_TOL:
-            h2_bad.append((b.t, lhs, rhs))
+    jumps = kappa.jumps()
+    if jumps:
+        # kappa is nondecreasing, so its jumps' left and right values are sorted
+        lhs_all = g.eval_many([b.left for b in jumps])
+        rhs_all = g.eval_left_many([b.right for b in jumps])
+        for b, lhs, rhs in zip(jumps, lhs_all, rhs_all):
+            if lhs != rhs and abs(lhs - rhs) > VALUE_TOL:
+                h2_bad.append((b.t, lhs, rhs))
     return CompatibilityReport(not h1_bad, not h2_bad, tuple(h1_bad), tuple(h2_bad))
 
 
@@ -590,10 +668,12 @@ def smooth_compose(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
         elif b.right != b.left:  # cannot happen for compatible pairs
             raise IncompatiblePairError(report)
     taken = sorted(s for s, _ in nodes)
+    free_ts, free_values = [], []
     for b in kappa.breakpoints:
-        if _near_taken(taken, b.t):
-            continue
-        nodes.append((b.t, g.eval(b.right)))
+        if not _near_taken(taken, b.t):
+            free_ts.append(b.t)
+            free_values.append(b.right)  # sorted, as kappa is nondecreasing
+    nodes += zip(free_ts, g.eval_many(free_values))
     nodes.sort(key=itemgetter(0))
     nodes.insert(0, (0.0, g.eval(kappa.eval(0.0))))
     return _polyline(
@@ -629,18 +709,23 @@ def compose(outer: PiecewisePath, inner: PiecewisePath) -> PiecewisePath:
         raise PathClassError("compose: inner path must be continuous")
     iinv = inner.inverse
     anchors: list[tuple[float, float, float]] = []
-    for b in outer.breakpoints:
-        s_lo, s_hi = iinv.eval_left(b.t), iinv.eval(b.t)
+    times = outer._times
+    for b, s_lo, s_hi in zip(outer.breakpoints, iinv.eval_left_many(times), iinv.eval_many(times)):
         if s_hi > s_lo:  # inner holds the value b.t on [s_lo, s_hi]
             anchors.append((s_lo, b.left, b.right))
             anchors.append((s_hi, b.right, b.right))
         else:
             anchors.append((s_lo, b.left, b.right))
     taken = sorted(s for s, _, _ in anchors)
-    for s in inner._times:
-        if _near_taken(taken, s):
-            continue  # a pullback anchor already sits here; it wins
-        v = outer.eval(inner.eval(s))
+    # a pullback anchor within MERGE_EPS of an inner breakpoint wins over
+    # it; inner is continuous and positive after 0, so its value at a
+    # breakpoint is the stored one, and those values are sorted
+    free_ts, free_values = [], []
+    for b in inner.breakpoints:
+        if not _near_taken(taken, b.t):
+            free_ts.append(b.t)
+            free_values.append(b.right)
+    for s, v in zip(free_ts, outer.eval_many(free_values)):
         anchors.append((s, v, v))
     return _build(
         outer.eval(inner.eval(0.0)),
@@ -769,7 +854,8 @@ def probe_times(*paths: PiecewisePath, extra: tuple[float, ...] = ()) -> list[fl
 def sup_distance(p: PiecewisePath, q: PiecewisePath, extra: tuple[float, ...] = ()) -> float:
     """Max of |p - q| over both paths' probe times, using values and left
     limits."""
+    ts = probe_times(p, q, extra=extra)
     gap = 0.0
-    for t in probe_times(p, q, extra=extra):
-        gap = max(gap, abs(p.eval(t) - q.eval(t)), abs(p.eval_left(t) - q.eval_left(t)))
+    for pv, qv, pl, ql in zip(p.eval_many(ts), q.eval_many(ts), p.eval_left_many(ts), q.eval_left_many(ts)):
+        gap = max(gap, abs(pv - qv), abs(pl - ql))
     return gap

@@ -141,8 +141,10 @@ def path_algebra_checks(n: int, seed: int) -> list[Check]:
         kappa = generalized_inverse(total)
         gamma = smooth_compose(inv1, kappa)
         sandwich = 0.0
-        for s in probe_times(gamma, kappa):
-            ks, value = kappa.eval(s), gamma.eval(s)
+        ts = probe_times(gamma, kappa)
+        # kappa's values at sorted times may fall by rounding where a piece
+        # meets the next, so inv1 is read at them one by one
+        for ks, value in zip(kappa.eval_many(ts), gamma.eval_many(ts)):
             sandwich = max(sandwich, inv1.eval_left(ks) - value, value - inv1.eval(ks))
         rows.append((
             _holds(generalized_inverse(inv1) == g1),
@@ -194,9 +196,11 @@ def curve_identity_gap(bundle: CurveBundle, process: HittingProcess) -> float:
     for level in process.levels:
         ys.update((level, level + 1e-6, max(level - 1e-6, 0.0)))
     ys.add(max(process.levels, default=0.0) + 1.0)
+    rows = _evaluate_sorted(process, sorted(ys)).tolist()
+    # each coordinate of T is nondecreasing in y, so the totals are sorted
+    totals = [sum(t) for t in rows]
     worst = 0.0
-    for t in _evaluate_sorted(process, sorted(ys)).tolist():
-        point = bundle.curve_point(sum(t))
+    for point, t in zip(zip(*(g.eval_many(totals) for g in bundle.curve)), rows):
         worst = max(worst, max(abs(a - b) for a, b in zip(point, t)))
     return worst
 
@@ -217,17 +221,17 @@ def curve_checks(n: int, seed: int) -> list[Check]:
         grid = sorted(set(base) | {base[-1] * j / 1000 for j in range(1001)})
         norm = drop = rise = sandwich = hits = 0.0
         prev, prev_s = [0.0] * fld.m, 0.0
-        for s in grid:
-            point = bundle.curve_point(s)
+        points = zip(*(c.eval_many(grid) for c in bundle.curve))
+        for s, point, level in zip(grid, points, bundle.combined_level.eval_many(grid)):
             norm = max(norm, abs(sum(point) - s))
             for i in range(fld.m):
                 move = point[i] - prev[i]
                 drop = max(drop, -move)
                 rise = max(rise, move - (s - prev_s))
             prev, prev_s = point, s
-            level = bundle.combined_level.eval(s)
-            for g, c in zip(bundle.levels, bundle.curve):
-                at = c.eval(s)
+            # the curve may fall by rounding, so each level map is read
+            # at the curve point by point
+            for g, at in zip(bundle.levels, point):
                 sandwich = max(sandwich, g.eval_left(at) - level, level - g.eval(at))
         for level in process.levels:
             for y in (level / 2, level + 0.05):

@@ -177,7 +177,7 @@ def curve_identity_gap(fld, bundle, eps=1e-6):
     worst = 0.0
     for y in sorted(ys):
         t = process.evaluate(y)
-        point = bundle.curve_point(sum(t))
+        point = [g.eval(sum(t)) for g in bundle.curve]
         worst = max(worst, max(abs(a - b) for a, b in zip(point, t)))
     return worst
 
@@ -257,7 +257,7 @@ class TestCurveInvariants:
             if not premise:
                 continue  # u is skipped, jumped over, or flat on some axis
             found += 1
-            point = bundle.curve_point(sum(t))
+            point = [g.eval(sum(t)) for g in bundle.curve]
             assert max(abs(a - b) for a, b in zip(point, t)) <= 1e-9
         assert found >= 12
 

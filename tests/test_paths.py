@@ -84,6 +84,65 @@ class TestEval:
             PiecewisePath(0.0, (Breakpoint(1.0, 0.0, 1.0), Breakpoint(1.0, 1.0, 2.0)), 1.0)
 
 
+# -- evaluation at sorted times ---------------------------------------------------
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+@st.composite
+def _paths_and_times(draw):
+    """A path, with or without breakpoints, and nondecreasing times that
+    hit its breakpoints exactly and one float to either side, repeat
+    themselves, start at 0 and run out along the terminal ray."""
+    value = st.floats(min_value=-8.0, max_value=8.0)
+    gaps = draw(st.lists(st.floats(min_value=1e-3, max_value=3.0), max_size=8))
+    times = np.cumsum(gaps).tolist()
+    bps = tuple(Breakpoint(t, draw(value), draw(value)) for t in times)
+    path = PiecewisePath(draw(value), bps, draw(value), draw(st.floats(min_value=0.1, max_value=4.0)))
+    last = times[-1] if times else 0.0
+    pool = [0.0, -0.0, last + 0.5, 2 * last + 3.0]
+    for t in times:
+        pool += [t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)]
+    pool += draw(st.lists(st.floats(min_value=0.0, max_value=last + 5.0), max_size=6))
+    ts = draw(st.lists(st.sampled_from(pool), max_size=24))
+    return path, sorted(ts + ts[: len(ts) // 3])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_paths_and_times())
+def test_eval_many_is_eval_at_each_time(case):
+    path, ts = case
+    assert _hex(path.eval_many(ts)) == _hex(path.eval(t) for t in ts)
+    assert _hex(path.eval_left_many(ts)) == _hex(path.eval_left(t) for t in ts)
+    assert _hex(path.eval_many(iter(ts))) == _hex(path.eval(t) for t in ts)
+
+
+class TestEvalMany:
+    def test_negative_first_time_raises_the_eval_error(self):
+        p = step_on_drift()
+        for many, one in ((p.eval_many, p.eval), (p.eval_left_many, p.eval_left)):
+            with pytest.raises(PathDomainError) as single:
+                one(-0.5)
+            with pytest.raises(PathDomainError) as walked:
+                many([-0.5, 1.0])
+            assert str(walked.value) == str(single.value)
+
+    @pytest.mark.parametrize("ts", [[1.0, 0.5], [0.0, 2.0, 2.0, 1.0], [0.5, -1.0], [0.5, math.nan], [math.nan]])
+    def test_times_out_of_order_raise_one_line(self, ts):
+        p = step_on_drift()
+        for many in (p.eval_many, p.eval_left_many):
+            with pytest.raises(ValueError) as err:
+                many(ts)
+            assert type(err.value) is ValueError
+            assert "\n" not in str(err.value) and "nondecreasing" in str(err.value)
+
+    def test_no_times(self):
+        assert step_on_drift().eval_many([]) == []
+        assert PiecewisePath(0.0).eval_left_many(()) == []
+
+
 class TestPastInfimum:
     def test_worked_example(self):
         m = past_infimum(step_on_drift())
@@ -408,6 +467,48 @@ def test_inverse_sandwich_property(seed, u):
 # -- bisection and single-pass walks against the linear scans they replaced -----
 
 
+def _bits(p):
+    return (
+        float.hex(p.initial),
+        tuple(tuple(map(float.hex, b)) for b in p.breakpoints),
+        float.hex(p.terminal_rise),
+        float.hex(p.terminal_run),
+    )
+
+
+def _same_bits(p, q):
+    """Whether two paths hold the same floats bit for bit: ``==`` takes
+    -0.0 for 0.0, so it cannot back a claim of identical artifacts."""
+    return _bits(p) == _bits(q)
+
+
+def _per_point_add(p, q):
+    """add with one bisected eval or eval_left per group end."""
+    times = sorted(set(p._times) | set(q._times))
+    anchors = []
+    group_lo = group_hi = None
+    for t in times:
+        if group_lo is None:
+            group_lo = group_hi = t
+        elif t - group_hi <= MERGE_EPS:
+            group_hi = t
+        else:
+            anchors.append(_per_point_sum_anchor(p, q, group_lo, group_hi))
+            group_lo = group_hi = t
+    if group_lo is not None:
+        anchors.append(_per_point_sum_anchor(p, q, group_lo, group_hi))
+    return _build(
+        p.initial + q.initial,
+        anchors,
+        p.terminal_rise * q.terminal_run + q.terminal_rise * p.terminal_run,
+        p.terminal_run * q.terminal_run,
+    )
+
+
+def _per_point_sum_anchor(p, q, lo, hi):
+    return (lo, p.eval_left(lo) + q.eval_left(lo), p.eval(hi) + q.eval(hi))
+
+
 def _compose_scan(outer, inner):
     """compose with the linear scan over the pull-back anchors."""
     iinv = generalized_inverse(inner)
@@ -544,7 +645,37 @@ def _near_critical_instance(n, seed):
     return fld, build_curve(fld, (1.0, 1.0))
 
 
+def _merge_edge_operands():
+    """Pairs whose breakpoints lie exactly MERGE_EPS apart, one float
+    further apart, three within MERGE_EPS of each other, or face a drift
+    with no breakpoints."""
+    M = MERGE_EPS
+    out = []
+    for t1, t2 in ((M, 2 * M), (M, math.nextafter(2 * M, 1.0)), (1.0, math.nextafter(1.0, 2.0))):
+        out.append((_build(0.0, [(t1, t1, t1 + 1.0)], 1.0), _build(0.0, [(t2, -t2, 0.5 - t2)], -1.0)))
+    three = [1.0, 1.0 + 0.4 * M, 1.0 + 0.8 * M]
+    out.append((pure_jumps([(three[0], 1.0), (three[2], 2.0)]), _build(0.0, [(three[1], 0.5, 3.0)], 2.0)))
+    out.append((pure_jumps([(t, 1.0) for t in three]), drift(-1.0)))
+    return out
+
+
 class TestAgainstLinearScans:
+    def test_add_matches_per_point_add(self, rng):
+        pairs = _merge_edge_operands()
+        # the first pair merges into one anchor, the second does not
+        assert [len(add(*pair).breakpoints) for pair in pairs[:2]] == [1, 2]
+        for _ in range(300):
+            g = random_monotone_path(rng)
+            pairs += [
+                (_random_walk_path(rng), _random_walk_path(rng)),
+                (g, generalized_inverse(random_monotone_path(rng))),
+                (g, drift(-float(rng.uniform(0.1, 3.0)))),
+                (scale(g, -1.0), past_infimum(_random_walk_path(rng))),
+            ]
+        for p, q in pairs:
+            assert _same_bits(add(p, q), _per_point_add(p, q))
+            assert _same_bits(add(q, p), _per_point_add(q, p))
+
     def test_compose_matches_scan(self, rng):
         for _ in range(200):
             g = random_monotone_path(rng)
@@ -556,7 +687,7 @@ class TestAgainstLinearScans:
                 0.0, [(v, float(k), k + float(rng.uniform(0.0, 1.0))) for k, v in enumerate(values) if v > 0], 1.0
             )
             for outer in (random_monotone_path(rng), _random_walk_path(rng), aligned):
-                assert compose(outer, inner) == _compose_scan(outer, inner)
+                assert _same_bits(compose(outer, inner), _compose_scan(outer, inner))
 
     def test_smooth_compose_matches_scan(self, rng):
         pairs = [(staircase_counterexample(), generalized_inverse(staircase_counterexample()))]
@@ -568,7 +699,7 @@ class TestAgainstLinearScans:
         for g, kappa in pairs:
             if not check_compatible(g, kappa).ok:
                 continue
-            assert smooth_compose(g, kappa) == _smooth_compose_scan(g, kappa)
+            assert _same_bits(smooth_compose(g, kappa), _smooth_compose_scan(g, kappa))
             compared += 1
         assert compared >= 400
 
@@ -599,10 +730,10 @@ class TestAgainstLinearScans:
     def test_curve_inputs_match_scans(self, seed):
         fld, bundle = _near_critical_instance(80, seed)
         for inv in bundle.level_inverses:
-            assert smooth_compose(inv, bundle.combined_level) == _smooth_compose_scan(inv, bundle.combined_level)
+            assert _same_bits(smooth_compose(inv, bundle.combined_level), _smooth_compose_scan(inv, bundle.combined_level))
         for i in range(fld.m):
             for j in range(fld.m):
-                assert compose(fld.paths[i][j], bundle.curve[j]) == _compose_scan(fld.paths[i][j], bundle.curve[j])
+                assert _same_bits(compose(fld.paths[i][j], bundle.curve[j]), _compose_scan(fld.paths[i][j], bundle.curve[j]))
         for process in composed_processes(fld, bundle):
             for level_tol in (0.0, EXCURSION_LEVEL_TOL):
                 assert excursions(process, level_tol) == _excursions_scan(process, level_tol)
@@ -656,7 +787,7 @@ class TestMergeEpsEdge:
         for inner, u, t, within in self.cases():
             outer = _build(0.0, [(u, u, u + 1.0)], 1.0)
             out = compose(outer, inner)
-            assert out == _compose_scan(outer, inner)
+            assert _same_bits(out, _compose_scan(outer, inner))
             assert any(b.right == u + 1.0 for b in out.breakpoints)  # the jump survives
             assert (t in out._times) == (not within)
 
@@ -664,5 +795,5 @@ class TestMergeEpsEdge:
         for inner, u, t, within in self.cases():
             g = polyline([(0.0, 0.0), (u, u)], 3.0)
             out = smooth_compose(g, inner)
-            assert out == _smooth_compose_scan(g, inner)
+            assert _same_bits(out, _smooth_compose_scan(g, inner))
             assert (t in out._times) == (not within)

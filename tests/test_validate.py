@@ -21,7 +21,7 @@ def _curve_identity_gap_loop(bundle, process):
     worst = 0.0
     for y in sorted(ys):
         t = process.evaluate(y)
-        point = bundle.curve_point(sum(t))
+        point = [g.eval(sum(t)) for g in bundle.curve]
         worst = max(worst, max(abs(a - b) for a, b in zip(point, t)))
     return worst
 
