@@ -17,15 +17,16 @@ from typing import Sequence
 from .field import Field, HittingProcess, hitting_process
 from .model import _check_rho
 from .paths import (
+    PathClassError,
     PiecewisePath,
     add,
-    classify,
     compose,
     excursions,
     first_time_at_or_below,
     generalized_inverse,
     past_infimum,
     probe_times,
+    require_invertible,
     scale,
     smooth_compose,
 )
@@ -196,8 +197,10 @@ def build_levels(fld: Field, rho) -> tuple[PiecewisePath, ...]:
         if _stays_level(low):
             raise CurveAssumptionError(f"diagonal {i} does not fall below zero immediately")
         g = add(_shared_column(fld, rho, i), scale(low, -1.0 / rho[i]))
-        if not classify(g).invertible:
-            raise CurveAssumptionError(f"level map of type {i} is not invertible monotone")
+        try:
+            require_invertible(g, "build_levels")
+        except PathClassError:
+            raise CurveAssumptionError(f"level map of type {i} is not invertible monotone") from None
         out.append(g)
     return tuple(out)
 

@@ -214,8 +214,14 @@ def field_from_paths(paths: list[list[PiecewisePath]]) -> Field:
     claim that the curve construction needs only the field, not a block
     model: the special-case curve agrees with the general one on fields
     with continuous off-diagonals, and the curve's assumptions are checked
-    on bounded and initially flat diagonals."""
+    on bounded and initially flat diagonals.  ``paths`` must be m x m
+    with m at least 1."""
     m = len(paths)
+    if not m:
+        raise ValueError("paths has no rows")
+    for i, row in enumerate(paths):
+        if len(row) != m:
+            raise ValueError(f"paths[{i}] has {len(row)} entries, expected {m}")
     return Field(m, explicit_paths=tuple(tuple(row) for row in paths))
 
 

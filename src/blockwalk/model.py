@@ -149,22 +149,23 @@ def sample_graph(model: BlockModel, seed) -> Graph:
 # -- connected components ------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[Vertex]):
-        self.parent = {x: x for x in items}
+def _int_components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The classes of 0, ..., n - 1 that the pairs join, by union-find: each
+    class increasing, the classes listed by their smallest member."""
+    parent = list(range(n))
 
-    def find(self, x: Vertex) -> Vertex:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def union(self, a: Vertex, b: Vertex) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
 
 
 @dataclass(frozen=True)
@@ -185,18 +186,13 @@ def component_weights(model: BlockModel, vertices: Sequence[Vertex]) -> tuple[fl
 def connected_components(graph: Graph) -> list[Component]:
     """Components listed by their smallest (type, rank) vertex."""
     verts = graph.model.vertices()
-    uf = _UnionFind(verts)
-    for e in graph.edges:
-        u, v = tuple(e)
-        uf.union(u, v)
-    groups: dict[Vertex, list[Vertex]] = {}
-    for v in verts:
-        groups.setdefault(uf.find(v), []).append(v)
+    index = {v: k for k, v in enumerate(verts)}
     comps = []
-    for members in groups.values():
-        members.sort(key=lambda x: (x[1], x[0]))
-        comps.append(Component(tuple(members), component_weights(graph.model, members)))
-    comps.sort(key=lambda c: (c.vertices[0][1], c.vertices[0][0]))
+    # vertices() lists the vertices by (type, rank), so the members of each
+    # class and the classes themselves come in that order
+    for ks in _int_components(len(verts), ((index[u], index[v]) for u, v in graph.edges)):
+        members = tuple(verts[k] for k in ks)
+        comps.append(Component(members, component_weights(graph.model, members)))
     return comps
 
 

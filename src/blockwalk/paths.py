@@ -6,8 +6,9 @@ the final unbounded segment. Interior slopes are implied by the stored
 endpoint values, so sums, generalized inverses, compositions, running
 infima and excursion extraction all stay closed over the representation.
 In particular double inversion returns an equal representation, not just a
-numerically close one.  A path builds its generalized inverse once, on first
-read of ``inverse``, and keeps it.
+numerically close one.  A path builds its generalized inverse straight from
+its breakpoints on first read of ``inverse``, and works out whether it is
+``nondecreasing`` on first read too; it keeps both.
 """
 
 from __future__ import annotations
@@ -198,10 +199,6 @@ class PiecewisePath:
     # -- structure ----------------------------------------------------------
 
     @property
-    def terminal_slope(self) -> float:
-        return self.terminal_rise / self.terminal_run
-
-    @property
     def last_anchor(self) -> tuple[float, float]:
         """Start point (t, value) of the terminal ray."""
         if self.breakpoints:
@@ -222,21 +219,18 @@ class PiecewisePath:
             t0, v0 = b.t, b.right
         return out
 
-    def slope_before(self, t: float) -> float:
-        """Slope of the linear piece immediately to the left of ``t`` (> 0)."""
-        if t <= 0:
-            raise PathDomainError("no segment to the left of 0")
-        bps = self.breakpoints
-        if not bps or t <= bps[0].t:
-            if not bps:
-                return self.terminal_slope
-            return (bps[0].left - self.initial) / bps[0].t
-        k = bisect_left(self._times, t) - 1
-        b = bps[k]
-        if k == len(bps) - 1:
-            return self.terminal_slope
-        nxt = bps[k + 1]
-        return (nxt.left - b.right) / (nxt.t - b.t)
+    @cached_property
+    def nondecreasing(self) -> bool:
+        """Whether no jump, piece or terminal direction of the path falls.
+        Worked out on first read and kept, outside the compared fields."""
+        if self.terminal_rise < 0:
+            return False
+        v0 = self.initial
+        for _, left, right in self.breakpoints:
+            if left < v0 or right < left:
+                return False
+            v0 = right
+        return True
 
     def limit_at_infinity(self) -> float:
         """Limit value; +-inf when the terminal direction is not flat."""
@@ -266,21 +260,18 @@ class PiecewisePath:
         outside the compared fields.
         """
         require_invertible(self, "generalized_inverse")
-        inverted: list[tuple] = []
-        for mv in _moves(self):
-            if mv[0] == "seg":
-                _, x0, y0, x1, y1 = mv
-                if y1 == y0:
-                    inverted.append(("jump", y0, x0, x1))
-                else:
-                    inverted.append(("seg", y0, x0, y1, x1))
-            elif mv[0] == "jump":
-                _, x, y0, y1 = mv
-                inverted.append(("seg", y0, x, y1, x))
-            else:
-                _, x, y, rise, run = mv
-                inverted.append(("ray", y, x, run, rise))
-        return _from_moves(inverted)
+        # each breakpoint (t, left, right) gives the inverse the value t at
+        # the levels left and right, so a jump becomes a flat piece and a
+        # rising piece between two breakpoints a rising piece between their
+        # anchors.  A flat piece starts and ends at one level, so its two
+        # breakpoints give two anchors there, which _build merges into a
+        # jump of the inverse from the first time to the last.
+        anchors: list[tuple[float, float, float]] = []
+        for t, left, right in self.breakpoints:
+            anchors.append((left, t, t))
+            if right != left:
+                anchors.append((right, t, t))
+        return _build(0.0, anchors, self.terminal_run, self.terminal_rise)
 
 
 # -- canonical construction ---------------------------------------------------
@@ -339,10 +330,10 @@ def _build(
     )
 
 
-def _polyline(
-    nodes: list[tuple[float, float]], terminal_rise: float, terminal_run: float = 1.0
-) -> PiecewisePath:
-    """Continuous path through (t, value) nodes, starting at t = 0."""
+def polyline(nodes: Iterable[tuple[float, float]], terminal_rise: float, terminal_run: float = 1.0) -> PiecewisePath:
+    """Continuous path through (t, value) nodes, starting at t = 0.  Backs
+    the worked instance's exactness claim (acceptance criterion 1): its
+    closed-form curve and combined level are written as polylines."""
     dedup: list[tuple[float, float]] = []
     for t, v in nodes:
         if dedup and t == dedup[-1][0]:
@@ -382,35 +373,7 @@ def pure_jumps(jumps: list[tuple[float, float]]) -> PiecewisePath:
     return _build(0.0, anchors, 0.0, 1.0)
 
 
-def polyline(nodes: list[tuple[float, float]], terminal_rise: float, terminal_run: float = 1.0) -> PiecewisePath:
-    """Continuous path through (t, value) nodes.  Backs the worked
-    instance's exactness claim (acceptance criterion 1): its closed-form
-    curve and combined level are written as polylines."""
-    return _polyline(list(nodes), terminal_rise, terminal_run)
-
-
-# -- class flags --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathClasses:
-    nondecreasing: bool
-    invertible: bool  # zero at 0, nondecreasing, positive after 0, unbounded
-
-
-def classify(path: PiecewisePath) -> PathClasses:
-    nondec = (
-        path.terminal_rise >= 0
-        and all(b.right >= b.left for b in path.breakpoints)
-        and all(v1 >= v0 for _, v0, _, v1 in path.finite_segments())
-    )
-    invertible = (
-        nondec
-        and path.initial == 0.0
-        and path.terminal_rise > 0
-        and (not path.breakpoints or path.breakpoints[0].left > 0.0)
-    )
-    return PathClasses(nondec, invertible)
+# -- class checks -------------------------------------------------------------
 
 
 def require_no_negative_jumps(path: PiecewisePath, op: str) -> None:
@@ -420,8 +383,9 @@ def require_no_negative_jumps(path: PiecewisePath, op: str) -> None:
 
 
 def require_invertible(path: PiecewisePath, op: str) -> None:
-    c = classify(path)
-    if not c.nondecreasing:
+    """Raise unless the path is nondecreasing, zero at 0, strictly positive
+    right after 0 and unbounded: the class the generalized inverse needs."""
+    if not path.nondecreasing:
         raise PathClassError(f"{op}: path is not nondecreasing")
     if path.initial != 0.0:
         raise PathClassError(f"{op}: path does not start at 0 (value {path.initial})")
@@ -496,7 +460,7 @@ def past_infimum(path: PiecewisePath) -> PiecewisePath:
             nodes.append((t_last, cur))
     else:
         rise, run = 0.0, 1.0
-    return _polyline(nodes, rise, run)
+    return polyline(nodes, rise, run)
 
 
 def first_time_at_or_below(path: PiecewisePath, level: float) -> float:
@@ -521,48 +485,6 @@ def first_time_at_or_below(path: PiecewisePath, level: float) -> float:
 
 
 # -- generalized inverse ------------------------------------------------------
-
-
-def _moves(path: PiecewisePath) -> list[tuple]:
-    """Decompose into ordered primitives: ('seg', x0, y0, x1, y1) pieces,
-    ('jump', x, y0, y1) discontinuities and a final ('ray', x, y, rise, run)."""
-    out: list[tuple] = []
-    x0, y0 = 0.0, path.initial
-    for b in path.breakpoints:
-        out.append(("seg", x0, y0, b.t, b.left))
-        if b.right != b.left:
-            out.append(("jump", b.t, b.left, b.right))
-        x0, y0 = b.t, b.right
-    out.append(("ray", x0, y0, path.terminal_rise, path.terminal_run))
-    return out
-
-
-def _from_moves(moves: list[tuple]) -> PiecewisePath:
-    initial = moves[0][2]
-    anchors: list[tuple[float, float, float]] = []
-
-    def ensure_anchor(x: float, y: float) -> None:
-        if x > 0.0 and not (anchors and anchors[-1][0] == x):
-            anchors.append((x, y, y))
-
-    for mv in moves:
-        if mv[0] == "jump":
-            _, x, ya, yb = mv
-            if anchors and anchors[-1][0] == x:
-                t, left, _ = anchors[-1]
-                anchors[-1] = (t, left, yb)
-            elif x == 0.0:
-                initial = yb
-            else:
-                anchors.append((x, ya, yb))
-        elif mv[0] == "seg":
-            _, x0, y0, _, _ = mv
-            ensure_anchor(x0, y0)
-        else:
-            _, x0, y0, rise, run = mv
-            ensure_anchor(x0, y0)
-            return _build(initial, anchors, rise, run)
-    raise AssertionError("move list did not end with a ray")
 
 
 def generalized_inverse(h: PiecewisePath) -> PiecewisePath:
@@ -676,7 +598,7 @@ def smooth_compose(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
     nodes += zip(free_ts, g.eval_many(free_values))
     nodes.sort(key=itemgetter(0))
     nodes.insert(0, (0.0, g.eval(kappa.eval(0.0))))
-    return _polyline(
+    return polyline(
         nodes,
         g.terminal_rise * kappa.terminal_rise,
         g.terminal_run * kappa.terminal_run,
@@ -774,15 +696,16 @@ def excursions(path: PiecewisePath, level_tol: float = 0.0) -> list[tuple[float,
     else:
         flats.append((flat_start, None))
 
-    # one cursor walks the moves of d across the chronological plateaus:
-    # a move that ends before one plateau's start ends before every later one's
-    moves = _moves(d)
+    # one cursor walks the breakpoints of d across the chronological
+    # plateaus: k counts those before one plateau's start, which are before
+    # every later plateau's start too
+    times = d._times
     k = 0
     out: list[tuple[float, float, float]] = []
     for a, b in flats:
-        while _ends_before(moves[k], a):
+        while k < len(times) and times[k] < a:
             k += 1
-        l = _first_rise(d, moves, k, a, b)
+        l = _first_rise(d, k, a, b)
         if l is None:
             continue
         if b is None:
@@ -793,44 +716,40 @@ def excursions(path: PiecewisePath, level_tol: float = 0.0) -> list[tuple[float,
     return out
 
 
-def _ends_before(mv: tuple, a: float) -> bool:
-    """Whether move ``mv`` of :func:`_moves` lies wholly before time ``a``
-    (segments ending at ``a`` included, a jump at ``a`` excluded)."""
-    if mv[0] == "seg":
-        return mv[3] <= a
-    if mv[0] == "jump":
-        return mv[1] < a
-    return False
-
-
-def _first_rise(d: PiecewisePath, moves: list[tuple], k: int, a: float, b: float | None) -> float | None:
+def _first_rise(d: PiecewisePath, k: int, a: float, b: float | None) -> float | None:
     """First time in [a, b] at which the nonnegative path d leaves 0.
 
-    ``moves`` is ``_moves(d)`` and ``k`` the index of its first move that
-    does not end before ``a``; the scan stops at the first move starting at
-    or after ``b``, since every later one starts later still."""
+    ``k`` counts the breakpoints of d before ``a``.  The scan reads each
+    piece and then the jump at its end, from the piece that ends at
+    breakpoint k, and stops at the first piece or jump that starts at or
+    after ``b``.  A piece starting at or after ``a`` rises off 0 at its
+    start if d is positive at either end, one starting before ``a`` does
+    at ``a`` if d is positive there, and a jump does if it leaves 0 or
+    below for above 0.
+    """
     hi = math.inf if b is None else b
-    for i in range(k, len(moves)):
-        mv = moves[i]
-        if mv[1] >= hi:
+    bps = d.breakpoints
+    x0, y0 = (bps[k - 1].t, bps[k - 1].right) if k else (0.0, d.initial)
+    for j in range(k, len(bps)):
+        x1, y1, y2 = bps[j]
+        if x0 >= hi:
             return None
-        if mv[0] == "seg":
-            _, x0, y0, x1, y1 = mv
-            lo = max(x0, a)
-            if d.eval(lo) > 0:
-                return lo
-            if y1 > 0 and y0 <= 0 and x0 >= a:
-                return x0
-        elif mv[0] == "jump":
-            _, x, y0, y1 = mv
-            if y1 > 0 and y0 <= 0:
-                return x
-        else:
-            _, x0, y0, rise, run = mv
-            lo = max(x0, a)
-            if d.eval(lo) > 0 or rise > 0:
-                return lo
-    return None
+        if x0 < a:
+            if d.eval(a) > 0:
+                return a
+        elif y0 > 0 or y1 > 0:
+            return x0
+        if y2 != y1:
+            if x1 >= hi:
+                return None
+            if y2 > 0 and y1 <= 0:
+                return x1
+        x0, y0 = x1, y2
+    if x0 >= hi:
+        return None
+    if x0 < a:
+        return a if d.eval(a) > 0 or d.terminal_rise > 0 else None
+    return x0 if y0 > 0 or d.terminal_rise > 0 else None
 
 
 # -- comparison helpers -------------------------------------------------------

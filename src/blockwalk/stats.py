@@ -23,6 +23,7 @@ from .model import (
     Vertex,
     _as_rng,
     _check_rho,
+    _int_components,
     component_weights,
     edge_probability,
     scaled_mass,
@@ -184,22 +185,8 @@ def _pair_table(model: BlockModel) -> _PairTable:
 def _partition_of_edges(table: _PairTable, edges: Iterable[int]) -> tuple[tuple[Vertex, ...], ...]:
     """The component partition of the graph whose edges are the pairs
     with the given indices into table.pairs."""
-    n = len(table.verts)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in edges:
-        a, b = table.pairs[k]
-        parent[find(a)] = find(b)
-    groups: dict[int, list[Vertex]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(table.verts[x])
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    classes = _int_components(len(table.verts), map(table.pairs.__getitem__, edges))
+    return tuple(sorted(tuple(sorted(table.verts[k] for k in ks)) for ks in classes))
 
 
 def _partition_of_key(table: _PairTable, key: bytes) -> tuple[tuple[Vertex, ...], ...]:

@@ -22,7 +22,7 @@ from .field import HittingProcess, build_field, encoded_jump, field_exploration,
 from .field import sample_clocks, solver_jump
 from .instances import random_block_model, random_monotone_path, random_probe_direction, staircase_counterexample
 from .model import BlockModel
-from .paths import add, classify, generalized_inverse, identity, probe_times, smooth_compose, sup_distance
+from .paths import add, generalized_inverse, identity, probe_times, smooth_compose, sup_distance
 
 #: agreement of jumps computed two ways, and of curve increments with jumps
 EXACT = 1e-12
@@ -151,7 +151,7 @@ def path_algebra_checks(n: int, seed: int) -> list[Check]:
             max(sup_distance(smooth_compose(g1, inv1), identity()), sup_distance(smooth_compose(inv1, g1), identity())),
             sup_distance(add(gamma, smooth_compose(inv2, kappa)), smooth_compose(total, kappa)),
             _worst(abs(b.left - b.right) for b in gamma.breakpoints),
-            _holds(classify(gamma).nondecreasing),
+            _holds(gamma.nondecreasing),
             sandwich,
         ))
     specs = [

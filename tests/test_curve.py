@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -182,6 +183,12 @@ def curve_identity_gap(fld, bundle, eps=1e-6):
     return worst
 
 
+def _slope_before(g, t):
+    """Slope of g's linear piece just left of t > 0."""
+    _, _, rise, run = g._piece(bisect_left(g._times, t))
+    return rise / run
+
+
 class TestCurveInvariants:
     def test_norm_identity_on_dense_grid(self, rng):
         for _ in range(20):
@@ -251,7 +258,7 @@ class TestCurveInvariants:
             premise = all(
                 abs(g.eval(ti) - u) <= 1e-12
                 and g.eval_left(ti) == g.eval(ti)
-                and (ti == 0.0 or g.slope_before(ti) > 0)
+                and (ti == 0.0 or _slope_before(g, ti) > 0)
                 for g, ti in zip(bundle.levels, t)
             )
             if not premise:
@@ -342,6 +349,12 @@ class TestAssumptionFailures:
         fld = field_from_paths([[diag]])
         with pytest.raises(CurveAssumptionError, match="below zero"):
             build_curve(fld, (1.0,))
+
+    def test_falling_level_map_rejected(self):
+        # off-diagonals falling faster than the diagonals make each level map fall
+        fld = field_from_paths([[drift(-1.0), drift(-2.0)], [drift(-2.0), drift(-1.0)]])
+        with pytest.raises(CurveAssumptionError, match="^level map of type 0 is not invertible monotone$"):
+            build_curve(fld, (1.0, 1.0))
 
     def test_uncoupled_type_rejected(self):
         # with no edges between the types a component moves only its own

@@ -11,6 +11,7 @@ from blockwalk.field import (
     field_eval_left,
     field_exploration,
     field_from_jumps,
+    field_from_paths,
     hitting_process,
     hitting_time,
     rank_one_encoding,
@@ -92,6 +93,19 @@ class TestBuildField:
     def test_from_jumps_needs_square_r(self, R, match):
         with pytest.raises(ValueError, match=match):
             field_from_jumps([[(0.5, 1.0)], [(0.7, 0.5)]], R)
+
+    @pytest.mark.parametrize(
+        "shape, match",
+        [
+            ((1, 2), r"^paths\[0\] has 2 entries, expected 1$"),
+            ((2, 1), r"^paths\[0\] has 1 entries, expected 2$"),
+            ((0, 0), r"^paths has no rows$"),
+        ],
+    )
+    def test_from_paths_needs_square_matrix(self, shape, match):
+        rows, cols = shape
+        with pytest.raises(ValueError, match=match):
+            field_from_paths([[drift(-1.0)] * cols for _ in range(rows)])
 
 
 class TestFieldEval:

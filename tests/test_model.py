@@ -7,6 +7,7 @@ from blockwalk import model as model_mod
 from blockwalk.instances import random_block_model
 from blockwalk.model import (
     BlockModel,
+    Component,
     ComponentTrace,
     ExplorationStep,
     ExplorationTrace,
@@ -389,6 +390,31 @@ def _graph_exploration_resorting(graph, rho, seed):
     return ExplorationTrace(model.m, tuple(float(r) for r in rho), tuple(steps), tuple(components))
 
 
+def _components_by_vertex_union_find(graph):
+    """Reference: union-find in a dict over the vertex tuples, each class
+    sorted, then the classes sorted by their first vertex."""
+    parent = {v: v for v in graph.model.vertices()}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in graph.edges:
+        ra, rb = (find(v) for v in e)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for v in graph.model.vertices():
+        groups.setdefault(find(v), []).append(v)
+    comps = []
+    for members in groups.values():
+        members.sort(key=lambda x: (x[1], x[0]))
+        comps.append(Component(tuple(members), component_weights(graph.model, members)))
+    comps.sort(key=lambda c: (c.vertices[0][1], c.vertices[0][0]))
+    return comps
+
+
 def _near_critical(n, seed):
     rng = np.random.default_rng(seed)
     scale = math.sqrt(n / 2)
@@ -423,6 +449,15 @@ class TestAgainstPairLoops:
             got = graph_exploration(graph, rho, 12)
             assert got == _graph_exploration_resorting(graph, rho, 12)
             assert got.zeta_final > 50
+
+    def test_components_match_vertex_union_find(self, rng):
+        graphs = [sample_graph(_near_critical(1200, 4), 5)]
+        for _ in range(200):
+            model = random_block_model(rng, max_vertices=int(rng.choice([3, 8, 30])))
+            graphs.append(sample_graph(model, rng))
+        for graph in graphs:
+            assert connected_components(graph) == _components_by_vertex_union_find(graph)
+        assert len(graphs[0].edges) > 300
 
     def test_graph_exploration_matches_resorting(self, rng):
         for _ in range(200):

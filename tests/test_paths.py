@@ -17,10 +17,8 @@ from blockwalk.paths import (
     PathDomainError,
     PiecewisePath,
     _build,
-    _moves,
     add,
     check_compatible,
-    classify,
     compose,
     drift,
     excursions,
@@ -31,6 +29,7 @@ from blockwalk.paths import (
     polyline,
     probe_times,
     pure_jumps,
+    require_invertible,
     scale,
     smooth_compose,
     step,
@@ -307,8 +306,8 @@ class TestSmoothCompose:
             out = smooth_compose(g, generalized_inverse(g))
             for b in out.breakpoints:
                 assert b.left == b.right
-            c = classify(out)
-            assert c.nondecreasing and c.invertible
+            assert out.nondecreasing
+            require_invertible(out, "smooth_compose")
 
     def test_sandwich(self, rng):
         for _ in range(50):
@@ -551,6 +550,20 @@ def _smooth_compose_scan(g, kappa):
     return polyline(nodes, g.terminal_rise * kappa.terminal_rise, g.terminal_run * kappa.terminal_run)
 
 
+def _moves(path):
+    """Decompose into ordered primitives: ('seg', x0, y0, x1, y1) pieces,
+    ('jump', x, y0, y1) discontinuities and a final ('ray', x, y, rise, run)."""
+    out = []
+    x0, y0 = 0.0, path.initial
+    for b in path.breakpoints:
+        out.append(("seg", x0, y0, b.t, b.left))
+        if b.right != b.left:
+            out.append(("jump", b.t, b.left, b.right))
+        x0, y0 = b.t, b.right
+    out.append(("ray", x0, y0, path.terminal_rise, path.terminal_run))
+    return out
+
+
 def _first_rise_scan(d, a, b):
     """First time in [a, b] at which d leaves 0, rescanning all moves."""
     hi = math.inf if b is None else b
@@ -582,6 +595,20 @@ def _excursions_scan(path, level_tol=0.0):
     """excursions with one full rescan of the moves per infimum plateau."""
     m = past_infimum(path)
     d = add(path, scale(m, -1.0))
+    out = []
+    for a, b in _plateaus(m, level_tol):
+        l = _first_rise_scan(d, a, b)
+        if l is None:
+            continue
+        if b is None:
+            raise PathClassError("never returns")
+        out.append((l, b, b - l))
+    return out
+
+
+def _plateaus(m, level_tol):
+    """(start, end) of each plateau of the running infimum m, end None for
+    an unbounded one, as excursions finds them."""
     flats = []
     flat_start, flat_level = 0.0, m.eval(0.0)
     for t0, v0, t1, v1 in m.finite_segments():
@@ -596,15 +623,7 @@ def _excursions_scan(path, level_tol=0.0):
             flats.append((flat_start, t_last))
     else:
         flats.append((flat_start, None))
-    out = []
-    for a, b in flats:
-        l = _first_rise_scan(d, a, b)
-        if l is None:
-            continue
-        if b is None:
-            raise PathClassError("never returns")
-        out.append((l, b, b - l))
-    return out
+    return flats
 
 
 def _first_time_scan(path, level):

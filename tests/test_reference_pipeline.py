@@ -10,12 +10,21 @@ and ``excursions`` inside ``verify_encoding``; sums with one bisected
 evaluation per point instead of a walk over the sorted times; and
 canonicalization by the closure-based ``_build``.  The arithmetic is the
 same, so the results must be equal bit for bit, not close.
+
+The generalized inverse, the excursions and the class check read the
+breakpoints directly.  Their references below are the forms they replaced:
+the inverse built by inverting each move of a tagged move list, excursions
+found by one cursor over the move list of the path above its running
+infimum, and the class record's rule for a nondecreasing path.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockwalk.curve import (
     EXACT_TOL,
@@ -36,14 +45,22 @@ from blockwalk.paths import (
     IncompatiblePairError,
     PathClassError,
     PiecewisePath,
+    _build,
     _near_taken,
+    add,
     check_compatible,
+    drift,
     excursions,
     generalized_inverse,
+    past_infimum,
+    pure_jumps,
     require_invertible,
+    require_no_negative_jumps,
+    scale,
     smooth_compose,
 )
-from test_paths import _continuous_part, _near_critical_instance, _same_bits
+from test_paths import _bits, _continuous_part, _moves, _near_critical_instance, _plateaus
+from test_paths import _random_walk_path, _same_bits
 from test_paths import _per_point_add as _reference_add
 
 
@@ -238,3 +255,216 @@ def test_incompatible_pairs_give_the_reference_report(rng):
         assert str(ours.value) == str(reference.value)
         compared += 1
     assert compared >= 50
+
+
+# -- the move-list forms the path algebra used before it read breakpoints ------
+
+
+def _reference_classify(path):
+    """(nondecreasing, invertible) by the rule of the old class record."""
+    nondec = (
+        path.terminal_rise >= 0
+        and all(b.right >= b.left for b in path.breakpoints)
+        and all(v1 >= v0 for _, v0, _, v1 in path.finite_segments())
+    )
+    invertible = (
+        nondec
+        and path.initial == 0.0
+        and path.terminal_rise > 0
+        and (not path.breakpoints or path.breakpoints[0].left > 0.0)
+    )
+    return nondec, invertible
+
+
+def _reference_require_invertible(path, op):
+    if not _reference_classify(path)[0]:
+        raise PathClassError(f"{op}: path is not nondecreasing")
+    if path.initial != 0.0:
+        raise PathClassError(f"{op}: path does not start at 0 (value {path.initial})")
+    if path.breakpoints and path.breakpoints[0].left <= 0.0:
+        raise PathClassError(f"{op}: path is not strictly positive immediately after 0")
+    if path.terminal_rise <= 0:
+        raise PathClassError(f"{op}: path is bounded (flat terminal direction)")
+
+
+def _from_moves(moves):
+    initial = moves[0][2]
+    anchors = []
+
+    def ensure_anchor(x, y):
+        if x > 0.0 and not (anchors and anchors[-1][0] == x):
+            anchors.append((x, y, y))
+
+    for mv in moves:
+        if mv[0] == "jump":
+            _, x, ya, yb = mv
+            if anchors and anchors[-1][0] == x:
+                t, left, _ = anchors[-1]
+                anchors[-1] = (t, left, yb)
+            elif x == 0.0:
+                initial = yb
+            else:
+                anchors.append((x, ya, yb))
+        elif mv[0] == "seg":
+            _, x0, y0, _, _ = mv
+            ensure_anchor(x0, y0)
+        else:
+            _, x0, y0, rise, run = mv
+            ensure_anchor(x0, y0)
+            return _build(initial, anchors, rise, run)
+    raise AssertionError("move list did not end with a ray")
+
+
+def _reference_inverse(h):
+    """The inverse by inverting each move of h's move list."""
+    _reference_require_invertible(h, "generalized_inverse")
+    inverted = []
+    for mv in _moves(h):
+        if mv[0] == "seg":
+            _, x0, y0, x1, y1 = mv
+            if y1 == y0:
+                inverted.append(("jump", y0, x0, x1))
+            else:
+                inverted.append(("seg", y0, x0, y1, x1))
+        elif mv[0] == "jump":
+            _, x, y0, y1 = mv
+            inverted.append(("seg", y0, x, y1, x))
+        else:
+            _, x, y, rise, run = mv
+            inverted.append(("ray", y, x, run, rise))
+    return _from_moves(inverted)
+
+
+def _ends_before(mv, a):
+    if mv[0] == "seg":
+        return mv[3] <= a
+    if mv[0] == "jump":
+        return mv[1] < a
+    return False
+
+
+def _first_rise(d, moves, k, a, b):
+    hi = math.inf if b is None else b
+    for i in range(k, len(moves)):
+        mv = moves[i]
+        if mv[1] >= hi:
+            return None
+        if mv[0] == "seg":
+            _, x0, y0, x1, y1 = mv
+            lo = max(x0, a)
+            if d.eval(lo) > 0:
+                return lo
+            if y1 > 0 and y0 <= 0 and x0 >= a:
+                return x0
+        elif mv[0] == "jump":
+            _, x, y0, y1 = mv
+            if y1 > 0 and y0 <= 0:
+                return x
+        else:
+            _, x0, y0, rise, run = mv
+            lo = max(x0, a)
+            if d.eval(lo) > 0 or rise > 0:
+                return lo
+    return None
+
+
+def _reference_excursions(path, level_tol=0.0):
+    """excursions with one cursor over the move list of the path above its
+    running infimum."""
+    require_no_negative_jumps(path, "excursions")
+    m = past_infimum(path)
+    d = add(path, scale(m, -1.0))
+    moves = _moves(d)
+    k = 0
+    out = []
+    for a, b in _plateaus(m, level_tol):
+        while _ends_before(moves[k], a):
+            k += 1
+        l = _first_rise(d, moves, k, a, b)
+        if l is None:
+            continue
+        if b is None:
+            raise PathClassError(f"excursions: path rises off its infimum at t={l} and never returns")
+        out.append((l, b, b - l))
+    return out
+
+
+def _walk_with_flats(rng):
+    """A path without negative jumps whose pieces fall, stay flat or rise;
+    its terminal direction falls, stays flat or rises."""
+    anchors = []
+    t = v = 0.0
+    slope = float(rng.choice([-1.0, 0.0]))
+    for _ in range(int(rng.integers(0, 7))):
+        dt = float(rng.uniform(0.1, 1.5))
+        t += dt
+        v += slope * dt
+        jump = float(rng.uniform(0.0, 1.2)) if rng.random() < 0.5 else 0.0
+        anchors.append((t, v, v + jump))
+        v += jump
+        slope = float(rng.choice([-1.0, -0.5, 0.0, 0.0, 0.5]))
+    return _build(0.0, anchors, float(rng.choice([-1.5, -0.5, -0.5, 0.0, 0.5])))
+
+
+def _split_flat_pieces(h):
+    """h with a breakpoint carrying no jump inside each flat piece: the same
+    function outside canonical form."""
+    bps = []
+    t0, v0 = 0.0, h.initial
+    for b in h.breakpoints:
+        if b.left == v0:
+            bps.append(Breakpoint((t0 + b.t) / 2, v0, v0))
+        bps.append(b)
+        t0, v0 = b.t, b.right
+    return PiecewisePath(h.initial, tuple(bps), h.terminal_rise, h.terminal_run)
+
+
+def _outcome(fn, *args):
+    """fn's path or excursions in float.hex form, None, or the text of its
+    PathClassError."""
+    try:
+        out = fn(*args)
+    except PathClassError as err:
+        return str(err)
+    if isinstance(out, PiecewisePath):
+        return _bits(out)
+    return out if out is None else [tuple(map(float.hex, e)) for e in out]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_breakpoint_walks_match_move_lists(seed):
+    rng = np.random.default_rng(seed)
+    g1, g2 = random_monotone_path(rng), random_monotone_path(rng)
+    total = add(g1, g2)
+    inv1, inv_total = _reference_inverse(g1), _reference_inverse(total)
+    model = random_block_model(rng, max_types=3, max_vertices=6)
+    rho = random_probe_direction(rng, model)
+    fld = build_field(model, sample_clocks(model, rng))
+    bundle = build_curve(fld, rho)
+    monotone = [
+        g1, g2, total, inv1, inv_total, add(inv1, _reference_inverse(g2)),
+        _split_flat_pieces(inv1), _split_flat_pieces(inv_total), *bundle.levels, bundle.combined_level,
+        pure_jumps([(1.0, 1.0)]), _build(0.0, [(1.0, 0.0, 1.0)], 1.0), replace(g1, initial=0.5),
+    ]
+    walks = [
+        add(drift(-float(rng.uniform(0.1, 3.0))), g1),
+        add(drift(-1.0), _continuous_part(g2)),
+        add(drift(-float(rng.uniform(0.1, 3.0))), inv_total),
+        _random_walk_path(rng),
+        _walk_with_flats(rng),
+        _walk_with_flats(rng),
+        scale(g1, -1.0),
+        *composed_processes(fld, bundle),
+    ]
+    for path in monotone + walks:
+        nondecreasing, invertible = _reference_classify(path)
+        assert path.nondecreasing == nondecreasing
+        assert _outcome(lambda p: p.inverse, path) == _outcome(_reference_inverse, path)
+        for op in ("compose", "check_compatible"):
+            text = _outcome(require_invertible, path, op)
+            assert text == _outcome(_reference_require_invertible, path, op)
+            assert (text is None) == invertible
+    for path in walks:
+        for level_tol in (0.0, EXCURSION_LEVEL_TOL, 0.3):
+            assert _outcome(excursions, path, level_tol) == _outcome(_reference_excursions, path, level_tol)

@@ -1,14 +1,17 @@
 import math
+from bisect import bisect_left
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blockwalk import stats, validate
+from blockwalk import paths, stats, validate
 from blockwalk.curve import build_curve
 from blockwalk.field import build_field, hitting_process, sample_clocks
 from blockwalk.instances import random_block_model, random_probe_direction
 from blockwalk.model import BlockModel
+from blockwalk.paths import MERGE_EPS, PiecewisePath, _build, _pullback, add, compose, polyline, smooth_compose
 
 
 def _curve_identity_gap_loop(bundle, process):
@@ -122,3 +125,80 @@ class TestLawChecks:
         assert tests["field_first_vs_exact"]["unknown_mass"] > 0
         assert tests["graph_first_vs_exact"]["unknown_mass"] > 0
         assert not law.experiment["pass"]
+
+
+# -- each path-algebra check can fail ---------------------------------------------
+
+
+def _inverse_with_one_float_slope(h):
+    """The inverse with its terminal direction kept as one slope over a unit
+    run, which rounds where the (run, rise) pair does not."""
+    inv = h.inverse
+    return replace(inv, terminal_rise=inv.terminal_rise / inv.terminal_run, terminal_run=1.0)
+
+
+def _compose_where_it_applies(g, kappa):
+    """smooth_compose swapped for compose wherever the inner path is continuous."""
+    return smooth_compose(g, kappa) if kappa.jumps() else compose(g, kappa)
+
+
+def _add_keeping_first_terminal(p, q):
+    """add that keeps the first operand's terminal direction only."""
+    s = add(p, q)
+    return _build(s.initial, list(s.breakpoints), p.terminal_rise, p.terminal_run)
+
+
+def _polyline_of_steps(nodes, terminal_rise, terminal_run=1.0):
+    """polyline that joins its nodes by jumps instead of lines."""
+    nodes = list(nodes)
+    anchors = [(t, v0, v) for (_, v0), (t, v) in zip(nodes, nodes[1:]) if t > 0]
+    return _build(nodes[0][1], anchors, terminal_rise, terminal_run)
+
+
+def _polyline_falling_at_the_end(nodes, terminal_rise, terminal_run=1.0):
+    """polyline with the sign of its terminal rise flipped."""
+    return polyline(nodes, -terminal_rise, terminal_run)
+
+
+def _polyline_without_last_node(nodes, terminal_rise, terminal_run=1.0):
+    """polyline whose terminal ray starts one node early."""
+    return polyline(list(nodes)[:-1], terminal_rise, terminal_run)
+
+
+def _eval_before_breakpoint(path, t):
+    """eval that reads the piece before a breakpoint at t, not the one after."""
+    t0, v0, rise, run = path._piece(bisect_left(path._times, t))
+    return v0 + rise * ((t - t0) / run)
+
+
+def _squeezed_pullback(kinv, u):
+    """_pullback that squeezes every pulled-back interval below MERGE_EPS,
+    so a bridged jump merges back into a jump."""
+    lo, hi = _pullback(kinv, u)
+    return lo, (lo + MERGE_EPS / 10 if hi > lo else lo)
+
+
+#: check name of validate.path_algebra_checks -> (object, attribute, fault)
+PATH_ALGEBRA_FAULTS = {
+    "double inverse returns the same representation": (validate, "generalized_inverse", _inverse_with_one_float_slope),
+    "smooth composition with inverse is the identity": (validate, "smooth_compose", _compose_where_it_applies),
+    "smooth composition is additive": (validate, "add", _add_keeping_first_terminal),
+    "smooth composition is continuous": (paths, "polyline", _polyline_of_steps),
+    "smooth composition is nondecreasing": (paths, "polyline", _polyline_falling_at_the_end),
+    "smooth composition lies between the inverse's left and right values": (
+        paths, "polyline", _polyline_without_last_node),
+    "staircase: ordinary composition overshoots (= 2)": (PiecewisePath, "eval", _eval_before_breakpoint),
+    "staircase: smooth composition restores (= 1)": (paths, "_pullback", _squeezed_pullback),
+}
+
+
+def test_every_path_algebra_check_has_a_fault():
+    assert [c.name for c in validate.path_algebra_checks(1, 0)] == list(PATH_ALGEBRA_FAULTS)
+
+
+@pytest.mark.parametrize("name", list(PATH_ALGEBRA_FAULTS))
+def test_path_algebra_fault_fails_its_check(name, monkeypatch):
+    monkeypatch.setattr(*PATH_ALGEBRA_FAULTS[name])
+    # the count and seed of acceptance criterion 3
+    checks = {c.name: c for c in validate.path_algebra_checks(1000, 2002)}
+    assert not checks[name].passed, checks[name]
