@@ -30,7 +30,7 @@ from .field import (
     field_from_jumps,
     hitting_process,
     sample_clocks,
-    solver_jump,
+    solver_jumps,
 )
 from .model import BlockModel, connected_components, graph_exploration, sample_graph, scaled_mass
 from .paths import probe_times
@@ -314,7 +314,13 @@ def _json_text(obj) -> str:
 
 
 def _write_manifest(
-    out: Path, command: str, args, started: float, seed: int | None, stage_seconds: dict | None = None
+    out: Path,
+    command: str,
+    args,
+    started: float,
+    seed: int | None,
+    stage_seconds: dict | None = None,
+    counters: dict | None = None,
 ) -> None:
     config = getattr(args, "config", None)
     _write_json(
@@ -333,6 +339,7 @@ def _write_manifest(
             },
             "stage_seconds": stage_seconds,
             "wall_clock_seconds": round(time.time() - started, 6),
+            **({"counters": counters} if counters else {}),
         },
     )
 
@@ -441,7 +448,7 @@ def cmd_encode(args) -> int:
     if process.levels:  # with no jump the solver check compares nothing
         _check_resolvable(max(process.evaluate(process.levels[-1] + 1.0)))
     stages.lap("encode")
-    solved = [solver_jump(fld, cfg.rho, process.levels, level) for level in process.levels]
+    solved = solver_jumps(fld, cfg.rho, process.levels)
     checks = [
         {"y": level, "solver_gap": gap, "pass": gap <= validate.EXACT}
         for level, gap in zip(process.levels, validate.jump_gaps(process, solved))
@@ -452,7 +459,8 @@ def cmd_encode(args) -> int:
     obj["solver_check"] = {"pass": ok, "jumps": checks}
     _write_json(out / "encoding.json", obj)
     stages.lap("write")
-    _write_manifest(out, "encode", args, started, cfg.seed, stages.seconds)
+    counters = {"jumps": len(process.levels), "probes": solved.probes, "solver_sweeps": solved.sweeps}
+    _write_manifest(out, "encode", args, started, cfg.seed, stages.seconds, counters)
     print(f"encode: {len(process.levels)} jumps, solver check {'pass' if ok else 'FAIL'} -> {out}")
     return 0 if ok else 1
 

@@ -278,13 +278,28 @@ def hitting_time(fld: Field, rho, y: float) -> HittingTime:
     of the diagonal reaches -rho_i*y minus the off-diagonal load at the
     current iterate.  The iterate only ever grows, and each strict growth
     crosses at least one new column jump, so the loop ends within the
-    total jump count plus two sweeps.
+    total jump count plus two sweeps.  solver_jumps runs the same
+    iteration at many levels in one forward pass in increasing order; on a
+    discrete field each iteration starts from the solution at the level
+    below, on an explicit one from zero.
     """
+    _check_level(fld, rho, y)
+    times, sweeps = _iterate(fld, rho, y, [0.0] * fld.m)
+    return HittingTime(
+        tuple(times), tuple(i for i in range(fld.m) if rho[i] == 0), sweeps
+    )
+
+
+def _check_level(fld: Field, rho, y: float) -> None:
     _check_rho(rho, fld.m)
     if y < 0:
         raise ValueError("level must be nonnegative")
+
+
+def _iterate(fld: Field, rho, y: float, t: list[float]) -> tuple[list[float], int]:
+    """hitting_time's iteration from the iterate ``t``: the fixed point it
+    stops at and the sweeps it took."""
     m = fld.m
-    t = [0.0] * m
     max_sweeps = fld.total_jump_count() + 2
     sweeps = 0
     while True:
@@ -302,11 +317,8 @@ def hitting_time(fld: Field, rho, y: float) -> HittingTime:
             target = -rho[i] * y - load
             new.append(first_time_at_or_below(fld.diag_infimum(i), target))
         if new == t:
-            break
+            return t, sweeps
         t = new
-    return HittingTime(
-        tuple(t), tuple(i for i in range(m) if rho[i] == 0), sweeps
-    )
 
 
 # -- sweep exploration ------------------------------------------------------------
@@ -598,14 +610,69 @@ def solver_jump(fld: Field, rho, levels, level: float) -> tuple[float, ...]:
     half a level does past levels of about 1e16: the jump cannot be read
     there.
     """
+    lo_gap, hi_gap = _probe_gaps(levels, level)
+    before = hitting_time(fld, rho, level - lo_gap).times
+    after = hitting_time(fld, rho, level + hi_gap).times
+    return _jump(before, after, rho, lo_gap, hi_gap)
+
+
+class SolverJumps(list):
+    """The jumps solver_jumps returns, with the number of distinct
+    ``probes`` it solved and the ``sweeps`` they took in all."""
+
+    probes: int = 0
+    sweeps: int = 0
+
+
+def solver_jumps(fld: Field, rho, levels) -> SolverJumps:
+    """``[solver_jump(fld, rho, levels, y) for y in levels]``, bit for bit,
+    in one forward pass over the probes.
+
+    Every level's two probes are found first, so the first level with a
+    probe that rounds onto it raises solver_jump's error before anything
+    is solved.  The distinct probes are then solved in increasing order.
+    On a discrete field each iteration starts from the solution at the
+    probe below: T is nondecreasing in y, and with off-diagonals that are
+    nondecreasing step paths and continuous diagonal infima the float
+    iteration map is monotone in both the iterate and the level, so an
+    iteration started at or below T(y) stops at the fixed point that the
+    iteration from zero stops at.  An explicit field can break either
+    condition (a rising piece of an off-diagonal can round past its end by
+    an ulp), so there every probe is solved from zero.
+    """
+    gaps = [_probe_gaps(levels, level) for level in levels]
+    probes = sorted({y for level, (lo, hi) in zip(levels, gaps) for y in (level - lo, level + hi)})
+    out = SolverJumps()
+    if not probes:
+        return out
+    _check_level(fld, rho, probes[0])
+    solved = {}
+    t = [0.0] * fld.m
+    for y in probes:
+        t, sweeps = _iterate(fld, rho, y, t if fld.discrete else [0.0] * fld.m)
+        solved[y] = t
+        out.sweeps += sweeps
+    out.probes = len(probes)
+    out.extend(_jump(solved[y - lo], solved[y + hi], rho, lo, hi) for y, (lo, hi) in zip(levels, gaps))
+    return out
+
+
+def _probe_gaps(levels, level: float) -> tuple[float, float]:
+    """solver_jump's distances from ``level`` down and up to its probes:
+    halfway to the nearest level below, or half the level, and halfway to
+    the nearest level above, or 0.5."""
     below = bisect_left(levels, level)
     above = bisect_right(levels, level)
     lo_gap = (level - levels[below - 1]) / 2 if below else level / 2
     hi_gap = (levels[above] - level) / 2 if above < len(levels) else 0.5
     if level + hi_gap == level or (lo_gap and level - lo_gap == level):
         raise ValueError(f"solver_jump: a probe beside level {level} rounds onto it; rescale the field")
-    before = hitting_time(fld, rho, level - lo_gap).times
-    after = hitting_time(fld, rho, level + hi_gap).times
+    return lo_gap, hi_gap
+
+
+def _jump(before, after, rho, lo_gap: float, hi_gap: float) -> tuple[float, ...]:
+    """The jump across a level from T at its two probes, less the drift
+    rho * y over the gaps."""
     return tuple(
         (a - r * hi_gap) - (b + r * lo_gap) for a, b, r in zip(after, before, rho)
     )

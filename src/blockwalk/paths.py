@@ -465,7 +465,8 @@ def past_infimum(path: PiecewisePath) -> PiecewisePath:
 
 def first_time_at_or_below(path: PiecewisePath, level: float) -> float:
     """First t with path(t) <= level for a continuous nonincreasing path;
-    +inf when the level is never reached."""
+    +inf when the level is never reached.  A lower level never gives an
+    earlier time."""
     if path.eval(0.0) <= level:
         return 0.0
     # left limits do not increase along a nonincreasing path, so the first
@@ -477,7 +478,10 @@ def first_time_at_or_below(path: PiecewisePath, level: float) -> float:
         t1, v1 = bps[k].t, bps[k].left
         if v0 == v1:
             return t0
-        return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
+        # rounding can carry the interpolation an ulp past t1, where the
+        # path already equals v1 <= level; clamped, a lower level never
+        # gives an earlier time
+        return min(t1, t0 + (level - v0) * (t1 - t0) / (v1 - v0))
     t_last, v_last = path.last_anchor
     if path.terminal_rise < 0:
         return t_last + (level - v_last) * path.terminal_run / path.terminal_rise

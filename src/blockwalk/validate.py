@@ -19,7 +19,7 @@ import numpy as np
 
 from .curve import CurveBundle, build_curve, encode_components, level_hit_times
 from .field import HittingProcess, build_field, encoded_jump, field_exploration, hitting_process
-from .field import sample_clocks, solver_jump
+from .field import sample_clocks, solver_jumps
 from .instances import random_block_model, random_monotone_path, random_probe_direction, staircase_counterexample
 from .model import BlockModel
 from .paths import add, generalized_inverse, identity, probe_times, smooth_compose, sup_distance
@@ -101,7 +101,7 @@ def encoding_checks(n: int, seed: int) -> list[Check]:
         model, rho, fld = _random_instance(rng)
         process = hitting_process(fld, rho)
         swept = [encoded_jump(model.R, c.weight_by_type) for c in field_exploration(fld, rho).components]
-        solved = [solver_jump(fld, rho, process.levels, level) for level in process.levels]
+        solved = solver_jumps(fld, rho, process.levels)
         encoded = encode_components(fld, build_curve(fld, rho))
         rows.append((
             _worst(jump_gaps(process, swept)) if len(swept) == len(process.deltas) else math.inf,

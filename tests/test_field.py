@@ -3,6 +3,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockwalk.field as field_mod
 from blockwalk.field import (
@@ -18,10 +20,11 @@ from blockwalk.field import (
     rank_one_walk,
     sample_clocks,
     solver_jump,
+    solver_jumps,
 )
 from blockwalk.instances import random_block_model, random_probe_direction, worked_instance
 from blockwalk.model import BlockModel, ComponentTrace, ExplorationStep, ExplorationTrace
-from blockwalk.paths import add, drift, past_infimum, step, sup_distance
+from blockwalk.paths import add, drift, past_infimum, polyline, pure_jumps, step, sup_distance
 from test_model import _near_critical, _random_rho
 
 
@@ -631,3 +634,107 @@ class TestAgainstOldLoops:
             extra = sorted(rng.choice(list(levels) + rng.uniform(0.0, 3.0, 3).tolist(), size=6).tolist())
             for level in extra + [0.05, 5.0]:
                 assert solver_jump(fld, rho, extra, level) == _solver_jump_scan(fld, rho, extra, level)
+
+
+# -- solver_jumps: the forward pass against the per-level solver -------------------
+
+
+def _hex_jumps(jumps):
+    return [[x.hex() for x in jump] for jump in jumps]
+
+
+def _distinct_probes(levels):
+    """The probes solver_jump solves beside each level (none rounds onto
+    its level in these tests)."""
+    probes = set()
+    for level in levels:
+        below = [lv for lv in levels if lv < level]
+        above = [lv for lv in levels if lv > level]
+        probes.add(level - ((level - max(below)) / 2 if below else level / 2))
+        probes.add(level + ((min(above) - level) / 2 if above else 0.5))
+    return probes
+
+
+def _assert_solver_jumps_match_scan(fld, rho, levels):
+    got = solver_jumps(fld, rho, levels)
+    assert _hex_jumps(got) == _hex_jumps(_solver_jump_scan(fld, rho, levels, y) for y in levels)
+    probes = _distinct_probes(levels)
+    assert got.probes == len(probes)
+    from_zero = sum(hitting_time(fld, rho, y).sweeps for y in probes)
+    assert got.sweeps <= from_zero if fld.discrete else got.sweeps == from_zero
+
+
+@st.composite
+def _solver_cases(draw):
+    """A discrete field and a direction from a seeded draw: a factorizable
+    model of at most three types, a general one of at most six, either with
+    some direction coordinates zero, or a dyadic field whose windows end
+    exactly on later jumps, so that root gaps of zero repeat levels."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["factorizable", "general", "zero-direction", "dyadic"]))
+    if kind == "dyadic":
+        m = int(rng.integers(1, 4))
+        R = [[1.0 if i == j else float(rng.choice([0.25, 0.5, 1.0])) for j in range(m)] for i in range(m)]
+        columns = []
+        for _ in range(m):
+            ticks = rng.choice(np.arange(1, 24), int(rng.integers(0, 6)), replace=False)
+            columns.append([(0.25 * float(k), 0.25 * float(rng.integers(1, 5))) for k in ticks])
+        return field_from_jumps(columns, R), tuple(float(rng.choice([0.0, 0.5, 1.0, 2.0])) for _ in range(m - 1)) + (1.0,)
+    general = kind == "general"
+    model = random_block_model(rng, max_types=6 if general else 3, max_vertices=8, factorizable=not general)
+    rho = random_probe_direction(rng, model)
+    if kind == "zero-direction":
+        rho = tuple(r * float(z) for r, z in zip(rho, rng.integers(0, 2, model.m))) if model.m > 1 else rho
+        rho = rho if any(rho) else (1.0,) + rho[1:]
+    return build_field(model, sample_clocks(model, rng)), rho
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_solver_cases(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_solver_jumps_match_the_per_level_scan(case, seed):
+    fld, rho = case
+    levels = hitting_process(fld, rho).levels
+    _assert_solver_jumps_match_scan(fld, rho, levels)
+    # nondecreasing lists with repeats, from the levels and between them
+    rng = np.random.default_rng(seed)
+    extra = sorted(rng.choice(list(levels) + rng.uniform(0.0, 3.0, 3).tolist(), size=6).tolist())
+    _assert_solver_jumps_match_scan(fld, rho, extra)
+
+
+def test_dyadic_fields_repeat_levels():
+    # the dyadic draws of _solver_cases do reach repeated levels
+    R = [[1.0, 0.5], [0.5, 1.0]]
+    fld = field_from_jumps([[(0.25, 0.5), (0.75, 0.25)], [(2.0, 0.25)]], R)
+    levels = hitting_process(fld, (1.0, 1.0)).levels
+    assert len(set(levels)) < len(levels)
+    _assert_solver_jumps_match_scan(fld, (1.0, 1.0), levels)
+
+
+class TestSolverJumps:
+    def test_explicit_fields_solve_every_probe_from_zero(self):
+        jumps = [[(0.4, 0.7), (1.5, 0.4)], [(0.9, 0.6), (2.2, 0.5)]]
+        diagonals = [add(drift(-1.0), pure_jumps(col)) for col in jumps]
+        falling = polyline([(0.0, 0.0), (1.0, -0.2), (3.0, -0.3)], 0.0)
+        # nondecreasing, yet its left limit just before t1 rounds above the
+        # one at t1: the iteration map is monotone only on step off-diagonals
+        t0, t1 = 0.2001249074388906, 0.935917428332663
+        rising = polyline([(0.0, -2.0), (t0, -1.6961063713314544), (t1, 3.679847531586005e-16)], 0.0)
+        assert rising.nondecreasing and rising.eval_left(math.nextafter(t1, 0.0)) > rising.eval_left(t1)
+        levels = [0.1, 0.3, 0.3, 1.0, 1.6]
+        for off in (falling, rising):
+            fld = field_from_paths([[diagonals[0], off], [pure_jumps([(c, 0.5 * w) for c, w in jumps[0]]), diagonals[1]]])
+            _assert_solver_jumps_match_scan(fld, (1.0, 1.0), levels)
+
+    def test_first_probe_to_round_onto_its_level_raises_as_before(self):
+        fld, rho = worked_instance()
+        levels = [0.3, 1e17, math.nextafter(1e17, math.inf), 5e17]
+        with pytest.raises(ValueError) as per_level:
+            [solver_jump(fld, rho, levels, y) for y in levels]
+        with pytest.raises(ValueError) as forward:
+            solver_jumps(fld, rho, levels)
+        assert str(forward.value) == str(per_level.value)
+        assert "beside level 1e+17 rounds onto it" in str(forward.value)
+
+    def test_no_levels(self):
+        fld, rho = worked_instance()
+        assert solver_jumps(fld, rho, ()) == []

@@ -444,6 +444,36 @@ class TestFirstTime:
         m = past_infimum(pure_jumps([(1.0, 1.0)]))
         assert first_time_at_or_below(m, -1.0) == math.inf
 
+    def test_time_stops_at_the_breakpoint_where_the_level_is_reached(self):
+        # interpolating to the breakpoint's own value rounded one ulp past it
+        t1, v1 = 1.7701897688159696, -7.697334274117775e-05
+        p = polyline([(0.0, 0.0), (t1, v1)], -1.0)
+        assert first_time_at_or_below(p, v1) == t1
+        assert first_time_at_or_below(p, math.nextafter(v1, -math.inf)) == t1
+
+
+@st.composite
+def _falling_polylines(draw):
+    """A continuous nonincreasing polyline from a seeded draw: up to eight
+    nodes with gaps and drops of varied scale, some drops zero, and a flat
+    or falling terminal ray."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=8))
+    times = np.cumsum(rng.uniform(1e-3, 3.0, n) * 10.0 ** rng.integers(-2, 3, n)).tolist()
+    drops = rng.uniform(0.0, 2.0, n) * 10.0 ** rng.integers(-6, 2, n) * (rng.random(n) < 0.85)
+    values = (rng.uniform(-4.0, 4.0) - np.cumsum(drops)).tolist()
+    return polyline([(0.0, values[0] + rng.uniform(0.0, 1.0)), *zip(times, values)], -rng.uniform(0.0, 2.0) * (rng.random() < 0.7))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_falling_polylines())
+def test_lower_level_never_gives_an_earlier_time(path):
+    levels = {path.initial}
+    for b in path.breakpoints:
+        levels.update((b.left, math.nextafter(b.left, -math.inf), math.nextafter(b.left, math.inf)))
+    times = [first_time_at_or_below(path, level) for level in sorted(levels, reverse=True)]
+    assert times == sorted(times)
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -633,7 +663,9 @@ def _first_time_scan(path, level):
         if v1 <= level:
             if v0 == v1:
                 return t0
-            return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
+            # never past the end of the piece, where the path already
+            # reaches the level
+            return min(t1, t0 + (level - v0) * (t1 - t0) / (v1 - v0))
     t_last, v_last = path.last_anchor
     if path.terminal_rise < 0:
         return t_last + (level - v_last) * path.terminal_run / path.terminal_rise

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockwalk import paths, stats, validate
-from blockwalk.curve import build_curve
+from blockwalk import field, paths, stats, validate
+from blockwalk.curve import build_curve, encode_components
 from blockwalk.field import build_field, hitting_process, sample_clocks
 from blockwalk.instances import random_block_model, random_probe_direction
 from blockwalk.model import BlockModel
@@ -201,4 +201,67 @@ def test_path_algebra_fault_fails_its_check(name, monkeypatch):
     monkeypatch.setattr(*PATH_ALGEBRA_FAULTS[name])
     # the count and seed of acceptance criterion 3
     checks = {c.name: c for c in validate.path_algebra_checks(1000, 2002)}
+    assert not checks[name].passed, checks[name]
+
+
+# -- each encoding check can fail ----------------------------------------------------
+
+
+def _jump_with_r_transposed(R, weight_by_type):
+    """encoded_jump that multiplies by the transpose of R."""
+    return field.encoded_jump(tuple(zip(*R)), weight_by_type)
+
+
+def _solver_jumps_downward(fld, rho, levels):
+    """solver_jumps solving the probes in decreasing order, each from the
+    solution at the probe above: an iteration started above T(y) can stop
+    at a larger fixed point."""
+    gaps = [field._probe_gaps(levels, y) for y in levels]
+    solved = {}
+    t = [0.0] * fld.m
+    for y in sorted({y + d for y, (lo, hi) in zip(levels, gaps) for d in (-lo, hi)}, reverse=True):
+        t, _ = field._iterate(fld, rho, y, t)
+        solved[y] = t
+    return [field._jump(solved[y - lo], solved[y + hi], rho, lo, hi) for y, (lo, hi) in zip(levels, gaps)]
+
+
+def _encoding_without_last_excursion(fld, bundle):
+    """encode_components stopping one excursion short."""
+    return encode_components(fld, bundle)[:-1]
+
+
+def _increments_of_the_processes(fld, bundle):
+    """encode_components reading increments off the composed processes
+    rather than the curve."""
+    return [
+        replace(e, increment=tuple(p.eval(e.end) - p.eval(e.start) for p in bundle.processes))
+        for e in encode_components(fld, bundle)
+    ]
+
+
+def _lengths_in_the_sup_norm(fld, bundle):
+    """encode_components measuring each excursion by its largest increment
+    coordinate instead of the sum."""
+    return [replace(e, length=max(e.increment)) for e in encode_components(fld, bundle)]
+
+
+#: check name of validate.encoding_checks -> (object, attribute, fault)
+ENCODING_FAULTS = {
+    "sweep jumps equal R times the component weights": (validate, "encoded_jump", _jump_with_r_transposed),
+    "solver jumps match the sweep": (validate, "solver_jumps", _solver_jumps_downward),
+    "one excursion per jump": (validate, "encode_components", _encoding_without_last_excursion),
+    "curve increments match the jumps": (validate, "encode_components", _increments_of_the_processes),
+    "excursion lengths equal the jump one-norms": (validate, "encode_components", _lengths_in_the_sup_norm),
+}
+
+
+def test_every_encoding_check_has_a_fault():
+    assert [c.name for c in validate.encoding_checks(1, 0)] == list(ENCODING_FAULTS)
+
+
+@pytest.mark.parametrize("name", list(ENCODING_FAULTS))
+def test_encoding_fault_fails_its_check(name, monkeypatch):
+    monkeypatch.setattr(*ENCODING_FAULTS[name])
+    # the count and seed of acceptance criterion 2
+    checks = {c.name: c for c in validate.encoding_checks(100, 1001)}
     assert not checks[name].passed, checks[name]
