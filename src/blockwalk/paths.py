@@ -8,13 +8,15 @@ infima and excursion extraction all stay closed over the representation.
 In particular double inversion returns an equal representation, not just a
 numerically close one.  A path builds its generalized inverse straight from
 its breakpoints on first read of ``inverse``, and works out whether it is
-``nondecreasing`` on first read too; it keeps both.
+``nondecreasing`` on first read too; it keeps both.  A sum is one forward
+merge over both operands' breakpoints: over the union of their times, a
+time within MERGE_EPS of the current group's last time joins the group,
+and each group becomes at most one breakpoint of the sum.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -297,13 +299,23 @@ def _build(
             merged[-1] = (t, left, anchor[2])
         else:
             merged.append(anchor)
+    return _canonical(initial, merged, terminal_rise, terminal_run)
 
+
+def _canonical(
+    initial: float,
+    anchors: list[tuple[float, float, float]],
+    terminal_rise: float,
+    terminal_run: float,
+) -> PiecewisePath:
+    """The back end of :func:`_build`, for anchors already sorted and more
+    than MERGE_EPS apart."""
     # drop anchors carrying neither a jump nor a slope change, cascading so
     # that every survivor is tested against its final neighbors; ``kept``
     # starts with the origin as (0, nan, initial), which the nan keeps from
     # ever reading as jump-free, so the point before the top is kept[-2]
     kept: list = [(0.0, math.nan, initial)]
-    for anchor in merged:
+    for anchor in anchors:
         nt, nl = anchor[0], anchor[1]
         while True:
             t, left, right = kept[-1]
@@ -399,22 +411,53 @@ def require_invertible(path: PiecewisePath, op: str) -> None:
 
 
 def add(p: PiecewisePath, q: PiecewisePath) -> PiecewisePath:
-    """Pointwise sum, exact at every breakpoint of either operand."""
-    # times within MERGE_EPS of their predecessor join its group, which
-    # becomes one anchor: left limits at its start, values at its end
-    starts: list[float] = []
-    ends: list[float] = []
-    for t in sorted(set(p._times) | set(q._times)):
-        if ends and t - ends[-1] <= MERGE_EPS:
-            ends[-1] = t
-        else:
-            starts.append(t)
-            ends.append(t)
-    lefts = map(operator.add, p.eval_left_many(starts), q.eval_left_many(starts))
-    rights = map(operator.add, p.eval_many(ends), q.eval_many(ends))
-    return _build(
+    """Pointwise sum, exact at every breakpoint of either operand.
+
+    One forward merge over both operands' breakpoints.  Over the union of
+    their times, a time joins the current group when it lies within
+    MERGE_EPS of the group's last time, and each group becomes one anchor:
+    the sum of the left limits at its start and of the values at its end.
+    """
+    pb, qb = p.breakpoints, q.breakpoints
+    np_, nq = len(pb), len(qb)
+    # i and j count the breakpoints of p and q before the group; each
+    # operand's piece after them is (t0, v0, rise, run), as in _piece,
+    # and tp, tq are the times of their next breakpoints
+    i = j = 0
+    pt0, pv0, prise, prun = p._piece(0)
+    qt0, qv0, qrise, qrun = q._piece(0)
+    tp = pb[0][0] if np_ else math.inf
+    tq = qb[0][0] if nq else math.inf
+    anchors: list[tuple[float, float, float]] = []
+    while tp < math.inf or tq < math.inf:
+        start = end = tp if tp < tq else tq
+        # an operand reads its stored left limit at its own breakpoint
+        left = (pb[i][1] if tp == start else pv0 + prise * ((start - pt0) / prun)) + (
+            qb[j][1] if tq == start else qv0 + qrise * ((start - qt0) / qrun)
+        )
+        i0, j0 = i, j
+        while True:
+            if tp == end:
+                i += 1
+                tp = pb[i][0] if i < np_ else math.inf
+            if tq == end:
+                j += 1
+                tq = qb[j][0] if j < nq else math.inf
+            t = tp if tp < tq else tq
+            if t - end > MERGE_EPS:
+                break
+            end = t
+        if i != i0:
+            pt0, pv0, prise, prun = p._piece(i)
+        if j != j0:
+            qt0, qv0, qrise, qrun = q._piece(j)
+        # on the piece at its own breakpoint too, where rise * 0.0 gives the
+        # signed zeros of reading the value there
+        right = pv0 + prise * ((end - pt0) / prun) + (qv0 + qrise * ((end - qt0) / qrun))
+        anchors.append((start, left, right))
+    return _canonical(
         p.initial + q.initial,
-        list(zip(starts, lefts, rights)),
+        anchors,
         p.terminal_rise * q.terminal_run + q.terminal_rise * p.terminal_run,
         p.terminal_run * q.terminal_run,
     )
@@ -593,12 +636,7 @@ def smooth_compose(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
             nodes.append((s_hi, b.right))
         elif b.right != b.left:  # cannot happen for compatible pairs
             raise IncompatiblePairError(report)
-    taken = sorted(s for s, _ in nodes)
-    free_ts, free_values = [], []
-    for b in kappa.breakpoints:
-        if not _near_taken(taken, b.t):
-            free_ts.append(b.t)
-            free_values.append(b.right)  # sorted, as kappa is nondecreasing
+    free_ts, free_values = _free_breakpoints(kappa, sorted(s for s, _ in nodes))
     nodes += zip(free_ts, g.eval_many(free_values))
     nodes.sort(key=itemgetter(0))
     nodes.insert(0, (0.0, g.eval(kappa.eval(0.0))))
@@ -609,15 +647,23 @@ def smooth_compose(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
     )
 
 
-def _near_taken(taken: list[float], s: float) -> bool:
-    """Whether an entry of the sorted list ``taken`` lies within MERGE_EPS
-    of ``s``.  Float subtraction is monotone, so ``abs(s - t)`` only grows
-    away from ``s`` on either side and the two neighbours of its insertion
-    point decide."""
-    k = bisect_left(taken, s)
-    return (k > 0 and abs(s - taken[k - 1]) <= MERGE_EPS) or (
-        k < len(taken) and abs(s - taken[k]) <= MERGE_EPS
-    )
+def _free_breakpoints(path: PiecewisePath, taken: list[float]) -> tuple[list[float], list[float]]:
+    """Times and right values of the breakpoints of the nondecreasing
+    ``path`` that have no entry of the sorted list ``taken`` within
+    MERGE_EPS; the values are sorted.  One cursor walks ``taken``: ``k``
+    counts its entries before the breakpoint's time, and float subtraction
+    is monotone, so the distance only grows away from that time on either
+    side and the two entries around the cursor decide."""
+    free_ts, free_values = [], []
+    k, n = 0, len(taken)
+    for t, _, right in path.breakpoints:
+        while k < n and taken[k] < t:
+            k += 1
+        if (k > 0 and t - taken[k - 1] <= MERGE_EPS) or (k < n and taken[k] - t <= MERGE_EPS):
+            continue
+        free_ts.append(t)
+        free_values.append(right)
+    return free_ts, free_values
 
 
 def compose(outer: PiecewisePath, inner: PiecewisePath) -> PiecewisePath:
@@ -642,15 +688,10 @@ def compose(outer: PiecewisePath, inner: PiecewisePath) -> PiecewisePath:
             anchors.append((s_hi, b.right, b.right))
         else:
             anchors.append((s_lo, b.left, b.right))
-    taken = sorted(s for s, _, _ in anchors)
     # a pullback anchor within MERGE_EPS of an inner breakpoint wins over
     # it; inner is continuous and positive after 0, so its value at a
     # breakpoint is the stored one, and those values are sorted
-    free_ts, free_values = [], []
-    for b in inner.breakpoints:
-        if not _near_taken(taken, b.t):
-            free_ts.append(b.t)
-            free_values.append(b.right)
+    free_ts, free_values = _free_breakpoints(inner, sorted(s for s, _, _ in anchors))
     for s, v in zip(free_ts, outer.eval_many(free_values)):
         anchors.append((s, v, v))
     return _build(

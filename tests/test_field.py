@@ -25,6 +25,7 @@ from blockwalk.field import (
 from blockwalk.instances import random_block_model, random_probe_direction, worked_instance
 from blockwalk.model import BlockModel, ComponentTrace, ExplorationStep, ExplorationTrace
 from blockwalk.paths import add, drift, past_infimum, polyline, pure_jumps, step, sup_distance
+from blockwalk.stats import mc_component_distribution
 from test_model import _near_critical, _random_rho
 
 
@@ -366,12 +367,12 @@ class TestRankOne:
         # graph's edge probability
         q, w1, w2 = 0.8, 1.0, 0.6
         model = single_type_model(w1, w2, q=q)
-        rng = np.random.default_rng(29)
         n = 100_000
-        merged = 0
-        for _ in range(n):
-            trace = field_exploration(build_field(model, sample_clocks(model, rng)), (1.0,))
-            merged += trace.zeta_final == 1
+        # the batched field sampler draws the clocks that n field_exploration
+        # calls on one generator draw; that loop counted 37 842 merges
+        law = mc_component_distribution(model, (1.0,), n, np.random.default_rng(29), "field")
+        merged = sum(count for signature, count in law.items() if len(signature) == 1)
+        assert merged == 37_842
         p = 1.0 - math.exp(-q * w1 * w2)
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(merged - n * p) <= 3 * sigma

@@ -21,7 +21,7 @@ from blockwalk.model import (
     sample_graph,
     scaled_mass,
 )
-from blockwalk.stats import mc_graph_jump_sequences
+from blockwalk.stats import mc_graph_jump_sequences, sample_partition_batch
 
 
 def two_type_unit():
@@ -71,9 +71,11 @@ class TestSampling:
         model = two_type_unit()
         p = edge_probability(model, (0, 0), (0, 1))
         assert p == pytest.approx(1.0 - math.exp(-0.5), abs=1e-15)
-        rng = np.random.default_rng(3)
         n = 100_000
-        hits = sum(len(sample_graph(model, rng).edges) for _ in range(n))
+        # the batched sampler draws the graphs of n sample_graph calls on one
+        # generator; that loop counted 39 393 edges
+        hits = sum(len(partition) == 1 for partition in sample_partition_batch(model, n, np.random.default_rng(3)))
+        assert hits == 39_393
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(hits - n * p) <= 3 * sigma
 

@@ -699,7 +699,7 @@ def _near_critical_instance(n, seed):
 def _merge_edge_operands():
     """Pairs whose breakpoints lie exactly MERGE_EPS apart, one float
     further apart, three within MERGE_EPS of each other, or face a drift
-    with no breakpoints."""
+    with no breakpoints; then the cases of the named helpers below."""
     M = MERGE_EPS
     out = []
     for t1, t2 in ((M, 2 * M), (M, math.nextafter(2 * M, 1.0)), (1.0, math.nextafter(1.0, 2.0))):
@@ -707,7 +707,51 @@ def _merge_edge_operands():
     three = [1.0, 1.0 + 0.4 * M, 1.0 + 0.8 * M]
     out.append((pure_jumps([(three[0], 1.0), (three[2], 2.0)]), _build(0.0, [(three[1], 0.5, 3.0)], 2.0)))
     out.append((pure_jumps([(t, 1.0) for t in three]), drift(-1.0)))
-    return out
+    out += [_shared_time_pair(), _alternating_chain_pair(), *_close_breakpoint_pairs(), *_no_breakpoint_pairs()]
+    return out + _signed_zero_pairs()
+
+
+def _shared_time_pair():
+    """Both operands jump at t = 1 and bend at t = 2."""
+    return (
+        _build(0.0, [(1.0, 1.0, 2.0), (2.0, 2.5, 2.5)], 2.0),
+        _build(0.0, [(1.0, -1.0, 0.5), (2.0, 0.0, 0.0)], -1.0),
+    )
+
+
+def _alternating_chain_pair():
+    """Jumps every 0.6 MERGE_EPS from t = 1, taken in turn by each operand:
+    3 MERGE_EPS in all, but each time within MERGE_EPS of the one before."""
+    times = [1.0 + 0.6 * k * MERGE_EPS for k in range(6)]
+    return pure_jumps([(t, 1.0) for t in times[0::2]]), pure_jumps([(t, 2.0) for t in times[1::2]])
+
+
+def _close_breakpoint_pairs():
+    """A path built by hand, not by _build, whose own breakpoints lie half
+    MERGE_EPS apart, against a drift and against a jump between them."""
+    t = 1.0 + 0.5 * MERGE_EPS
+    close = PiecewisePath(0.0, (Breakpoint(1.0, 1.0, 2.0), Breakpoint(t, 2.0, 4.0)), 1.0)
+    return [(close, drift(-1.0)), (close, step(1.0 + 0.25 * MERGE_EPS, 1.0))]
+
+
+def _no_breakpoint_pairs():
+    return [
+        (drift(1.0), drift(-2.0)),
+        (PiecewisePath(-0.0, (), -0.0, 3.0), PiecewisePath(0.0, (), 0.5, 0.25)),
+    ]
+
+
+def _signed_zero_pairs():
+    """Operands that hold -0.0 at t = 1, on pieces that rise or fall after
+    it, inside the path and along the terminal direction, against constants
+    that read -0.0 or 0.0 there and against each other."""
+    zeros = [
+        PiecewisePath(1.0, (Breakpoint(1.0, -0.0, -0.0), Breakpoint(3.0, rise, rise)), 1.0)
+        for rise in (1.0, -1.0)
+    ]
+    zeros += [PiecewisePath(1.0, (Breakpoint(1.0, -0.0, -0.0),), rise, 1.0) for rise in (1.0, -1.0)]
+    constants = [PiecewisePath(-0.0, (), -0.0, 1.0), PiecewisePath(-0.0, (), 0.0, 1.0)]
+    return [(p, q) for p in zeros for q in constants + zeros]
 
 
 class TestAgainstLinearScans:
@@ -715,6 +759,16 @@ class TestAgainstLinearScans:
         pairs = _merge_edge_operands()
         # the first pair merges into one anchor, the second does not
         assert [len(add(*pair).breakpoints) for pair in pairs[:2]] == [1, 2]
+        assert add(*_shared_time_pair()).breakpoints == ((1.0, 0.0, 2.5), (2.0, 2.5, 2.5))
+        # the chain and the close breakpoints become one anchor each
+        chain = add(*_alternating_chain_pair())
+        assert chain.breakpoints == ((1.0, 0.0, 9.0),)
+        for close in _close_breakpoint_pairs():
+            assert [b.t for b in add(*close).breakpoints] == [1.0]
+        assert add(*_no_breakpoint_pairs()[1]) == PiecewisePath(0.0, (), 1.5, 0.75)
+        # the rise after t = 1 decides the sign of the zero read there
+        rights = {float.hex(add(p, q).eval(1.0)) for p, q in _signed_zero_pairs()}
+        assert rights == {"-0x0.0p+0", "0x0.0p+0"}
         for _ in range(300):
             g = random_monotone_path(rng)
             pairs += [

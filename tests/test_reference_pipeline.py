@@ -7,8 +7,9 @@ is the pipeline without any of that sharing: ``compose`` per entry, each
 call inverting a fresh copy of its inner path; ``check_compatible`` followed
 by a second inversion in ``smooth_compose``; a fresh ``composed_processes``
 and ``excursions`` inside ``verify_encoding``; sums with one bisected
-evaluation per point instead of a walk over the sorted times; and
-canonicalization by the closure-based ``_build``.  The arithmetic is the
+evaluation per point instead of one merge over both operands' breakpoints;
+free inner breakpoints found by one bisection each instead of a cursor;
+and canonicalization by the closure-based ``_build``.  The arithmetic is the
 same, so the results must be equal bit for bit, not close.
 
 The generalized inverse, the excursions and the class check read the
@@ -19,6 +20,7 @@ infimum, and the class record's rule for a nondecreasing path.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import replace
 
 import numpy as np
@@ -46,13 +48,14 @@ from blockwalk.paths import (
     PathClassError,
     PiecewisePath,
     _build,
-    _near_taken,
+    _free_breakpoints,
     add,
     check_compatible,
     drift,
     excursions,
     generalized_inverse,
     past_infimum,
+    polyline,
     pure_jumps,
     require_invertible,
     require_no_negative_jumps,
@@ -60,7 +63,7 @@ from blockwalk.paths import (
     smooth_compose,
 )
 from test_paths import _bits, _continuous_part, _moves, _near_critical_instance, _plateaus
-from test_paths import _random_walk_path, _same_bits
+from test_paths import _random_continuous_increasing, _random_walk_path, _same_bits
 from test_paths import _per_point_add as _reference_add
 
 
@@ -109,6 +112,17 @@ def _reference_polyline(nodes, terminal_rise, terminal_run):
             continue
         dedup.append((t, v))
     return _reference_build(dedup[0][1], [(t, v, v) for t, v in dedup[1:]], terminal_rise, terminal_run)
+
+
+def _near_taken(taken, s):
+    """Whether an entry of the sorted list ``taken`` lies within MERGE_EPS
+    of ``s``.  Float subtraction is monotone, so ``abs(s - t)`` only grows
+    away from ``s`` on either side and the two neighbours of its insertion
+    point decide."""
+    k = bisect_left(taken, s)
+    return (k > 0 and abs(s - taken[k - 1]) <= MERGE_EPS) or (
+        k < len(taken) and abs(s - taken[k]) <= MERGE_EPS
+    )
 
 
 def _fresh_inverse(path):
@@ -255,6 +269,65 @@ def test_incompatible_pairs_give_the_reference_report(rng):
         assert str(ours.value) == str(reference.value)
         compared += 1
     assert compared >= 50
+
+
+def _pullback_times(outer, inner):
+    """The sorted times that compose pulls back from outer's breakpoints."""
+    iinv = _fresh_inverse(inner)
+    taken = []
+    for t in outer._times:
+        s_lo, s_hi = iinv.eval_left(t), iinv.eval(t)
+        taken.append(s_lo)
+        if s_hi > s_lo:
+            taken.append(s_hi)
+    return sorted(taken)
+
+
+def _bisected_free(path, taken):
+    return [(b.t, b.right) for b in path.breakpoints if not _near_taken(taken, b.t)]
+
+
+def _last_within(t, away):
+    """The farthest float from t towards ``away`` that lies within
+    MERGE_EPS of t, and the next float past it, both stopped at 0."""
+    s = max(t + math.copysign(MERGE_EPS, away), 0.0)
+    while abs(s - t) > MERGE_EPS:
+        s = math.nextafter(s, t)
+    while s > 0.0 and abs(math.nextafter(s, away) - t) <= MERGE_EPS:
+        s = math.nextafter(s, away)
+    return s, max(math.nextafter(s, away), 0.0)
+
+
+def test_free_breakpoints_cursor_matches_bisection(rng):
+    """The one cursor of compose and smooth_compose keeps the inner
+    breakpoints that one bisection each keeps: on the inputs of
+    test_compose_matches_scan, aligned outer paths among them, and on
+    sorted times around MERGE_EPS from each breakpoint.  Near 0 those
+    distances can be exactly MERGE_EPS."""
+    M = MERGE_EPS
+    tiny = polyline([(0.0, 0.0), (M, M), (3 * M, 2 * M)], 1.0)
+    kept = dropped = 0
+    for _ in range(200):
+        g = random_monotone_path(rng)
+        inner = _continuous_part(g) if rng.random() < 0.5 else _random_continuous_increasing(rng)
+        values = [inner.eval(t) for t in inner._times]
+        aligned = _build(
+            0.0, [(v, float(k), k + float(rng.uniform(0.0, 1.0))) for k, v in enumerate(values) if v > 0], 1.0
+        )
+        outers = (random_monotone_path(rng), _random_walk_path(rng), aligned)
+        cases = [(inner, _pullback_times(outer, inner)) for outer in outers]
+        for path in (inner, tiny):
+            near = set()
+            for t in path._times:
+                near.update(max(t + d, 0.0) for d in (-2 * M, -0.5 * M, 0.0, 0.5 * M, 2 * M))
+                near.update(_last_within(t, -math.inf) + _last_within(t, math.inf))
+            cases.append((path, sorted(s for s in near if rng.random() < 0.3)))
+        for path, taken in cases:
+            free = _bisected_free(path, taken)
+            assert list(zip(*_free_breakpoints(path, taken))) == free
+            kept += len(free)
+            dropped += len(path.breakpoints) - len(free)
+    assert kept and dropped
 
 
 # -- the move-list forms the path algebra used before it read breakpoints ------
