@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -234,83 +235,87 @@ def _json_text(obj) -> str:
     container.  This writer appends to one list and joins it once, and
     writes a list of only finite floats or only ints with one ``str.join``.
     Leaves go through :func:`_leaf_writer_of`, so their text is json's.
+    The writers below are module functions, not closures over each other,
+    so no reference cycle keeps the list alive after the call.
     """
     chunks: list[str] = []
-    out = chunks.append
-    active: set[int] = set()  # ids of the containers being written: json's circular check
-
-    def put(o, nl: str) -> None:
-        # nl is a newline and o's indentation
-        t = type(o)
-        if t is list or t is tuple:
-            put_list(o, nl)
-        elif t is dict:
-            put_dict(o, nl)
-        elif (leaf := _leaf_writer_of(o)) is not None:
-            out(leaf(o))
-        elif isinstance(o, (list, tuple)):
-            put_list(o, nl)
-        elif isinstance(o, dict):
-            put_dict(o, nl)
-        else:
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-    def enter(o) -> None:
-        if id(o) in active:
-            raise ValueError("Circular reference detected")
-        active.add(id(o))
-
-    def put_list(o, nl: str) -> None:
-        if not o:
-            out("[]")
-            return
-        inner = nl + "  "
-        sep = "," + inner
-        first = type(o[0])
-        if first is int or first is float:
-            try:
-                text = sep.join(map(first.__repr__, o))
-            except TypeError:  # a leaf of another type
-                text = None
-            # nan and inf, and bools, which int.__repr__ takes, go item by item
-            if text is not None and ("n" not in text if first is float else bool not in map(type, o)):
-                out(f"[{inner}{text}{nl}]")
-                return
-        enter(o)
-        lead = "[" + inner
-        for v in o:
-            leaf = _leaf_writer(type(v))
-            if leaf is None:
-                out(lead)
-                put(v, inner)
-            else:
-                out(lead + leaf(v))
-            lead = sep
-        out(nl + "]")
-        active.remove(id(o))
-
-    def put_dict(o, nl: str) -> None:
-        if not o:
-            out("{}")
-            return
-        enter(o)
-        inner = nl + "  "
-        lead = "{" + inner
-        for k, v in sorted(o.items()):
-            name = (_encode_str(k) if type(k) is str else _key_text(k)) + ": "
-            leaf = _leaf_writer(type(v))
-            if leaf is None:
-                out(lead + name)
-                put(v, inner)
-            else:
-                out(lead + name + leaf(v))
-            lead = "," + inner
-        out(nl + "}")
-        active.remove(id(o))
-
-    put(obj, "\n")
-    out("\n")
+    _put(obj, "\n", chunks.append, set())
+    chunks.append("\n")
     return "".join(chunks)
+
+
+def _put(o, nl: str, out, active: set[int]) -> None:
+    # nl is a newline and o's indentation, out appends a chunk, and active
+    # holds the ids of the containers being written: json's circular check
+    t = type(o)
+    if t is list or t is tuple:
+        _put_list(o, nl, out, active)
+    elif t is dict:
+        _put_dict(o, nl, out, active)
+    elif (leaf := _leaf_writer_of(o)) is not None:
+        out(leaf(o))
+    elif isinstance(o, (list, tuple)):
+        _put_list(o, nl, out, active)
+    elif isinstance(o, dict):
+        _put_dict(o, nl, out, active)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _enter(o, active: set[int]) -> None:
+    if id(o) in active:
+        raise ValueError("Circular reference detected")
+    active.add(id(o))
+
+
+def _put_list(o, nl: str, out, active: set[int]) -> None:
+    if not o:
+        out("[]")
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    first = type(o[0])
+    if first is int or first is float:
+        try:
+            text = sep.join(map(first.__repr__, o))
+        except TypeError:  # a leaf of another type
+            text = None
+        # nan and inf, and bools, which int.__repr__ takes, go item by item
+        if text is not None and ("n" not in text if first is float else bool not in map(type, o)):
+            out(f"[{inner}{text}{nl}]")
+            return
+    _enter(o, active)
+    lead = "[" + inner
+    for v in o:
+        leaf = _leaf_writer(type(v))
+        if leaf is None:
+            out(lead)
+            _put(v, inner, out, active)
+        else:
+            out(lead + leaf(v))
+        lead = sep
+    out(nl + "]")
+    active.remove(id(o))
+
+
+def _put_dict(o, nl: str, out, active: set[int]) -> None:
+    if not o:
+        out("{}")
+        return
+    _enter(o, active)
+    inner = nl + "  "
+    lead = "{" + inner
+    for k, v in sorted(o.items()):
+        name = (_encode_str(k) if type(k) is str else _key_text(k)) + ": "
+        leaf = _leaf_writer(type(v))
+        if leaf is None:
+            out(lead + name)
+            _put(v, inner, out, active)
+        else:
+            out(lead + name + leaf(v))
+        lead = "," + inner
+    out(nl + "}")
+    active.remove(id(o))
 
 
 def _write_manifest(
@@ -575,7 +580,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_import_heap() -> None:
+    gc.freeze()
+
+
 def main(argv: list[str] | None = None) -> int:
+    # The objects alive before the first command (numpy, scipy, the stdlib
+    # and blockwalk: tens of thousands of containers) never become garbage,
+    # yet every full collection rescans them, and the paths' breakpoint
+    # tuples, which the collector never untracks, trigger several full
+    # collections per command.  Freezing moves those objects out of the
+    # collector's sight; refcounting still frees a frozen object.  The
+    # cache makes later calls O(1): gc.get_freeze_count() walks the whole
+    # frozen list, so it is no cheap guard.
+    _freeze_import_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -120,6 +120,11 @@ class Field:
     def paths(self) -> tuple[tuple[PiecewisePath, ...], ...]:
         if self.explicit_paths is not None:
             return self.explicit_paths
+        for j, col in enumerate(self.columns):
+            # build_field sorts each column by time, so its first time is its
+            # least; xi / Q_jj can underflow to 0.0, where no path can jump
+            if col and not col[0].time > 0:
+                raise ValueError(f"column {j} jumps at time {col[0].time!r}, which is not positive")
         matrix = []
         for i in range(self.m):
             row = []
@@ -223,34 +228,6 @@ def field_from_paths(paths: list[list[PiecewisePath]]) -> Field:
         if len(row) != m:
             raise ValueError(f"paths[{i}] has {len(row)} entries, expected {m}")
     return Field(m, explicit_paths=tuple(tuple(row) for row in paths))
-
-
-# -- pointwise field evaluation -------------------------------------------------
-
-
-def field_eval(fld: Field, t: list[float]) -> tuple[float, ...]:
-    """Row i sums x_ij(t_j) over the columns j.  Backs the worked instance's
-    field values, as field_eval_left backs the definition of T(y)."""
-    _check_times(fld, t)
-    return tuple(
-        sum(fld.paths[i][j].eval(t[j]) for j in range(fld.m)) for i in range(fld.m)
-    )
-
-
-def field_eval_left(fld: Field, t: list[float]) -> tuple[float, ...]:
-    """Coordinatewise left limits: row i evaluates each column at t_j-.  The
-    hitting time T(y) is the least t at which these reach -rho*y."""
-    _check_times(fld, t)
-    return tuple(
-        sum(fld.paths[i][j].eval_left(t[j]) for j in range(fld.m)) for i in range(fld.m)
-    )
-
-
-def _check_times(fld: Field, t) -> None:
-    if len(t) != fld.m:
-        raise ValueError(f"time vector has length {len(t)}, expected {fld.m}")
-    if any(x < 0 for x in t):
-        raise ValueError("time vector must be nonnegative")
 
 
 # -- minimal-solution solver ------------------------------------------------------

@@ -277,22 +277,6 @@ def factor_kernel(Q: Sequence[Sequence[float]]) -> KernelFactorization:
     return KernelFactorization(True, rho, nu, worst)
 
 
-def normalize_kernel(model: BlockModel) -> BlockModel:
-    """Move the kernel diagonal into the weights: w -> sqrt(Q_ii) w and
-    Q -> Q_ij / sqrt(Q_ii Q_jj).
-
-    Backs the caveat that the encoding is stated for the model as given:
-    edge probabilities are unchanged, but the component weight vectors of
-    the coupled graphs differ."""
-    m = model.m
-    roots = [math.sqrt(model.Q[i][i]) for i in range(m)]
-    weights = tuple(tuple(roots[i] * w for w in model.weights[i]) for i in range(m))
-    Q = tuple(
-        tuple(model.Q[i][j] / (roots[i] * roots[j]) for j in range(m)) for i in range(m)
-    )
-    return BlockModel(weights, Q)
-
-
 # -- exploration traces ---------------------------------------------------------
 
 

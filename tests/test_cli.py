@@ -1,5 +1,6 @@
 import contextlib
 import enum
+import gc
 import hashlib
 import io
 import json
@@ -61,6 +62,16 @@ def test_import_leaves_scipy_stats_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_leaves_the_collector_untouched():
+    # the heap is frozen by main, never on import
+    code = (
+        "import gc, sys; state = lambda: (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()); "
+        "before = state(); import blockwalk, blockwalk.cli; sys.exit(state() != before)"
+    )
+    proc = _run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.fixture
 def worked_config(tmp_path):
     path = tmp_path / "worked.json"
@@ -73,6 +84,24 @@ def model_config(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(MODEL))
     return path
+
+
+class TestImportHeapFreeze:
+    def test_main_freezes_once_per_process(self, model_config, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(None))
+        cli._freeze_import_heap.cache_clear()
+        try:
+            for k in range(2):
+                assert main(["sample", "--config", str(model_config), "--out", str(tmp_path / f"s{k}")]) == 0
+        finally:
+            cli._freeze_import_heap.cache_clear()
+        assert len(calls) == 1
+
+    def test_main_freezes_the_heap(self, model_config, tmp_path):
+        cli._freeze_import_heap.cache_clear()
+        assert main(["sample", "--config", str(model_config), "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() > 0
 
 
 class TestConfig:
@@ -490,6 +519,16 @@ class TestJsonWriter:
         loop.append({"again": loop})
         assert _outcome(_json_reference, loop) is ValueError
         assert _outcome(cli._json_text, loop) is ValueError
+
+    def test_leaves_no_reference_cycle(self):
+        obj = {"a": [{"b": [1.0, 2.5]}, ["x", None, True]], "c": {"d": [], "e": {}}}
+        gc.collect()
+        gc.disable()
+        try:
+            cli._json_text(obj)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_artifacts_are_json_dumps_text(self, model_config, tmp_path):
         for command in COMMANDS:

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 import blockwalk.field as field_mod
 from blockwalk.field import (
+    Field,
     build_field,
-    field_eval,
-    field_eval_left,
     field_exploration,
     field_from_jumps,
     field_from_paths,
@@ -27,6 +26,31 @@ from blockwalk.model import BlockModel, ComponentTrace, ExplorationStep, Explora
 from blockwalk.paths import add, drift, past_infimum, polyline, pure_jumps, step, sup_distance
 from blockwalk.stats import mc_component_distribution
 from test_model import _near_critical, _random_rho
+
+
+def field_eval(fld: Field, t: list[float]) -> tuple[float, ...]:
+    """Row i sums x_ij(t_j) over the columns j.  Backs the worked instance's
+    field values, as field_eval_left backs the definition of T(y)."""
+    _check_times(fld, t)
+    return tuple(
+        sum(fld.paths[i][j].eval(t[j]) for j in range(fld.m)) for i in range(fld.m)
+    )
+
+
+def field_eval_left(fld: Field, t: list[float]) -> tuple[float, ...]:
+    """Coordinatewise left limits: row i evaluates each column at t_j-.  The
+    hitting time T(y) is the least t at which these reach -rho*y."""
+    _check_times(fld, t)
+    return tuple(
+        sum(fld.paths[i][j].eval_left(t[j]) for j in range(fld.m)) for i in range(fld.m)
+    )
+
+
+def _check_times(fld: Field, t) -> None:
+    if len(t) != fld.m:
+        raise ValueError(f"time vector has length {len(t)}, expected {fld.m}")
+    if any(x < 0 for x in t):
+        raise ValueError("time vector must be nonnegative")
 
 
 def single_type_model(*weights, q=1.0):
@@ -56,6 +80,15 @@ class TestBuildField:
         assert fld.paths[0][0] == drift(-1.0)
         assert not fld.paths[1][0].breakpoints
         assert fld.paths[1][0].eval(10.0) == 0.0
+
+    def test_underflowed_jump_time_is_refused_when_the_paths_are_read(self):
+        # 1e-170 / 1e161 underflows to 0.0: the field holds the jump, and
+        # sweeps it, but no path can jump at time 0
+        fld = build_field(_TIE_PRONE, {(0, 0): 1e-170, (1, 0): 0.5, (0, 1): 0.7})
+        assert fld.columns[0][0].time == 0.0
+        with pytest.raises(ValueError, match=r"^column 0 jumps at time 0\.0, which is not positive$"):
+            fld.paths
+        assert hitting_process(fld, (1.0, 1.0)).levels == (0.0,)
 
     def test_single_vertex_matches_walk_shape(self):
         fld, _ = worked_instance()
