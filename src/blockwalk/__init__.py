@@ -23,7 +23,6 @@ from .field import (
     hitting_process,
     hitting_time,
     rank_one_encoding,
-    rank_one_walk,
     sample_clocks,
     solver_jump,
 )

@@ -588,12 +588,11 @@ def _freeze_import_heap() -> None:
 def main(argv: list[str] | None = None) -> int:
     # The objects alive before the first command (numpy, scipy, the stdlib
     # and blockwalk: tens of thousands of containers) never become garbage,
-    # yet every full collection rescans them, and the paths' breakpoint
-    # tuples, which the collector never untracks, trigger several full
-    # collections per command.  Freezing moves those objects out of the
-    # collector's sight; refcounting still frees a frozen object.  The
-    # cache makes later calls O(1): gc.get_freeze_count() walks the whole
-    # frozen list, so it is no cheap guard.
+    # yet every full collection would rescan them.  Freezing moves those
+    # objects out of the collector's sight; refcounting still frees a
+    # frozen object.  The cache makes later calls O(1):
+    # gc.get_freeze_count() walks the whole frozen list, so it is no cheap
+    # guard.
     _freeze_import_heap()
     args = build_parser().parse_args(argv)
     try:

@@ -208,8 +208,8 @@ def build_levels(fld: Field, rho) -> tuple[PiecewisePath, ...]:
 def _stays_level(low: PiecewisePath) -> bool:
     # the running infimum is flat on an initial interval iff its first move
     # is not strictly downhill
-    if low.breakpoints:
-        return low.breakpoints[0].left >= low.initial
+    if low.lefts:
+        return low.lefts[0] >= low.initial
     return low.terminal_rise >= 0.0
 
 

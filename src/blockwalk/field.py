@@ -658,17 +658,6 @@ def _jump(before, after, rho, lo_gap: float, hi_gap: float) -> tuple[float, ...]
 # -- rank-one specialization -------------------------------------------------------
 
 
-def rank_one_walk(model: BlockModel, clocks: dict[Vertex, float], q: float | None = None) -> PiecewisePath:
-    """Single-type walk -t + sum of weight jumps, built directly without
-    the field machinery; q defaults to the kernel entry.  Backs the rank-one
-    reduction: with one type the field's diagonal is this classical walk."""
-    if model.m != 1:
-        raise ValueError("rank-one walk requires exactly one type")
-    q = model.Q[0][0] if q is None else q
-    jumps = [(xi / q, model.weight(v)) for v, xi in clocks.items()]
-    return add(drift(-1.0), pure_jumps(jumps))
-
-
 def rank_one_encoding(model: BlockModel, clocks: dict[Vertex, float]) -> list[tuple[float, float]]:
     """(level, gap) pairs of the scalar hitting process, computed by the
     classic one-dimensional sweep over sorted jump times.  Backs the

@@ -1,8 +1,12 @@
 """Exact algebra on piecewise-linear cadlag paths over [0, inf).
 
-A path is kept in canonical form: the value at zero, a sorted tuple of
-breakpoints carrying (time, left value, right value), and the direction of
-the final unbounded segment. Interior slopes are implied by the stored
+A path is kept in canonical form: the value at zero, its breakpoints as
+three equal-length tuples of floats (increasing times, left values and right
+values), and the direction of the final unbounded segment.  The first
+collection that scans a tuple of floats stops tracking it, which it never
+does for a tuple subclass, so the columns leave the cyclic garbage
+collector little to rescan; ``breakpoints`` builds (time, left, right)
+tuples from them on each read.  Interior slopes are implied by the stored
 endpoint values, so sums, generalized inverses, compositions, running
 infima and excursion extraction all stay closed over the representation.
 In particular double inversion returns an equal representation, not just a
@@ -19,9 +23,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import itemgetter, lt
+from operator import itemgetter, le, lt, ne, neg
 from typing import NamedTuple
 
 #: breakpoints closer than this are merged during canonicalization
@@ -59,54 +63,63 @@ class Breakpoint(NamedTuple):
 
 #: Breakpoint._make without its Python frame, for trusted 3-tuples
 _new_breakpoint = partial(tuple.__new__, Breakpoint)
-_time_of = itemgetter(0)
-
-#: breakpoint tuples up to this length are checked by a Python loop
-_SHORT = 12
 
 
 @dataclass(frozen=True)
 class PiecewisePath:
     """Right-continuous piecewise-linear function on [0, inf).
 
-    ``initial`` is the value at 0.  Between consecutive breakpoints the path
-    is the straight line through the stored endpoint values (``right`` of
-    the earlier one, ``left`` of the later one); the same rule connects the
-    origin to the first breakpoint.  After the last breakpoint the path
-    follows the terminal direction ``(terminal_run, terminal_rise)``, kept
-    as a pair so that inverting twice restores it exactly.
+    ``initial`` is the value at 0.  Breakpoint k is at ``times[k]``, with
+    left limit ``lefts[k]`` and value ``rights[k]``; each column is stored
+    as a tuple of floats.  Between consecutive breakpoints the path is the
+    straight line through the stored endpoint values (the right value of
+    the earlier one, the left limit of the later one); the same rule
+    connects the origin to the first breakpoint.  After the last breakpoint
+    the path follows the terminal direction ``(terminal_run,
+    terminal_rise)``, kept as a pair so that inverting twice restores it
+    exactly.
     """
 
     initial: float
-    breakpoints: tuple[Breakpoint, ...] = ()
+    times: tuple[float, ...] = ()
+    lefts: tuple[float, ...] = ()
+    rights: tuple[float, ...] = ()
     terminal_rise: float = 0.0
     terminal_run: float = 1.0
-    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.terminal_run) and self.terminal_run > 0):
             raise PathDomainError("terminal_run must be finite and positive")
         if not math.isfinite(self.terminal_rise) or not math.isfinite(self.initial):
             raise PathDomainError("path data must be finite")
-        bps = self.breakpoints
-        # C-level passes accept a long tuple at once (a sum is finite only if
-        # every term is; finite terms that overflow fall to the loop); they
-        # cost more than the loop below about a dozen breakpoints.  The loop
-        # checks the rest and finds which error comes first.
-        if len(bps) > _SHORT:
-            times, lefts, rights = zip(*bps)
-            checked = math.isfinite(sum(times) + sum(lefts) + sum(rights)) and all(map(lt, (0.0, *times), times))
-        else:
-            times, checked = tuple(map(_time_of, bps)), False
-        if not checked:
-            prev = 0.0
-            for t, left, right in bps:
-                if not (math.isfinite(t) and math.isfinite(left) and math.isfinite(right)):
-                    raise PathDomainError("breakpoint data must be finite")
-                if t <= prev:
-                    raise PathDomainError("breakpoint times must be strictly increasing and positive")
-                prev = t
-        object.__setattr__(self, "_times", times)
+        times = tuple(map(float, self.times))
+        lefts = tuple(map(float, self.lefts))
+        rights = tuple(map(float, self.rights))
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "lefts", lefts)
+        object.__setattr__(self, "rights", rights)
+        if not len(times) == len(lefts) == len(rights):
+            raise PathDomainError(
+                f"breakpoint columns must have equal lengths, not {len(times)}, {len(lefts)} and {len(rights)}"
+            )
+        # C-level passes accept the columns at once: a sum is finite only if
+        # every term is.  The loop runs only when they fail, to find which
+        # error comes first; finite terms whose sum overflows pass it.
+        if math.isfinite(sum(times) + sum(lefts) + sum(rights)) and all(map(lt, (0.0, *times), times)):
+            return
+        prev = 0.0
+        for t, left, right in zip(times, lefts, rights):
+            if not (math.isfinite(t) and math.isfinite(left) and math.isfinite(right)):
+                raise PathDomainError("breakpoint data must be finite")
+            if t <= prev:
+                raise PathDomainError("breakpoint times must be strictly increasing and positive")
+            prev = t
+
+    @property
+    def breakpoints(self) -> tuple[Breakpoint, ...]:
+        """The breakpoints as (t, left, right) tuples, built on every read.
+        Not kept: the collector never untracks such tuples."""
+        return tuple(map(_new_breakpoint, zip(self.times, self.lefts, self.rights)))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -116,21 +129,19 @@ class PiecewisePath:
         or along the terminal direction after the last one.  Every
         evaluation reads the path at t on it as v0 + rise * ((t - t0) / run).
         """
-        bps = self.breakpoints
+        times = self.times
         if k:
-            b = bps[k - 1]
-            t0, v0 = b.t, b.right
+            t0, v0 = times[k - 1], self.rights[k - 1]
         else:
             t0, v0 = 0.0, self.initial
-        if k == len(bps):
+        if k == len(times):
             return t0, v0, self.terminal_rise, self.terminal_run
-        nxt = bps[k]
-        return t0, v0, nxt.left - v0, nxt.t - t0
+        return t0, v0, self.lefts[k] - v0, times[k] - t0
 
     def eval(self, t: float) -> float:
         if t < 0:
             raise PathDomainError(f"path evaluated at negative time {t}")
-        t0, v0, rise, run = self._piece(bisect_right(self._times, t))
+        t0, v0, rise, run = self._piece(bisect_right(self.times, t))
         return v0 + rise * ((t - t0) / run)
 
     def eval_left(self, t: float) -> float:
@@ -139,9 +150,10 @@ class PiecewisePath:
             raise PathDomainError(f"path evaluated at negative time {t}")
         if t == 0:
             return self.eval(0.0)
-        k = bisect_left(self._times, t)
-        if k < len(self._times) and self._times[k] == t:
-            return self.breakpoints[k].left
+        times = self.times
+        k = bisect_left(times, t)
+        if k < len(times) and times[k] == t:
+            return self.lefts[k]
         t0, v0, rise, run = self._piece(k)
         return v0 + rise * ((t - t0) / run)
 
@@ -167,7 +179,7 @@ class PiecewisePath:
         zeros keep ``edge`` at 0.  A NaN time is out of order wherever it
         stands.
         """
-        times = self._times
+        times = self.times
         n = len(times)
         k = 0
         edge = -math.inf
@@ -185,7 +197,7 @@ class PiecewisePath:
                         k += 1
                     if k < n and times[k] == t:
                         edge = t
-                        out.append(self.breakpoints[k].left)
+                        out.append(self.lefts[k])
                         continue
                 else:
                     while k < n and times[k] <= t:
@@ -203,36 +215,27 @@ class PiecewisePath:
     @property
     def last_anchor(self) -> tuple[float, float]:
         """Start point (t, value) of the terminal ray."""
-        if self.breakpoints:
-            b = self.breakpoints[-1]
-            return b.t, b.right
+        if self.times:
+            return self.times[-1], self.rights[-1]
         return 0.0, self.initial
 
     def jumps(self) -> list[Breakpoint]:
-        return [b for b in self.breakpoints if b.right != b.left]
+        return [_new_breakpoint(b) for b in zip(self.times, self.lefts, self.rights) if b[2] != b[1]]
 
     def finite_segments(self) -> list[tuple[float, float, float, float]]:
         """Linear pieces between breakpoints as (t0, v0, t1, v1) with v0 the
         value just after t0 and v1 the left limit at t1."""
-        out = []
-        t0, v0 = 0.0, self.initial
-        for b in self.breakpoints:
-            out.append((t0, v0, b.t, b.left))
-            t0, v0 = b.t, b.right
-        return out
+        return list(zip((0.0, *self.times), (self.initial, *self.rights), self.times, self.lefts))
 
     @cached_property
     def nondecreasing(self) -> bool:
         """Whether no jump, piece or terminal direction of the path falls.
         Worked out on first read and kept, outside the compared fields."""
-        if self.terminal_rise < 0:
-            return False
-        v0 = self.initial
-        for _, left, right in self.breakpoints:
-            if left < v0 or right < left:
-                return False
-            v0 = right
-        return True
+        return (
+            self.terminal_rise >= 0
+            and all(map(le, (self.initial, *self.rights), self.lefts))
+            and all(map(le, self.lefts, self.rights))
+        )
 
     def limit_at_infinity(self) -> float:
         """Limit value; +-inf when the terminal direction is not flat."""
@@ -269,7 +272,7 @@ class PiecewisePath:
         # breakpoints give two anchors there, which _build merges into a
         # jump of the inverse from the first time to the last.
         anchors: list[tuple[float, float, float]] = []
-        for t, left, right in self.breakpoints:
+        for t, left, right in zip(self.times, self.lefts, self.rights):
             anchors.append((left, t, t))
             if right != left:
                 anchors.append((right, t, t))
@@ -334,12 +337,8 @@ def _canonical(
         if (left - pv) * terminal_run != terminal_rise * (t - pt):
             break
         kept.pop()
-    return PiecewisePath(
-        initial,
-        tuple(map(_new_breakpoint, kept[1:])),
-        terminal_rise,
-        terminal_run,
-    )
+    columns = tuple(zip(*kept[1:])) or ((), (), ())
+    return PiecewisePath(initial, *columns, terminal_rise, terminal_run)
 
 
 def polyline(nodes: Iterable[tuple[float, float]], terminal_rise: float, terminal_run: float = 1.0) -> PiecewisePath:
@@ -363,7 +362,7 @@ def polyline(nodes: Iterable[tuple[float, float]], terminal_rise: float, termina
 
 def drift(slope: float) -> PiecewisePath:
     """t -> slope * t."""
-    return PiecewisePath(0.0, (), float(slope), 1.0)
+    return PiecewisePath(0.0, terminal_rise=float(slope))
 
 
 def identity() -> PiecewisePath:
@@ -389,9 +388,9 @@ def pure_jumps(jumps: list[tuple[float, float]]) -> PiecewisePath:
 
 
 def require_no_negative_jumps(path: PiecewisePath, op: str) -> None:
-    for b in path.breakpoints:
-        if b.right < b.left:
-            raise PathClassError(f"{op}: negative jump at t={b.t} ({b.left} -> {b.right})")
+    if any(map(lt, path.rights, path.lefts)):
+        t, left, right = next(b for b in zip(path.times, path.lefts, path.rights) if b[2] < b[1])
+        raise PathClassError(f"{op}: negative jump at t={t} ({left} -> {right})")
 
 
 def require_invertible(path: PiecewisePath, op: str) -> None:
@@ -401,7 +400,7 @@ def require_invertible(path: PiecewisePath, op: str) -> None:
         raise PathClassError(f"{op}: path is not nondecreasing")
     if path.initial != 0.0:
         raise PathClassError(f"{op}: path does not start at 0 (value {path.initial})")
-    if path.breakpoints and path.breakpoints[0].left <= 0.0:
+    if path.lefts and path.lefts[0] <= 0.0:
         raise PathClassError(f"{op}: path is not strictly positive immediately after 0")
     if path.terminal_rise <= 0:
         raise PathClassError(f"{op}: path is bounded (flat terminal direction)")
@@ -418,31 +417,32 @@ def add(p: PiecewisePath, q: PiecewisePath) -> PiecewisePath:
     MERGE_EPS of the group's last time, and each group becomes one anchor:
     the sum of the left limits at its start and of the values at its end.
     """
-    pb, qb = p.breakpoints, q.breakpoints
-    np_, nq = len(pb), len(qb)
+    ptimes, plefts = p.times, p.lefts
+    qtimes, qlefts = q.times, q.lefts
+    np_, nq = len(ptimes), len(qtimes)
     # i and j count the breakpoints of p and q before the group; each
     # operand's piece after them is (t0, v0, rise, run), as in _piece,
     # and tp, tq are the times of their next breakpoints
     i = j = 0
     pt0, pv0, prise, prun = p._piece(0)
     qt0, qv0, qrise, qrun = q._piece(0)
-    tp = pb[0][0] if np_ else math.inf
-    tq = qb[0][0] if nq else math.inf
+    tp = ptimes[0] if np_ else math.inf
+    tq = qtimes[0] if nq else math.inf
     anchors: list[tuple[float, float, float]] = []
     while tp < math.inf or tq < math.inf:
         start = end = tp if tp < tq else tq
         # an operand reads its stored left limit at its own breakpoint
-        left = (pb[i][1] if tp == start else pv0 + prise * ((start - pt0) / prun)) + (
-            qb[j][1] if tq == start else qv0 + qrise * ((start - qt0) / qrun)
+        left = (plefts[i] if tp == start else pv0 + prise * ((start - pt0) / prun)) + (
+            qlefts[j] if tq == start else qv0 + qrise * ((start - qt0) / qrun)
         )
         i0, j0 = i, j
         while True:
             if tp == end:
                 i += 1
-                tp = pb[i][0] if i < np_ else math.inf
+                tp = ptimes[i] if i < np_ else math.inf
             if tq == end:
                 j += 1
-                tq = qb[j][0] if j < nq else math.inf
+                tq = qtimes[j] if j < nq else math.inf
             t = tp if tp < tq else tq
             if t - end > MERGE_EPS:
                 break
@@ -467,8 +467,8 @@ def scale(p: PiecewisePath, c: float) -> PiecewisePath:
     """Pointwise multiple.  Negative ``c`` is allowed; callers that need a
     monotone class preserved must check it themselves."""
     if c == 0.0:
-        return PiecewisePath(0.0, (), 0.0, 1.0)
-    anchors = [(b.t, c * b.left, c * b.right) for b in p.breakpoints]
+        return PiecewisePath(0.0)
+    anchors = [(t, c * left, c * right) for t, left, right in zip(p.times, p.lefts, p.rights)]
     return _build(c * p.initial, anchors, c * p.terminal_rise, p.terminal_run)
 
 
@@ -514,11 +514,11 @@ def first_time_at_or_below(path: PiecewisePath, level: float) -> float:
         return 0.0
     # left limits do not increase along a nonincreasing path, so the first
     # segment ending at or below the level is found by bisection
-    bps = path.breakpoints
-    k = bisect_left(bps, -level, key=lambda b: -b.left)
-    if k < len(bps):
-        t0, v0 = (bps[k - 1].t, bps[k - 1].right) if k else (0.0, path.initial)
-        t1, v1 = bps[k].t, bps[k].left
+    times, lefts = path.times, path.lefts
+    k = bisect_left(lefts, -level, key=neg)
+    if k < len(times):
+        t0, v0 = (times[k - 1], path.rights[k - 1]) if k else (0.0, path.initial)
+        t1, v1 = times[k], lefts[k]
         if v0 == v1:
             return t0
         # rounding can carry the interpolation an ulp past t1, where the
@@ -599,14 +599,13 @@ def _pullback(kinv: PiecewisePath, u: float) -> tuple[float, float]:
     a jump of kinv lies within MERGE_EPS of u, that jump is read instead:
     a sum merges jumps that close into one anchor, so a level computed
     through another path may miss the merged jump by rounding."""
-    times = kinv._times
+    times, lefts, rights = kinv.times, kinv.lefts, kinv.rights
     k = bisect_left(times, u)
     if k < len(times) and times[k] == u:
-        b = kinv.breakpoints[k]
-        return b.left, b.right
-    for b in kinv.breakpoints[max(k - 1, 0):k + 1]:
-        if b.right != b.left and abs(b.t - u) <= MERGE_EPS:
-            return b.left, b.right
+        return lefts[k], rights[k]
+    for j in range(max(k - 1, 0), min(k + 1, len(times))):
+        if rights[j] != lefts[j] and abs(times[j] - u) <= MERGE_EPS:
+            return lefts[j], rights[j]
     v = kinv.eval(u)
     return v, v
 
@@ -629,12 +628,12 @@ def smooth_compose(g: PiecewisePath, kappa: PiecewisePath) -> PiecewisePath:
     # keeps its stored values, so the spline endpoints are exact and no
     # jump is lost to the rounding of re-evaluating g at kappa(s)
     nodes: list[tuple[float, float]] = []
-    for b in g.breakpoints:
-        s_lo, s_hi = _pullback(kinv, b.t)
-        nodes.append((s_lo, b.left))
+    for t, left, right in zip(g.times, g.lefts, g.rights):
+        s_lo, s_hi = _pullback(kinv, t)
+        nodes.append((s_lo, left))
         if s_hi > s_lo:
-            nodes.append((s_hi, b.right))
-        elif b.right != b.left:  # cannot happen for compatible pairs
+            nodes.append((s_hi, right))
+        elif right != left:  # cannot happen for compatible pairs
             raise IncompatiblePairError(report)
     free_ts, free_values = _free_breakpoints(kappa, sorted(s for s, _ in nodes))
     nodes += zip(free_ts, g.eval_many(free_values))
@@ -656,7 +655,7 @@ def _free_breakpoints(path: PiecewisePath, taken: list[float]) -> tuple[list[flo
     side and the two entries around the cursor decide."""
     free_ts, free_values = [], []
     k, n = 0, len(taken)
-    for t, _, right in path.breakpoints:
+    for t, right in zip(path.times, path.rights):
         while k < n and taken[k] < t:
             k += 1
         if (k > 0 and t - taken[k - 1] <= MERGE_EPS) or (k < n and taken[k] - t <= MERGE_EPS):
@@ -677,17 +676,17 @@ def compose(outer: PiecewisePath, inner: PiecewisePath) -> PiecewisePath:
     every outer path composed with it shares one inversion.
     """
     require_invertible(inner, "compose")
-    if inner.jumps():
+    if any(map(ne, inner.lefts, inner.rights)):
         raise PathClassError("compose: inner path must be continuous")
     iinv = inner.inverse
     anchors: list[tuple[float, float, float]] = []
-    times = outer._times
-    for b, s_lo, s_hi in zip(outer.breakpoints, iinv.eval_left_many(times), iinv.eval_many(times)):
-        if s_hi > s_lo:  # inner holds the value b.t on [s_lo, s_hi]
-            anchors.append((s_lo, b.left, b.right))
-            anchors.append((s_hi, b.right, b.right))
+    times = outer.times
+    for left, right, s_lo, s_hi in zip(outer.lefts, outer.rights, iinv.eval_left_many(times), iinv.eval_many(times)):
+        if s_hi > s_lo:  # inner holds the breakpoint's time on [s_lo, s_hi]
+            anchors.append((s_lo, left, right))
+            anchors.append((s_hi, right, right))
         else:
-            anchors.append((s_lo, b.left, b.right))
+            anchors.append((s_lo, left, right))
     # a pullback anchor within MERGE_EPS of an inner breakpoint wins over
     # it; inner is continuous and positive after 0, so its value at a
     # breakpoint is the stored one, and those values are sorted
@@ -744,7 +743,7 @@ def excursions(path: PiecewisePath, level_tol: float = 0.0) -> list[tuple[float,
     # one cursor walks the breakpoints of d across the chronological
     # plateaus: k counts those before one plateau's start, which are before
     # every later plateau's start too
-    times = d._times
+    times = d.times
     k = 0
     out: list[tuple[float, float, float]] = []
     for a, b in flats:
@@ -773,10 +772,10 @@ def _first_rise(d: PiecewisePath, k: int, a: float, b: float | None) -> float | 
     below for above 0.
     """
     hi = math.inf if b is None else b
-    bps = d.breakpoints
-    x0, y0 = (bps[k - 1].t, bps[k - 1].right) if k else (0.0, d.initial)
-    for j in range(k, len(bps)):
-        x1, y1, y2 = bps[j]
+    times, lefts, rights = d.times, d.lefts, d.rights
+    x0, y0 = (times[k - 1], rights[k - 1]) if k else (0.0, d.initial)
+    for j in range(k, len(times)):
+        x1, y1, y2 = times[j], lefts[j], rights[j]
         if x0 >= hi:
             return None
         if x0 < a:
@@ -808,7 +807,7 @@ def probe_times(*paths: PiecewisePath, extra: tuple[float, ...] = ()) -> list[fl
     ts.update(extra)
     last = 0.0
     for p in paths:
-        ts.update(p._times)
+        ts.update(p.times)
         last = max(last, p.last_anchor[0])
     grid = sorted(ts)
     mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]

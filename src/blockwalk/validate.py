@@ -150,7 +150,7 @@ def path_algebra_checks(n: int, seed: int) -> list[Check]:
             _holds(generalized_inverse(inv1) == g1),
             max(sup_distance(smooth_compose(g1, inv1), identity()), sup_distance(smooth_compose(inv1, g1), identity())),
             sup_distance(add(gamma, smooth_compose(inv2, kappa)), smooth_compose(total, kappa)),
-            _worst(abs(b.left - b.right) for b in gamma.breakpoints),
+            _worst(abs(left - right) for left, right in zip(gamma.lefts, gamma.rights)),
             _holds(gamma.nondecreasing),
             sandwich,
         ))

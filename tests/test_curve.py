@@ -185,7 +185,7 @@ def curve_identity_gap(fld, bundle, eps=1e-6):
 
 def _slope_before(g, t):
     """Slope of g's linear piece just left of t > 0."""
-    _, _, rise, run = g._piece(bisect_left(g._times, t))
+    _, _, rise, run = g._piece(bisect_left(g.times, t))
     return rise / run
 
 

@@ -16,7 +16,6 @@ from blockwalk.field import (
     hitting_process,
     hitting_time,
     rank_one_encoding,
-    rank_one_walk,
     sample_clocks,
     solver_jump,
     solver_jumps,
@@ -51,6 +50,17 @@ def _check_times(fld: Field, t) -> None:
         raise ValueError(f"time vector has length {len(t)}, expected {fld.m}")
     if any(x < 0 for x in t):
         raise ValueError("time vector must be nonnegative")
+
+
+def rank_one_walk(model: BlockModel, clocks, q: float | None = None):
+    """Single-type walk -t + sum of weight jumps, built directly without
+    the field machinery; q defaults to the kernel entry.  With one type the
+    field's diagonal is this classical walk."""
+    if model.m != 1:
+        raise ValueError("rank-one walk requires exactly one type")
+    q = model.Q[0][0] if q is None else q
+    jumps = [(xi / q, model.weight(v)) for v, xi in clocks.items()]
+    return add(drift(-1.0), pure_jumps(jumps))
 
 
 def single_type_model(*weights, q=1.0):

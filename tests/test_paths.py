@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -80,7 +82,7 @@ class TestEval:
 
     def test_breakpoints_must_increase(self):
         with pytest.raises(PathDomainError):
-            PiecewisePath(0.0, (Breakpoint(1.0, 0.0, 1.0), Breakpoint(1.0, 1.0, 2.0)), 1.0)
+            PiecewisePath(0.0, (1.0, 1.0), (0.0, 1.0), (1.0, 2.0), 1.0)
 
 
 # -- evaluation at sorted times ---------------------------------------------------
@@ -98,8 +100,9 @@ def _paths_and_times(draw):
     value = st.floats(min_value=-8.0, max_value=8.0)
     gaps = draw(st.lists(st.floats(min_value=1e-3, max_value=3.0), max_size=8))
     times = np.cumsum(gaps).tolist()
-    bps = tuple(Breakpoint(t, draw(value), draw(value)) for t in times)
-    path = PiecewisePath(draw(value), bps, draw(value), draw(st.floats(min_value=0.1, max_value=4.0)))
+    ends = [(draw(value), draw(value)) for _ in times]
+    lefts, rights = [left for left, _ in ends], [right for _, right in ends]
+    path = PiecewisePath(draw(value), times, lefts, rights, draw(value), draw(st.floats(min_value=0.1, max_value=4.0)))
     last = times[-1] if times else 0.0
     pool = [0.0, -0.0, last + 0.5, 2 * last + 3.0]
     for t in times:
@@ -140,6 +143,102 @@ class TestEvalMany:
     def test_no_times(self):
         assert step_on_drift().eval_many([]) == []
         assert PiecewisePath(0.0).eval_left_many(()) == []
+
+
+# -- the breakpoint columns -------------------------------------------------------
+
+
+def _first_error(times, lefts, rights):
+    """The message of the per-breakpoint loop: finiteness before order,
+    breakpoint by breakpoint."""
+    prev = 0.0
+    for t, left, right in zip(times, lefts, rights):
+        if not (math.isfinite(t) and math.isfinite(left) and math.isfinite(right)):
+            return "breakpoint data must be finite"
+        if t <= prev:
+            return "breakpoint times must be strictly increasing and positive"
+        prev = t
+    return None
+
+
+def _columns_with(n, edits):
+    """n valid breakpoints, then ``edits`` as (column, index, value)."""
+    cols = {"times": [k + 1.0 for k in range(n)], "lefts": [0.5 * k for k in range(n)], "rights": [0.5 * k + 0.25 for k in range(n)]}
+    for name, k, value in edits:
+        cols[name][k] = value
+    return cols["times"], cols["lefts"], cols["rights"]
+
+
+_BAD_COLUMNS = {
+    "nan time": [("times", 0, math.nan)],
+    "infinite left": [("lefts", 0, math.inf)],
+    "infinite right": [("rights", 0, -math.inf)],
+    "repeated time": [("times", 1, 1.0)],
+    "first time 0": [("times", 0, 0.0)],
+    "sum overflows": [("lefts", 0, 1e308), ("rights", 0, 1e308)],
+    "order before nan": [("times", 1, 1.0), ("lefts", 1, math.nan)],
+    "order before inf": [("times", 1, 1.0), ("rights", 2, math.inf)],
+    "nan before order": [("lefts", 1, math.nan), ("times", 2, 2.0)],
+}
+
+
+class TestColumns:
+    def test_lists_and_tuples_build_the_same_path(self):
+        from_lists = PiecewisePath(0.0, [1.0], [0.0], [1.0], 1.0)
+        from_tuples = PiecewisePath(0.0, (1.0,), (0.0,), (1.0,), 1.0)
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        # integers and numpy floats are stored as floats
+        mixed = PiecewisePath(0.0, [1], (np.float64(0.0),), iter([True]), 1.0)
+        assert mixed == from_tuples
+        assert {type(v) for col in (mixed.times, mixed.lefts, mixed.rights) for v in col} == {float}
+        assert mixed.jumps() == [(1.0, 0.0, 1.0)] and mixed._piece(1) == (1.0, 1.0, 1.0, 1.0)
+        # tuples are converted too
+        for col in ((1,), (np.float64(1.0),)):
+            path = PiecewisePath(0.0, col, tuple(v - 1 for v in col), col, 1.0)
+            assert path == from_tuples
+            assert {type(v) for c in (path.times, path.lefts, path.rights) for v in c} == {float}
+            assert type(path.eval_left(1.0)) is float and type(path.eval(1.0)) is float
+
+    def test_unequal_columns_are_refused_in_one_line(self):
+        for cols in (((1.0, 2.0), (0.0,), (1.0, 2.0)), ((1.0,), (0.0,), ()), ((), (0.0,), ())):
+            with pytest.raises(PathDomainError) as err:
+                PiecewisePath(0.0, *cols, 1.0)
+            assert "equal lengths" in str(err.value) and "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("n", [3, 13, 400])
+    @pytest.mark.parametrize("case", sorted(_BAD_COLUMNS))
+    def test_column_check_gives_the_loop_messages(self, case, n):
+        times, lefts, rights = _columns_with(n, _BAD_COLUMNS[case])
+        expected = _first_error(times, lefts, rights)
+        if expected is None:
+            path = PiecewisePath(0.0, times, lefts, rights, 1.0)
+            assert case == "sum overflows" and path.eval(1.0) == 1e308
+            return
+        with pytest.raises(PathDomainError) as err:
+            PiecewisePath(0.0, times, lefts, rights, 1.0)
+        assert str(err.value) == expected
+
+    def test_columns_are_untracked_after_a_collection(self):
+        walk = add(drift(-1.0), pure_jumps([(k + 1.0, 1.0) for k in range(1000)]))
+        assert len(walk.times) == 1000
+        gc.collect()
+        assert not any(map(gc.is_tracked, (walk.times, walk.lefts, walk.rights)))
+
+    def test_breakpoints_are_the_zipped_columns_built_on_each_read(self):
+        p = random_monotone_path(np.random.default_rng(3))
+        assert p.breakpoints == tuple(zip(p.times, p.lefts, p.rights))
+        assert {type(b) for b in p.breakpoints} == {Breakpoint}
+        assert p.breakpoints is not p.breakpoints and "breakpoints" not in vars(p)
+
+    def test_dataclasses_replace(self):
+        p = single_jump()
+        p.inverse
+        q = dataclasses.replace(p, terminal_rise=2.0)
+        assert (q.times, q.lefts, q.rights) == (p.times, p.lefts, p.rights)
+        assert q.eval(2.0) == 4.0 and "inverse" not in vars(q)
+        assert dataclasses.replace(q, terminal_rise=1.0) == p
+        with pytest.raises(PathDomainError):
+            dataclasses.replace(p, lefts=())
 
 
 class TestPastInfimum:
@@ -229,7 +328,7 @@ class TestGeneralizedInverse:
 
     def test_cached_inverse_leaves_eq_hash_repr_alone(self):
         h = random_monotone_path(np.random.default_rng(6))
-        fresh = PiecewisePath(h.initial, h.breakpoints, h.terminal_rise, h.terminal_run)
+        fresh = PiecewisePath(h.initial, h.times, h.lefts, h.rights, h.terminal_rise, h.terminal_run)
         before = (hash(h), repr(h))
         h.inverse
         assert "inverse" in vars(h) and "inverse" not in vars(fresh)
@@ -513,7 +612,7 @@ def _same_bits(p, q):
 
 def _per_point_add(p, q):
     """add with one bisected eval or eval_left per group end."""
-    times = sorted(set(p._times) | set(q._times))
+    times = sorted(set(p.times) | set(q.times))
     anchors = []
     group_lo = group_hi = None
     for t in times:
@@ -548,7 +647,7 @@ def _compose_scan(outer, inner):
         if s_hi > s_lo:
             anchors.append((s_hi, b.right, b.right))
     taken = sorted(s for s, _, _ in anchors)
-    for s in inner._times:
+    for s in inner.times:
         if any(abs(s - t) <= MERGE_EPS for t in taken):
             continue
         v = outer.eval(inner.eval(s))
@@ -730,14 +829,14 @@ def _close_breakpoint_pairs():
     """A path built by hand, not by _build, whose own breakpoints lie half
     MERGE_EPS apart, against a drift and against a jump between them."""
     t = 1.0 + 0.5 * MERGE_EPS
-    close = PiecewisePath(0.0, (Breakpoint(1.0, 1.0, 2.0), Breakpoint(t, 2.0, 4.0)), 1.0)
+    close = PiecewisePath(0.0, (1.0, t), (1.0, 2.0), (2.0, 4.0), 1.0)
     return [(close, drift(-1.0)), (close, step(1.0 + 0.25 * MERGE_EPS, 1.0))]
 
 
 def _no_breakpoint_pairs():
     return [
         (drift(1.0), drift(-2.0)),
-        (PiecewisePath(-0.0, (), -0.0, 3.0), PiecewisePath(0.0, (), 0.5, 0.25)),
+        (PiecewisePath(-0.0, terminal_rise=-0.0, terminal_run=3.0), PiecewisePath(0.0, terminal_rise=0.5, terminal_run=0.25)),
     ]
 
 
@@ -746,11 +845,11 @@ def _signed_zero_pairs():
     it, inside the path and along the terminal direction, against constants
     that read -0.0 or 0.0 there and against each other."""
     zeros = [
-        PiecewisePath(1.0, (Breakpoint(1.0, -0.0, -0.0), Breakpoint(3.0, rise, rise)), 1.0)
+        PiecewisePath(1.0, (1.0, 3.0), (-0.0, rise), (-0.0, rise), 1.0)
         for rise in (1.0, -1.0)
     ]
-    zeros += [PiecewisePath(1.0, (Breakpoint(1.0, -0.0, -0.0),), rise, 1.0) for rise in (1.0, -1.0)]
-    constants = [PiecewisePath(-0.0, (), -0.0, 1.0), PiecewisePath(-0.0, (), 0.0, 1.0)]
+    zeros += [PiecewisePath(1.0, (1.0,), (-0.0,), (-0.0,), rise) for rise in (1.0, -1.0)]
+    constants = [PiecewisePath(-0.0, terminal_rise=-0.0), PiecewisePath(-0.0, terminal_rise=0.0)]
     return [(p, q) for p in zeros for q in constants + zeros]
 
 
@@ -765,7 +864,7 @@ class TestAgainstLinearScans:
         assert chain.breakpoints == ((1.0, 0.0, 9.0),)
         for close in _close_breakpoint_pairs():
             assert [b.t for b in add(*close).breakpoints] == [1.0]
-        assert add(*_no_breakpoint_pairs()[1]) == PiecewisePath(0.0, (), 1.5, 0.75)
+        assert add(*_no_breakpoint_pairs()[1]) == PiecewisePath(0.0, terminal_rise=1.5, terminal_run=0.75)
         # the rise after t = 1 decides the sign of the zero read there
         rights = {float.hex(add(p, q).eval(1.0)) for p, q in _signed_zero_pairs()}
         assert rights == {"-0x0.0p+0", "0x0.0p+0"}
@@ -787,7 +886,7 @@ class TestAgainstLinearScans:
             inner = _continuous_part(g) if rng.random() < 0.5 else _random_continuous_increasing(rng)
             # outer breakpoints at inner's breakpoint values pull back to
             # within rounding of inner's own breakpoints
-            values = [inner.eval(t) for t in inner._times]
+            values = [inner.eval(t) for t in inner.times]
             aligned = _build(
                 0.0, [(v, float(k), k + float(rng.uniform(0.0, 1.0))) for k, v in enumerate(values) if v > 0], 1.0
             )
@@ -894,11 +993,11 @@ class TestMergeEpsEdge:
             out = compose(outer, inner)
             assert _same_bits(out, _compose_scan(outer, inner))
             assert any(b.right == u + 1.0 for b in out.breakpoints)  # the jump survives
-            assert (t in out._times) == (not within)
+            assert (t in out.times) == (not within)
 
     def test_smooth_compose(self):
         for inner, u, t, within in self.cases():
             g = polyline([(0.0, 0.0), (u, u)], 3.0)
             out = smooth_compose(g, inner)
             assert _same_bits(out, _smooth_compose_scan(g, inner))
-            assert (t in out._times) == (not within)
+            assert (t in out.times) == (not within)

@@ -43,7 +43,6 @@ from blockwalk.instances import random_block_model, random_monotone_path, random
 from blockwalk.instances import staircase_counterexample
 from blockwalk.paths import (
     MERGE_EPS,
-    Breakpoint,
     IncompatiblePairError,
     PathClassError,
     PiecewisePath,
@@ -102,7 +101,8 @@ def _reference_build(initial, anchors, terminal_rise, terminal_run=1.0):
             kept.pop()
         else:
             break
-    return PiecewisePath(initial, tuple(Breakpoint(t, l, r) for t, l, r in kept), terminal_rise, terminal_run)
+    times, lefts, rights = ([a[k] for a in kept] for k in range(3))
+    return PiecewisePath(initial, times, lefts, rights, terminal_rise, terminal_run)
 
 
 def _reference_polyline(nodes, terminal_rise, terminal_run):
@@ -144,7 +144,7 @@ def _reference_compose(outer, inner):
         else:
             anchors.append((s_lo, b.left, b.right))
     taken = sorted(s for s, _, _ in anchors)
-    for s in inner._times:
+    for s in inner.times:
         if _near_taken(taken, s):
             continue
         v = outer.eval(inner.eval(s))
@@ -275,7 +275,7 @@ def _pullback_times(outer, inner):
     """The sorted times that compose pulls back from outer's breakpoints."""
     iinv = _fresh_inverse(inner)
     taken = []
-    for t in outer._times:
+    for t in outer.times:
         s_lo, s_hi = iinv.eval_left(t), iinv.eval(t)
         taken.append(s_lo)
         if s_hi > s_lo:
@@ -310,7 +310,7 @@ def test_free_breakpoints_cursor_matches_bisection(rng):
     for _ in range(200):
         g = random_monotone_path(rng)
         inner = _continuous_part(g) if rng.random() < 0.5 else _random_continuous_increasing(rng)
-        values = [inner.eval(t) for t in inner._times]
+        values = [inner.eval(t) for t in inner.times]
         aligned = _build(
             0.0, [(v, float(k), k + float(rng.uniform(0.0, 1.0))) for k, v in enumerate(values) if v > 0], 1.0
         )
@@ -318,7 +318,7 @@ def test_free_breakpoints_cursor_matches_bisection(rng):
         cases = [(inner, _pullback_times(outer, inner)) for outer in outers]
         for path in (inner, tiny):
             near = set()
-            for t in path._times:
+            for t in path.times:
                 near.update(max(t + d, 0.0) for d in (-2 * M, -0.5 * M, 0.0, 0.5 * M, 2 * M))
                 near.update(_last_within(t, -math.inf) + _last_within(t, math.inf))
             cases.append((path, sorted(s for s in near if rng.random() < 0.3)))
@@ -482,14 +482,18 @@ def _walk_with_flats(rng):
 def _split_flat_pieces(h):
     """h with a breakpoint carrying no jump inside each flat piece: the same
     function outside canonical form."""
-    bps = []
+    times, lefts, rights = [], [], []
     t0, v0 = 0.0, h.initial
-    for b in h.breakpoints:
-        if b.left == v0:
-            bps.append(Breakpoint((t0 + b.t) / 2, v0, v0))
-        bps.append(b)
-        t0, v0 = b.t, b.right
-    return PiecewisePath(h.initial, tuple(bps), h.terminal_rise, h.terminal_run)
+    for t, left, right in h.breakpoints:
+        if left == v0:
+            times.append((t0 + t) / 2)
+            lefts.append(v0)
+            rights.append(v0)
+        times.append(t)
+        lefts.append(left)
+        rights.append(right)
+        t0, v0 = t, right
+    return PiecewisePath(h.initial, times, lefts, rights, h.terminal_rise, h.terminal_run)
 
 
 def _outcome(fn, *args):

@@ -167,7 +167,7 @@ def _polyline_without_last_node(nodes, terminal_rise, terminal_run=1.0):
 
 def _eval_before_breakpoint(path, t):
     """eval that reads the piece before a breakpoint at t, not the one after."""
-    t0, v0, rise, run = path._piece(bisect_left(path._times, t))
+    t0, v0, rise, run = path._piece(bisect_left(path.times, t))
     return v0 + rise * ((t - t0) / run)
 
 
