@@ -8,12 +8,9 @@ imported from their modules.
 from .curve import (
     CurveAssumptionError,
     build_curve,
-    check_symmetry,
     composed_processes,
     encode_components,
     level_hit_times,
-    special_case_curve,
-    verify_encoding,
 )
 from .field import (
     build_field,

@@ -17,6 +17,7 @@ from typing import Sequence
 from .field import Field, HittingProcess, hitting_process
 from .model import _check_rho
 from .paths import (
+    VALUE_TOL,
     PathClassError,
     PiecewisePath,
     add,
@@ -31,8 +32,6 @@ from .paths import (
     smooth_compose,
 )
 
-EXACT_TOL = 1e-12
-
 
 class CurveAssumptionError(ValueError):
     """A hypothesis of the curve construction fails; carries a witness."""
@@ -42,40 +41,6 @@ class CurveInvariantError(RuntimeError):
     """An identity the construction guarantees was violated: a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Outcome of the column-wise proportionality check x_il / rho_i = x_jl / rho_j."""
-
-    ok: bool
-    witnesses: tuple[tuple[int, int, int, float], ...]  # (column, row_i, row_j, time)
-
-    def summary(self) -> str:
-        if self.ok:
-            return "column-wise proportionality holds"
-        col, i, j, t = self.witnesses[0]
-        return f"rows {i} and {j} of column {col} are not proportional near t={t}"
-
-
-def check_symmetry(fld: Field, rho) -> SymmetryReport:
-    """Compare, column by column, the off-diagonal entries divided by their
-    row's direction weight; the first disagreement of each row pair is a
-    witness."""
-    rho = _positive_rho(rho, fld.m)
-    witnesses = []
-    for col in range(fld.m):
-        rows = [i for i in range(fld.m) if i != col]
-        if len(rows) < 2:
-            continue
-        base = rows[0]
-        ref = scale(fld.paths[base][col], 1.0 / rho[base])
-        for i in rows[1:]:
-            other = scale(fld.paths[i][col], 1.0 / rho[i])
-            t = _first_disagreement(ref, other)
-            if t is not None:
-                witnesses.append((col, base, i, t))
-    return SymmetryReport(not witnesses, tuple(witnesses))
-
-
 def _positive_rho(rho, m: int) -> tuple[float, ...]:
     _check_rho(rho, m)
     if any(r <= 0 for r in rho):
@@ -83,10 +48,26 @@ def _positive_rho(rho, m: int) -> tuple[float, ...]:
     return tuple(float(r) for r in rho)
 
 
+def _check_symmetry(fld: Field, rho: tuple[float, ...]) -> None:
+    """Column-wise proportionality x_il / rho_i = x_jl / rho_j: compare,
+    column by column, each row's off-diagonal entry divided by its direction
+    weight with the first row's, and refuse at the first disagreement."""
+    for col in range(fld.m):
+        rows = [i for i in range(fld.m) if i != col]
+        if len(rows) < 2:
+            continue
+        base = rows[0]
+        ref = scale(fld.paths[base][col], 1.0 / rho[base])
+        for i in rows[1:]:
+            t = _first_disagreement(ref, scale(fld.paths[i][col], 1.0 / rho[i]))
+            if t is not None:
+                raise CurveAssumptionError(f"rows {base} and {i} of column {col} are not proportional near t={t}")
+
+
 def _first_disagreement(p: PiecewisePath, q: PiecewisePath) -> float | None:
     ts = probe_times(p, q)
     for t, pv, qv, pl, ql in zip(ts, p.eval_many(ts), q.eval_many(ts), p.eval_left_many(ts), q.eval_left_many(ts)):
-        if abs(pv - qv) > EXACT_TOL or abs(pl - ql) > EXACT_TOL:
+        if abs(pv - qv) > VALUE_TOL or abs(pl - ql) > VALUE_TOL:
             return t
     return None
 
@@ -226,9 +207,7 @@ def build_curve(fld: Field, rho) -> CurveBundle:
     """Assemble the full bundle; the smooth compositions are guaranteed
     compatible by construction, so a failure there is an internal bug."""
     rho = _positive_rho(rho, fld.m)
-    report = check_symmetry(fld, rho)
-    if not report.ok:
-        raise CurveAssumptionError(report.summary())
+    _check_symmetry(fld, rho)
     levels = build_levels(fld, rho)
     inverses = tuple(generalized_inverse(g) for g in levels)
     combined_level = build_combined(inverses)
@@ -297,62 +276,13 @@ def encode_components(fld: Field, bundle: CurveBundle) -> list[EncodedComponent]
 
 
 def verify_encoding(fld: Field, bundle: CurveBundle, process: HittingProcess | None = None) -> dict:
-    """Pathwise check that curve increments over excursions match the
-    hitting-process jumps, and that excursion lengths match their one-norms.
-    ``process`` is the field's :func:`hitting_process` when the caller
-    already has it."""
+    """The excursion claims of ``validate.encoding_checks`` on this bundle's
+    field, as ``{"pass", "checks"}`` with one Check record per claim.  Kept
+    as the entry point of the benchmark's pathwise workload.  ``process`` is
+    the field's :func:`hitting_process` when the caller already has it."""
+    from . import validate  # validate imports this module
+
     _built_from(fld, bundle)
     process = hitting_process(fld, bundle.rho) if process is None else process
-    encoded = bundle.encoded
-    checks = []
-    ok = len(encoded) == len(process.deltas)
-    checks.append({"name": "excursion count equals jump count", "pass": ok})
-    for p, (enc, delta) in enumerate(zip(encoded, process.deltas)):
-        gap = max(abs(a - b) for a, b in zip(enc.increment, delta))
-        within = gap <= EXACT_TOL
-        ok = ok and within
-        checks.append(
-            {"name": f"increment of excursion {p} matches jump", "pass": within, "gap": gap}
-        )
-        lgap = abs(enc.length - sum(delta))
-        ok = ok and lgap <= EXACT_TOL
-        checks.append(
-            {"name": f"length of excursion {p} equals jump one-norm", "pass": lgap <= EXACT_TOL, "gap": lgap}
-        )
-    return {"pass": ok, "checks": checks}
-
-
-# -- special case: continuous strictly increasing off-diagonals --------------------
-
-
-def special_case_curve(fld: Field, rho) -> tuple[PiecewisePath, ...]:
-    """Curve via plain inverses and ordinary composition.
-
-    Valid when the level maps are continuous and strictly increasing,
-    which holds whenever the off-diagonal entries are (and, for a single
-    type, when the diagonal is strictly decreasing).  Backs the claim that
-    on such fields the smooth and ordinary compositions agree: the result
-    equals build_curve's curve to 1e-12.
-    """
-    rho = _positive_rho(rho, fld.m)
-    report = check_symmetry(fld, rho)
-    if not report.ok:
-        raise CurveAssumptionError(report.summary())
-    for i in range(fld.m):
-        for j in range(fld.m):
-            if i == j:
-                continue
-            p = fld.paths[i][j]
-            if p.jumps():
-                raise CurveAssumptionError(
-                    f"off-diagonal ({i},{j}) jumps; the special-case curve needs continuity"
-                )
-    levels = build_levels(fld, rho)
-    for i, g in enumerate(levels):
-        if g.jumps():
-            raise CurveAssumptionError(f"level map {i} is discontinuous")
-        if any(v1 <= v0 for _, v0, _, v1 in g.finite_segments()):
-            raise CurveAssumptionError(f"level map {i} is not strictly increasing")
-    inverses = [generalized_inverse(g) for g in levels]
-    combined_level = build_combined(inverses)
-    return tuple(compose(inv, combined_level) for inv in inverses)
+    checks = validate._checks(validate.EXCURSION_SPECS, [validate.excursion_gaps(process, bundle.encoded)], None)
+    return {"pass": all(c.passed for c in checks), "checks": [c.to_json_obj() for c in checks]}

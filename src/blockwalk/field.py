@@ -217,10 +217,10 @@ def field_from_paths(paths: list[list[PiecewisePath]]) -> Field:
     """General field given directly by its entries; explorations are
     unavailable, but hitting times and the curve still apply.  Backs the
     claim that the curve construction needs only the field, not a block
-    model: the special-case curve agrees with the general one on fields
-    with continuous off-diagonals, and the curve's assumptions are checked
-    on bounded and initially flat diagonals.  ``paths`` must be m x m
-    with m at least 1."""
+    model: on fields with continuous off-diagonals the curve agrees with
+    the ordinary composition of the level maps' inverses with the combined
+    level, and the curve's assumptions are checked on bounded and initially
+    flat diagonals.  ``paths`` must be m x m with m at least 1."""
     m = len(paths)
     if not m:
         raise ValueError("paths has no rows")
@@ -530,14 +530,6 @@ class HittingProcess:
         t = [r * y for r in self.rho]
         for level, delta in zip(self.levels, self.deltas):
             if level < y:
-                for i in range(self.m):
-                    t[i] += delta[i]
-        return tuple(t)
-
-    def right_limit(self, y: float) -> tuple[float, ...]:
-        t = [r * y for r in self.rho]
-        for level, delta in zip(self.levels, self.deltas):
-            if level <= y:
                 for i in range(self.m):
                     t[i] += delta[i]
         return tuple(t)

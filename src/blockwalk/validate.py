@@ -5,7 +5,8 @@ Check records.  encoding_checks: the field encoding (acceptance criterion
 2); path_algebra_checks: the composition identities behind the curve (3);
 curve_checks: the curve and the one-dimensional reformulation (4);
 law_checks and calibration_check: the laws of the encoding (5).  ``encode``
-and ``curve`` use jump_gaps and curve_identity_gap.
+uses jump_gaps, and ``curve`` reports excursion_gaps and curve_identity_gap
+as Check records.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +31,6 @@ EXACT = 1e-12
 PROP = 1e-9
 #: significance level of the statistical checks
 ALPHA = 0.001
-
-#: the name of this check also in the pathwise_report.json of ``blockwalk curve``
-CURVE_THROUGH_HITTING_TIMES = "curve passes through hitting times"
 
 
 @dataclass(frozen=True)
@@ -52,12 +50,15 @@ class Check:
     instance: int | None = None
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        # every field is a leaf, so a copy of the fields is what asdict
+        # gives, without its deep copy of each one
+        return dict(vars(self))
 
 
-def _checks(specs, rows, seed: int) -> list[Check]:
+def _checks(specs, rows, seed: int | None) -> list[Check]:
     """One Check per (name, tol) in specs from per-draw rows of gaps in the
-    same order; a NaN gap fails."""
+    same order; a NaN gap fails.  A fixed instance is one row with seed
+    None, as ``blockwalk curve`` reports its config."""
     out = []
     for (name, tol), gaps in zip(specs, list(zip(*rows)) or [()] * len(specs)):
         failed = [k for k, gap in enumerate(gaps) if not gap <= tol]
@@ -90,6 +91,25 @@ def jump_gaps(process: HittingProcess, jumps) -> list[float]:
     return [max(abs(a - b) for a, b in zip(delta, other)) for delta, other in zip(process.deltas, jumps)]
 
 
+#: the claims of excursion_gaps, in the order of its gaps
+EXCURSION_SPECS = (
+    ("one excursion per jump", 0.0),
+    ("curve increments match the jumps", EXACT),
+    ("excursion lengths equal the jump one-norms", EXACT),
+)
+
+
+def excursion_gaps(process: HittingProcess, encoded) -> tuple[float, float, float]:
+    """The gaps of the EXCURSION_SPECS claims on one instance: the encoded
+    components are one per jump of the hitting process, and each one's
+    curve increment is its jump and its length the jump's one-norm."""
+    return (
+        _holds(len(encoded) == len(process.deltas)),
+        _worst(jump_gaps(process, [e.increment for e in encoded])),
+        _worst(abs(e.length - sum(d)) for e, d in zip(encoded, process.deltas)),
+    )
+
+
 def encoding_checks(n: int, seed: int) -> list[Check]:
     """On n random instances of at most three types and six vertices, the
     sweep's jumps are R times its components' weights, the solver finds the
@@ -106,16 +126,12 @@ def encoding_checks(n: int, seed: int) -> list[Check]:
         rows.append((
             _worst(jump_gaps(process, swept)) if len(swept) == len(process.deltas) else math.inf,
             _worst(jump_gaps(process, solved)),
-            _holds(len(encoded) == len(process.deltas)),
-            _worst(jump_gaps(process, [e.increment for e in encoded])),
-            _worst(abs(e.length - sum(d)) for e, d in zip(encoded, process.deltas)),
+            *excursion_gaps(process, encoded),
         ))
     specs = [
         ("sweep jumps equal R times the component weights", 0.0),
         ("solver jumps match the sweep", EXACT),
-        ("one excursion per jump", 0.0),
-        ("curve increments match the jumps", EXACT),
-        ("excursion lengths equal the jump one-norms", EXACT),
+        *EXCURSION_SPECS,
     ]
     return _checks(specs, rows, seed)
 
@@ -189,6 +205,10 @@ def _evaluate_sorted(process: HittingProcess, ys: list[float]) -> np.ndarray:
     return acc
 
 
+#: the claim of curve_identity_gap
+CURVE_IDENTITY_SPEC = ("curve passes through hitting times", PROP)
+
+
 def curve_identity_gap(bundle: CurveBundle, process: HittingProcess) -> float:
     """Largest coordinate gap between T(y) and the curve at sum(T(y)), for
     y at 0, at and 1e-6 around each jump level, and 1 past the last one."""
@@ -243,7 +263,7 @@ def curve_checks(n: int, seed: int) -> list[Check]:
         ("curve coordinates are nondecreasing", EXACT),
         ("curve coordinates are one-Lipschitz", PROP),
         ("level maps sandwich the combined level along the curve", PROP),
-        (CURVE_THROUGH_HITTING_TIMES, PROP),
+        CURVE_IDENTITY_SPEC,
         ("composed processes hit each level at the total hitting time", PROP),
     ]
     return _checks(specs, rows, seed)

@@ -224,6 +224,24 @@ class TestConfig:
         assert main(["encode", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.count("error:") == 1
 
+    @pytest.mark.parametrize("command", [*COMMANDS, ("validate", "pathwise")], ids=" ".join)
+    def test_negative_seed_option_exits_with_two(self, model_config, tmp_path, capsys, command):
+        # like config.seed; numpy used to refuse it without naming the option
+        config = [] if command[0] == "validate" else ["--config", str(model_config)]
+        assert main([*command, *config, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed: expected a nonnegative integer, not -1\n"
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+    def test_negative_calibration_seeds_exit_with_two(self, tmp_path, capsys):
+        # a negative count used to run no calibration and pass it
+        argv = ["validate", "distributional", "--reps", "1000", "--out", str(tmp_path / "o")]
+        assert main([*argv, "--calibration-seeds", "-3"]) == 2
+        assert capsys.readouterr().err == "error: --calibration-seeds: expected a nonnegative integer, not -3\n"
+        assert main([*argv, "--calibration-seeds", "0"]) == 0
+        report = json.loads((tmp_path / "o" / "validate_distributional.json").read_text())
+        assert not any(c["name"].startswith("calibration") for c in report["checks"])
+
     @pytest.mark.parametrize("where", ["weights", "Q"])
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_model_entries_exit_with_two(self, tmp_path, where, bad):

@@ -8,11 +8,9 @@ import blockwalk.curve as curve_module
 from blockwalk.curve import (
     CurveAssumptionError,
     build_curve,
-    check_symmetry,
     composed_processes,
     encode_components,
     level_hit_times,
-    special_case_curve,
     verify_encoding,
 )
 from blockwalk.field import (
@@ -28,6 +26,7 @@ from blockwalk.model import BlockModel
 from blockwalk.paths import (
     PiecewisePath,
     add,
+    compose,
     drift,
     excursions,
     past_infimum,
@@ -47,31 +46,29 @@ def random_curve_instance(rng, max_vertices=6):
 
 
 class TestSymmetry:
+    # build_curve runs this check and raises at its first witness
     def test_two_types_always_pass(self, rng):
         for _ in range(10):
             model = random_block_model(rng, max_types=2)
             fld = build_field(model, sample_clocks(model, rng))
             rho = random_probe_direction(rng, model)
-            assert check_symmetry(fld, rho).ok
+            curve_module._check_symmetry(fld, rho)
 
     def test_factorized_ratios_pass(self, rng):
         for _ in range(10):
             model, rho, fld = random_curve_instance(rng)
-            assert check_symmetry(fld, rho).ok
+            curve_module._check_symmetry(fld, rho)
 
     def test_perturbed_ratio_fails_with_witness(self):
         R = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5 + 1e-3, 0.5, 1.0]]
         fld = field_from_jumps([[(1.0, 1.0)], [(2.0, 1.0)], [(3.0, 1.0)]], R)
-        report = check_symmetry(fld, (1.0, 1.0, 1.0))
-        assert not report.ok
-        col, i, j, _ = report.witnesses[0]
-        assert col == 0
-        assert {i, j} == {1, 2}
+        with pytest.raises(CurveAssumptionError, match=r"^rows 1 and 2 of column 0 are not proportional near t=1.0$"):
+            build_curve(fld, (1.0, 1.0, 1.0))
 
     def test_requires_positive_direction(self):
         fld, _ = worked_instance()
-        with pytest.raises(CurveAssumptionError):
-            check_symmetry(fld, (1.0, 0.0))
+        with pytest.raises(CurveAssumptionError, match="^curve construction needs a strictly positive direction$"):
+            build_curve(fld, (1.0, 0.0))
 
 
 class TestWorkedInstance:
@@ -269,6 +266,13 @@ class TestCurveInvariants:
         assert found >= 12
 
 
+def _plain_curve(bundle):
+    """The curve by ordinary composition of each level map's inverse with
+    the combined level, which needs no smoothing where the level maps are
+    continuous and strictly increasing."""
+    return tuple(compose(inv, bundle.combined_level) for inv in bundle.level_inverses)
+
+
 class TestSpecialCase:
     def _linear_offdiag_field(self, rng, m=2):
         rho = tuple(float(rng.uniform(0.5, 2.0)) for _ in range(m))
@@ -291,32 +295,38 @@ class TestSpecialCase:
     def test_matches_general_curve_on_linear_offdiagonals(self, rng):
         for _ in range(10):
             fld, rho = self._linear_offdiag_field(rng)
-            sc = special_case_curve(fld, rho)
-            general = build_curve(fld, rho).curve
-            for a, b in zip(sc, general):
+            bundle = build_curve(fld, rho)
+            assert all(not g.jumps() for g in bundle.levels)
+            for a, b in zip(_plain_curve(bundle), bundle.curve):
                 assert sup_distance(a, b) <= 1e-12
 
     def test_single_type_drift_curve_is_identity(self):
         fld = field_from_paths([[drift(-1.0)]])
-        (gamma,) = special_case_curve(fld, (1.0,))
+        bundle = build_curve(fld, (1.0,))
+        (gamma,) = _plain_curve(bundle)
         assert sup_distance(gamma, drift(1.0)) == 0.0
-        (general,) = build_curve(fld, (1.0,)).curve
+        (general,) = bundle.curve
         assert sup_distance(general, drift(1.0)) == 0.0
 
-    def test_rejects_jumping_offdiagonals(self):
-        fld, rho = worked_instance()
-        with pytest.raises(CurveAssumptionError):
-            special_case_curve(fld, rho)
+    def test_plain_route_leaves_the_curve_on_jumping_offdiagonals(self):
+        # the jump of x_10 leaves type 0's level map flat on [0.5, 1.5], so
+        # its inverse jumps there; the plain route jumps with it, while the
+        # curve crosses the gap at unit speed
+        bundle = build_curve(*worked_instance())
+        plain, general = _plain_curve(bundle)[0], bundle.curve[0]
+        assert plain.eval(1.8) == 1.5
+        assert general.eval(1.8) == pytest.approx(1.0, abs=1e-15)
 
     def test_single_type_with_jumps_is_identity_via_general_curve(self, rng):
         # flat stretches of the level map rule out the plain-inverse route,
         # but the smooth composition still collapses to the identity
         model = BlockModel(((1.0, 0.5),), ((1.0,),))
         fld = build_field(model, sample_clocks(model, rng))
-        (gamma,) = build_curve(fld, (1.0,)).curve
+        bundle = build_curve(fld, (1.0,))
+        (gamma,) = bundle.curve
         assert sup_distance(gamma, drift(1.0)) <= 1e-12
-        with pytest.raises(CurveAssumptionError):
-            special_case_curve(fld, (1.0,))
+        (plain,) = _plain_curve(bundle)
+        assert sup_distance(plain, drift(1.0)) > 1e-3
 
 
 class TestEmptyField:

@@ -227,7 +227,6 @@ class TestHittingProcess:
         assert hp.levels == (0.5,)
         assert hp.deltas == ((1.0, 0.3),)
         assert hp.evaluate(0.5) == (0.5, 0.5)
-        assert hp.right_limit(0.5) == (1.5, 0.8)
 
     def test_no_vertices_gives_affine_map(self):
         model = BlockModel(((),), ((1.0,),))

@@ -29,7 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockwalk.curve import (
-    EXACT_TOL,
     EXCURSION_LEVEL_TOL,
     CurveInvariantError,
     EncodedComponent,
@@ -207,18 +206,18 @@ def _reference_encode_components(fld, bundle):
 def _reference_verify_encoding(fld, bundle):
     process = hitting_process(fld, bundle.rho)
     encoded = _reference_encode_components(fld, bundle)
-    ok = len(encoded) == len(process.deltas)
-    checks = [{"name": "excursion count equals jump count", "pass": ok}]
-    for p, (enc, delta) in enumerate(zip(encoded, process.deltas)):
-        gap = max(abs(a - b) for a, b in zip(enc.increment, delta))
-        ok = ok and gap <= EXACT_TOL
-        checks.append({"name": f"increment of excursion {p} matches jump", "pass": gap <= EXACT_TOL, "gap": gap})
-        lgap = abs(enc.length - sum(delta))
-        ok = ok and lgap <= EXACT_TOL
-        checks.append(
-            {"name": f"length of excursion {p} equals jump one-norm", "pass": lgap <= EXACT_TOL, "gap": lgap}
-        )
-    return {"pass": ok, "checks": checks}
+    pairs = list(zip(encoded, process.deltas))
+    gaps = (
+        0.0 if len(encoded) == len(process.deltas) else math.inf,
+        max([0.0] + [max(abs(a - b) for a, b in zip(enc.increment, delta)) for enc, delta in pairs]),
+        max([0.0] + [abs(enc.length - sum(delta)) for enc, delta in pairs]),
+    )
+    names = ("one excursion per jump", "curve increments match the jumps", "excursion lengths equal the jump one-norms")
+    checks = [
+        {"name": name, "passed": gap <= tol, "gap": gap, "tol": tol, "seed": None, "instance": None if gap <= tol else 0}
+        for name, gap, tol in zip(names, gaps, (0.0, 1e-12, 1e-12))
+    ]
+    return {"pass": all(c["passed"] for c in checks), "checks": checks}
 
 
 def _all_same_bits(ps, qs):

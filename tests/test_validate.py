@@ -1,12 +1,13 @@
+import json
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from blockwalk import field, paths, stats, validate
+from blockwalk import cli, field, paths, stats, validate
 from blockwalk.curve import build_curve, encode_components
 from blockwalk.field import build_field, hitting_process, sample_clocks
 from blockwalk.instances import random_block_model, random_probe_direction
@@ -265,3 +266,25 @@ def test_encoding_fault_fails_its_check(name, monkeypatch):
     # the count and seed of acceptance criterion 2
     checks = {c.name: c for c in validate.encoding_checks(100, 1001)}
     assert not checks[name].passed, checks[name]
+
+
+#: the rows of encoding_checks that ``blockwalk curve`` also reports
+EXCURSION_CHECKS = list(ENCODING_FAULTS)[2:]
+
+
+@pytest.mark.parametrize("name", EXCURSION_CHECKS)
+def test_curve_command_fails_the_check_of_its_fault(name, tmp_path, monkeypatch):
+    # on the worked instance, whose one jump is (1.0, 0.3), each fault of
+    # encode_components bites; the command and encoding_checks read one
+    # implementation of the claims
+    _, _, fault = ENCODING_FAULTS[name]
+    monkeypatch.setattr(cli, "encode_components", fault)
+    config = tmp_path / "worked.json"
+    worked = {"m": 2, "R": [[1.0, 0.0], [0.3, 1.0]], "columns": [[{"t": 0.5, "w": 1.0}], []]}
+    config.write_text(json.dumps({"schema_version": 1, "field": worked, "rho": [1.0, 1.0]}))
+    assert cli.main(["curve", "--config", str(config), "--out", str(tmp_path / "c")]) == 1
+    report = json.loads((tmp_path / "c" / "pathwise_report.json").read_text())
+    assert not report["pass"]
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [name]
+    assert [c["name"] for c in report["checks"]] == EXCURSION_CHECKS + [validate.CURVE_IDENTITY_SPEC[0]]
+    assert all(set(c) == {f.name for f in fields(validate.Check)} for c in report["checks"])
