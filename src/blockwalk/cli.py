@@ -207,114 +207,66 @@ _leaf_writer = {
 }.get
 
 
-def _leaf_writer_of(o):
-    """The writer of leaf o: that of its exact type, or for a subclass
-    (``np.float64``, ``IntEnum``) that of its base, as json tests them;
-    None for a container or a value json rejects."""
-    leaf = _leaf_writer(type(o))
-    if leaf is None:
-        base = next((b for b in (str, int, float) if isinstance(o, b)), None)
-        leaf = _leaf_writer(base)
-    return leaf
-
-
-def _key_text(key) -> str:
-    # json writes a key that is not a str as the text of that leaf, quoted
-    if isinstance(key, str):
-        return _encode_str(key)
-    leaf = _leaf_writer_of(key)
-    if leaf is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return _encode_str(leaf(key))
-
-
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for what the artifacts hold: dicts with keys of exact type str, lists and
+    leaves of exact type str, int, float, bool or None.  Any other value or
+    key raises TypeError, as json does for a value it cannot write.
 
     With ``indent`` set, json encodes in pure Python, one generator per
-    container.  This writer appends to one list and joins it once, and
-    writes a list of only finite floats or only ints with one ``str.join``.
-    Leaves go through :func:`_leaf_writer_of`, so their text is json's.
-    The writers below are module functions, not closures over each other,
-    so no reference cycle keeps the list alive after the call.
+    container.  This writer appends to one list and joins it once.  The
+    writer is a module function, not a closure, so no reference cycle keeps
+    the list alive after the call.
     """
     chunks: list[str] = []
-    _put(obj, "\n", chunks.append, set())
+    _put(obj, "", "\n", chunks.append, set())
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _put(o, nl: str, out, active: set[int]) -> None:
-    # nl is a newline and o's indentation, out appends a chunk, and active
-    # holds the ids of the containers being written: json's circular check
+def _put(o, head: str, nl: str, out, active: set[int]) -> None:
+    # head is the text before o, nl a newline and o's indentation, out
+    # appends a chunk, and active holds the ids of the containers being
+    # written: json's circular check.  A leaf goes into one chunk with the
+    # text before it.
     t = type(o)
-    if t is list or t is tuple:
-        _put_list(o, nl, out, active)
-    elif t is dict:
-        _put_dict(o, nl, out, active)
-    elif (leaf := _leaf_writer_of(o)) is not None:
-        out(leaf(o))
-    elif isinstance(o, (list, tuple)):
-        _put_list(o, nl, out, active)
-    elif isinstance(o, dict):
-        _put_dict(o, nl, out, active)
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _enter(o, active: set[int]) -> None:
+    if t is not list and t is not dict:
+        leaf = _leaf_writer(t)
+        if leaf is None:
+            raise TypeError(f"artifacts hold no value of type {t.__name__}")
+        out(head + leaf(o))
+        return
+    if not o:
+        out(head + ("[]" if t is list else "{}"))
+        return
     if id(o) in active:
         raise ValueError("Circular reference detected")
     active.add(id(o))
-
-
-def _put_list(o, nl: str, out, active: set[int]) -> None:
-    if not o:
-        out("[]")
-        return
     inner = nl + "  "
     sep = "," + inner
-    first = type(o[0])
-    if first is int or first is float:
-        try:
-            text = sep.join(map(first.__repr__, o))
-        except TypeError:  # a leaf of another type
-            text = None
-        # nan and inf, and bools, which int.__repr__ takes, go item by item
-        if text is not None and ("n" not in text if first is float else bool not in map(type, o)):
-            out(f"[{inner}{text}{nl}]")
-            return
-    _enter(o, active)
-    lead = "[" + inner
-    for v in o:
-        leaf = _leaf_writer(type(v))
-        if leaf is None:
-            out(lead)
-            _put(v, inner, out, active)
-        else:
-            out(lead + leaf(v))
-        lead = sep
-    out(nl + "]")
-    active.remove(id(o))
-
-
-def _put_dict(o, nl: str, out, active: set[int]) -> None:
-    if not o:
-        out("{}")
-        return
-    _enter(o, active)
-    inner = nl + "  "
-    lead = "{" + inner
-    for k, v in sorted(o.items()):
-        name = (_encode_str(k) if type(k) is str else _key_text(k)) + ": "
-        leaf = _leaf_writer(type(v))
-        if leaf is None:
-            out(lead + name)
-            _put(v, inner, out, active)
-        else:
-            out(lead + name + leaf(v))
-        lead = "," + inner
-    out(nl + "}")
+    if t is list:
+        lead = head + "[" + inner
+        for v in o:
+            leaf = _leaf_writer(type(v))
+            if leaf is None:
+                _put(v, lead, inner, out, active)
+            else:
+                out(lead + leaf(v))
+            lead = sep
+        out(nl + "]")
+    else:
+        lead = head + "{" + inner
+        for k, v in sorted(o.items()):
+            if type(k) is not str:
+                raise TypeError(f"artifact keys must be of type str, not {type(k).__name__}")
+            name = lead + _encode_str(k) + ": "
+            leaf = _leaf_writer(type(v))
+            if leaf is None:
+                _put(v, name, inner, out, active)
+            else:
+                out(name + leaf(v))
+            lead = sep
+        out(nl + "}")
     active.remove(id(o))
 
 
@@ -454,14 +406,12 @@ def cmd_encode(args) -> int:
         _check_resolvable(max(process.evaluate(process.levels[-1] + 1.0)))
     stages.lap("encode")
     solved = solver_jumps(fld, cfg.rho, process.levels)
-    checks = [
-        {"y": level, "solver_gap": gap, "pass": gap <= validate.EXACT}
-        for level, gap in zip(process.levels, validate.jump_gaps(process, solved))
-    ]
-    ok = all(c["pass"] for c in checks)
+    # one row per jump, so a failing record names the first failing jump
+    checks = validate._checks([validate.SOLVER_SPEC], [(g,) for g in validate.jump_gaps(process, solved)], None)
+    ok = checks[0].passed
     stages.lap("verify")
     obj = process.to_json_obj()
-    obj["solver_check"] = {"pass": ok, "jumps": checks}
+    obj["solver_check"] = {"pass": ok, "checks": [c.to_json_obj() for c in checks]}
     _write_json(out / "encoding.json", obj)
     stages.lap("write")
     counters = {"jumps": len(process.levels), "probes": solved.probes, "solver_sweeps": solved.sweeps}
@@ -581,13 +531,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_counts(args) -> None:
-    """Refuse a negative ``--seed`` or ``--calibration-seeds``: numpy would
-    reject the seed deep inside a command without naming it, and a negative
-    seed count would run no calibration yet pass."""
-    for option in ("seed", "calibration_seeds"):
+    """Refuse a negative ``--seed`` or ``--calibration-seeds`` and a
+    ``--reps`` below 1: numpy would reject the seed deep inside a command
+    without naming it, a negative seed count would run no calibration yet
+    pass, and the functions and pathwise suites would floor such a count at
+    their least number of draws and pass."""
+    for option, least in (("seed", 0), ("calibration_seeds", 0), ("reps", 1)):
         value = getattr(args, option, None)
-        if value is not None and value < 0:
-            raise ConfigError(f"--{option.replace('_', '-')}: expected a nonnegative integer, not {value}")
+        if value is not None and value < least:
+            kind = "nonnegative" if least == 0 else "positive"
+            raise ConfigError(f"--{option.replace('_', '-')}: expected a {kind} integer, not {value}")
 
 
 @functools.cache

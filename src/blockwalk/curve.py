@@ -48,20 +48,24 @@ def _positive_rho(rho, m: int) -> tuple[float, ...]:
     return tuple(float(r) for r in rho)
 
 
-def _check_symmetry(fld: Field, rho: tuple[float, ...]) -> None:
-    """Column-wise proportionality x_il / rho_i = x_jl / rho_j: compare,
-    column by column, each row's off-diagonal entry divided by its direction
-    weight with the first row's, and refuse at the first disagreement."""
+def _shared_columns(fld: Field, rho: tuple[float, ...]) -> list[PiecewisePath]:
+    """Per column, the common rescaled off-diagonal path (zero when the
+    field has a single type).  Needs column-wise proportionality
+    x_il / rho_i = x_jl / rho_j: column by column, each row's off-diagonal
+    entry divided by its direction weight is compared with the first row's,
+    which is the column's path, and the first disagreement is refused."""
+    if fld.m == 1:
+        return [PiecewisePath(0.0)]
+    out = []
     for col in range(fld.m):
-        rows = [i for i in range(fld.m) if i != col]
-        if len(rows) < 2:
-            continue
-        base = rows[0]
+        base, *rows = [i for i in range(fld.m) if i != col]
         ref = scale(fld.paths[base][col], 1.0 / rho[base])
-        for i in rows[1:]:
+        for i in rows:
             t = _first_disagreement(ref, scale(fld.paths[i][col], 1.0 / rho[i]))
             if t is not None:
                 raise CurveAssumptionError(f"rows {base} and {i} of column {col} are not proportional near t={t}")
+        out.append(ref)
+    return out
 
 
 def _first_disagreement(p: PiecewisePath, q: PiecewisePath) -> float | None:
@@ -152,24 +156,18 @@ def _check_jumps_reach_every_row(fld: Field) -> None:
                 )
 
 
-def _shared_column(fld: Field, rho: tuple[float, ...], col: int) -> PiecewisePath:
-    """The common rescaled off-diagonal path of one column (zero when the
-    field has a single type)."""
-    if fld.m == 1:
-        return PiecewisePath(0.0)
-    row = 0 if col != 0 else 1
-    return scale(fld.paths[row][col], 1.0 / rho[row])
-
-
 def build_levels(fld: Field, rho) -> tuple[PiecewisePath, ...]:
     """Per-type level maps g_i = shared column minus rescaled running
     infimum of the diagonal.
 
-    Needs every diagonal to dip below zero immediately and drift to minus
-    infinity; the result is then nondecreasing, zero at zero, strictly
-    positive after zero and unbounded.
+    Needs the off-diagonal entries to be proportional column by column
+    (see :func:`_shared_columns`), and every diagonal to dip below zero
+    immediately and drift to minus infinity; the result is then
+    nondecreasing, zero at zero, strictly positive after zero and
+    unbounded.
     """
     rho = _positive_rho(rho, fld.m)
+    shared = _shared_columns(fld, rho)
     out = []
     for i in range(fld.m):
         low = fld.diag_infimum(i)
@@ -177,7 +175,7 @@ def build_levels(fld: Field, rho) -> tuple[PiecewisePath, ...]:
             raise CurveAssumptionError(f"diagonal {i} does not drift to -infinity")
         if _stays_level(low):
             raise CurveAssumptionError(f"diagonal {i} does not fall below zero immediately")
-        g = add(_shared_column(fld, rho, i), scale(low, -1.0 / rho[i]))
+        g = add(shared[i], scale(low, -1.0 / rho[i]))
         try:
             require_invertible(g, "build_levels")
         except PathClassError:
@@ -207,7 +205,6 @@ def build_curve(fld: Field, rho) -> CurveBundle:
     """Assemble the full bundle; the smooth compositions are guaranteed
     compatible by construction, so a failure there is an internal bug."""
     rho = _positive_rho(rho, fld.m)
-    _check_symmetry(fld, rho)
     levels = build_levels(fld, rho)
     inverses = tuple(generalized_inverse(g) for g in levels)
     combined_level = build_combined(inverses)

@@ -5,8 +5,8 @@ Check records.  encoding_checks: the field encoding (acceptance criterion
 2); path_algebra_checks: the composition identities behind the curve (3);
 curve_checks: the curve and the one-dimensional reformulation (4);
 law_checks and calibration_check: the laws of the encoding (5).  ``encode``
-uses jump_gaps, and ``curve`` reports excursion_gaps and curve_identity_gap
-as Check records.
+reports jump_gaps, and ``curve`` excursion_gaps and curve_identity_gap, as
+Check records.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ class Check:
     holds or not), except that a statistical test passes when its p-value
     ``gap`` is at least the significance level ``tol``.  ``seed`` seeds the
     draws (None for a fixed instance); ``instance`` is the first failing
-    draw."""
+    draw, or the first failing jump where each row is one jump of a fixed
+    instance, as ``blockwalk encode`` reports its solver check."""
 
     name: str
     passed: bool
@@ -58,7 +59,8 @@ class Check:
 def _checks(specs, rows, seed: int | None) -> list[Check]:
     """One Check per (name, tol) in specs from per-draw rows of gaps in the
     same order; a NaN gap fails.  A fixed instance is one row with seed
-    None, as ``blockwalk curve`` reports its config."""
+    None, as ``blockwalk curve`` reports its config, or one row per jump,
+    as ``blockwalk encode`` reports its solver check."""
     out = []
     for (name, tol), gaps in zip(specs, list(zip(*rows)) or [()] * len(specs)):
         failed = [k for k, gap in enumerate(gaps) if not gap <= tol]
@@ -86,9 +88,13 @@ def _random_instance(rng):
 
 def jump_gaps(process: HittingProcess, jumps) -> list[float]:
     """Per jump of the hitting process, the largest coordinate gap to the
-    matching entry of ``jumps``.  ``blockwalk encode`` writes these gaps
-    for the solver's jumps into encoding.json."""
+    matching entry of ``jumps``.  ``blockwalk encode`` reports these gaps
+    for the solver's jumps as its SOLVER_SPEC check."""
     return [max(abs(a - b) for a, b in zip(delta, other)) for delta, other in zip(process.deltas, jumps)]
+
+
+#: the claim that the fixed-point solver finds the sweep's jumps
+SOLVER_SPEC = ("solver jumps match the sweep", EXACT)
 
 
 #: the claims of excursion_gaps, in the order of its gaps
@@ -130,7 +136,7 @@ def encoding_checks(n: int, seed: int) -> list[Check]:
         ))
     specs = [
         ("sweep jumps equal R times the component weights", 0.0),
-        ("solver jumps match the sweep", EXACT),
+        SOLVER_SPEC,
         *EXCURSION_SPECS,
     ]
     return _checks(specs, rows, seed)

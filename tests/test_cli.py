@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import enum
 import gc
 import hashlib
@@ -242,6 +243,20 @@ class TestConfig:
         report = json.loads((tmp_path / "o" / "validate_distributional.json").read_text())
         assert not any(c["name"].startswith("calibration") for c in report["checks"])
 
+    @pytest.mark.parametrize("suite", ["functions", "pathwise", "distributional"])
+    @pytest.mark.parametrize("reps", [-5, 0])
+    def test_reps_below_one_exit_with_two(self, tmp_path, capsys, suite, reps):
+        # functions and pathwise used to floor such a count at their least
+        # number of draws and pass
+        assert main(["validate", suite, "--reps", str(reps), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --reps: expected a positive integer, not {reps}\n"
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+    def test_distributional_reps_below_1000_exit_with_two(self, tmp_path, capsys):
+        assert main(["validate", "distributional", "--reps", "999", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: statistical comparisons need at least 1000 replications\n"
+
     @pytest.mark.parametrize("where", ["weights", "Q"])
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_model_entries_exit_with_two(self, tmp_path, where, bad):
@@ -468,41 +483,25 @@ class _Level(enum.IntEnum):
 
 
 class _Name(str):
-    """A str subclass: json writes it as the str it holds."""
+    """A str subclass: json writes it as the str it holds, no artifact holds one."""
 
 
+# the values an artifact holds: dicts with str keys, lists, and leaves of
+# exact type str, int, float, bool or None
 _ints = st.integers() | st.integers(min_value=2**63, max_value=2**200) | st.integers(max_value=-(2**64))
-_floats = (
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.225073858507201e-308])
-    | st.floats().map(np.float64)
+_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.225073858507201e-308]
 )
 _strings = st.text() | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f\t\n", "\u00e9\u20ac\U0001f600", "\u2028", "NaN", "nan"])
-_leaves = st.none() | st.booleans() | _ints | _floats | _strings | st.sampled_from(list(_Level)) | _strings.map(_Name)
-# keys of one kind per dict, so that most dicts sort; mixed kinds are drawn too
-_keys = st.sampled_from([
-    st.text() | _strings.map(_Name),
-    _ints | _floats | st.booleans() | st.sampled_from(list(_Level)),
-    st.none(),
-    _strings | _ints,
-])
-
-
-@st.composite
-def _dicts(draw, values):
-    return draw(st.dictionaries(draw(_keys), values, max_size=5))
-
+_leaves = st.none() | st.booleans() | _ints | _floats | _strings
 
 _json_objects = st.recursive(
     _leaves,
     lambda inner: st.lists(inner, max_size=5)
-    | st.lists(inner, max_size=5).map(tuple)
-    | _dicts(inner)
-    | st.lists(_floats | _ints, max_size=6)
+    | st.dictionaries(_strings, inner, max_size=5)
+    | st.lists(_floats | _ints | st.booleans(), max_size=6)
     | st.lists(_ints | st.booleans(), max_size=6)
-    | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6)
-    | st.lists(_ints, max_size=6).map(tuple)
-    | st.tuples(st.integers(), st.integers()),
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
     max_leaves=40,
 )
 
@@ -524,13 +523,26 @@ class TestJsonWriter:
             {(1, 2): 0},
             {"a": 1, 2: 3},
             {None: 1, True: 2},
+            # json writes these, but no artifact holds one
+            (1, 2),
+            {"a": [0, (1.0,)]},
+            np.float64(1.5),
+            [_Level.HIGH],
+            {"a": _Name("b")},
+            {_Name("a"): 1},
+            {1: "a"},
+            {1.5: "a"},
+            {True: "a"},
+            {None: "a"},
         ],
-        ids=["object", "int64", "numpy-bool", "int64-in-list", "object-in-dict", "tuple-key", "mixed-keys", "none-bool-keys"],
+        ids=[
+            "object", "int64", "numpy-bool", "int64-in-list", "object-in-dict", "tuple-key", "mixed-keys",
+            "none-bool-keys", "tuple", "tuple-in-list", "float64", "int-enum", "str-subclass-value",
+            "str-subclass-key", "int-key", "float-key", "bool-key", "none-key",
+        ],
     )
     def test_rejects_what_json_rejects(self, obj):
-        expected = _outcome(_json_reference, obj)
-        assert isinstance(expected, type)
-        assert _outcome(cli._json_text, obj) is expected
+        assert _outcome(cli._json_text, obj) is TypeError
 
     def test_rejects_circular_containers(self):
         loop = []
@@ -565,6 +577,29 @@ class TestEncode:
         obj = json.loads((out / "encoding.json").read_text())
         assert obj["jumps"] == [{"y": 0.5, "delta": [1.0, 0.3]}]
         assert obj["solver_check"]["pass"]
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_solver_check_names_the_first_failing_jump(self, tmp_path, monkeypatch, k):
+        # one record, over one row per jump, so its instance is the jump
+        model = {"m": 2, "weights": [[1.2, 0.9, 0.4], [1.0, 0.6]], "Q": [[1.0, 0.5], [0.5, 1.0]]}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**MODEL, "model": model, "seed": 3}))
+        solve = cli.solver_jumps
+
+        def shifted(fld, rho, levels):
+            out = solve(fld, rho, levels)
+            out[k] = (out[k][0] + 1e-9, *out[k][1:])
+            return out
+
+        monkeypatch.setattr(cli, "solver_jumps", shifted)
+        assert main(["encode", "--config", str(config), "--out", str(tmp_path / "e")]) == 1
+        obj = json.loads((tmp_path / "e" / "encoding.json").read_text())
+        assert len(obj["jumps"]) == 3
+        assert set(obj["solver_check"]) == {"pass", "checks"} and not obj["solver_check"]["pass"]
+        [record] = obj["solver_check"]["checks"]
+        assert set(record) == {f.name for f in dataclasses.fields(validate.Check)}
+        assert (record["name"], record["tol"]) == validate.SOLVER_SPEC
+        assert not record["passed"] and record["instance"] == k and record["seed"] is None
 
     def test_rerun_is_byte_identical(self, model_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -722,6 +757,12 @@ class TestSampleExplore:
         assert len(trace) == 2
 
 
+def _assert_json_dumps_form(out: Path, suite: str) -> None:
+    for name in (f"validate_{suite}.json", "manifest.json"):
+        text = (out / name).read_text()
+        assert text == _json_reference(json.loads(text)), name
+
+
 class TestValidate:
     def test_functions_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "v"
@@ -731,10 +772,12 @@ class TestValidate:
         assert "[PASS]" in text
         report = json.loads((out / "validate_functions.json").read_text())
         assert report["pass"]
+        _assert_json_dumps_form(out, "functions")
 
     def test_pathwise_suite_passes(self, tmp_path):
         out = tmp_path / "v"
         assert main(["validate", "pathwise", "--out", str(out), "--reps", "100000"]) == 0
+        _assert_json_dumps_form(out, "pathwise")
 
     def test_distributional_suite_small(self, tmp_path):
         out = tmp_path / "v"
@@ -751,6 +794,7 @@ class TestValidate:
             ]
         )
         assert code == 0
+        _assert_json_dumps_form(out, "distributional")
 
     def test_runs_the_checks_of_the_validate_module(self, tmp_path, capsys, monkeypatch):
         # the acceptance tests call the same functions, so a failure there

@@ -46,18 +46,19 @@ def random_curve_instance(rng, max_vertices=6):
 
 
 class TestSymmetry:
-    # build_curve runs this check and raises at its first witness
+    # build_levels builds the shared columns once and raises at the first
+    # witness of a column that is not proportional
     def test_two_types_always_pass(self, rng):
         for _ in range(10):
             model = random_block_model(rng, max_types=2)
             fld = build_field(model, sample_clocks(model, rng))
             rho = random_probe_direction(rng, model)
-            curve_module._check_symmetry(fld, rho)
+            curve_module._shared_columns(fld, rho)
 
     def test_factorized_ratios_pass(self, rng):
         for _ in range(10):
             model, rho, fld = random_curve_instance(rng)
-            curve_module._check_symmetry(fld, rho)
+            curve_module._shared_columns(fld, rho)
 
     def test_perturbed_ratio_fails_with_witness(self):
         R = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5 + 1e-3, 0.5, 1.0]]
