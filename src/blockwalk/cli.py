@@ -7,7 +7,6 @@ deterministic functions of (config, seed), so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
 import hashlib
@@ -188,6 +187,13 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(_json_text(obj))
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """``csv.writer``'s default dialect in one string: fields joined by
+    commas and each line ended by \\r\\n, none quoted, since no field
+    written here has a comma, quote or line break."""
+    path.write_text("\r\n".join([",".join(header), *map(",".join, rows), ""]), newline="")
+
+
 _encode_str = json.encoder.encode_basestring_ascii
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -346,12 +352,8 @@ def cmd_sample(args) -> int:
     stages.lap("sample")
     comps = connected_components(graph)
     stages.lap("components")
-    with (out / "graph.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v"])
-        for e in sorted((sorted(e) for e in graph.edges)):
-            (lu, iu), (lv, iv) = e
-            writer.writerow([f"{lu}:{iu}", f"{lv}:{iv}"])
+    edges = sorted(sorted(e) for e in graph.edges)
+    _write_csv(out / "graph.csv", ["u", "v"], ((f"{lu}:{iu}", f"{lv}:{iv}") for (lu, iu), (lv, iv) in edges))
     _write_json(
         out / "components.json",
         [
@@ -445,15 +447,10 @@ def cmd_curve(args) -> int:
     stages.lap("identity_gap")
 
     grid = probe_times(*bundle.curve, *processes)
-    with (out / "curve.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s"] + [f"curve_{i}" for i in range(fld.m)] + ["process_0"])
-        columns = [grid] + [g.eval_many(grid) for g in (*bundle.curve, processes[0])]
-        writer.writerows(zip(*(map(repr, column) for column in columns)))
-    _write_json(
-        out / "excursions.json",
-        [e.to_json_obj() for e in encoded],
-    )
+    columns = [grid] + [g.eval_many(grid) for g in (*bundle.curve, processes[0])]
+    header = ["s"] + [f"curve_{i}" for i in range(fld.m)] + ["process_0"]
+    _write_csv(out / "curve.csv", header, zip(*(map(repr, column) for column in columns)))
+    _write_json(out / "excursions.json", [e.to_json_obj() for e in encoded])
     _write_json(out / "pathwise_report.json", {"pass": ok, "checks": [c.to_json_obj() for c in checks]})
     stages.lap("write")
     _write_manifest(out, "curve", args, started, cfg.seed, stages.seconds)
@@ -531,16 +528,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_counts(args) -> None:
-    """Refuse a negative ``--seed`` or ``--calibration-seeds`` and a
-    ``--reps`` below 1: numpy would reject the seed deep inside a command
-    without naming it, a negative seed count would run no calibration yet
-    pass, and the functions and pathwise suites would floor such a count at
-    their least number of draws and pass."""
+    """Refuse a negative ``--seed`` or ``--calibration-seeds``, a ``--reps``
+    below 1, and one below 1000 for the distributional suite: numpy would
+    reject the seed deep inside a command without naming it, a negative
+    seed count would run no calibration yet pass, the functions and pathwise
+    suites would floor such a count at their least number of draws and pass,
+    and ``stats`` would refuse the last one late, in a line not naming it."""
     for option, least in (("seed", 0), ("calibration_seeds", 0), ("reps", 1)):
         value = getattr(args, option, None)
         if value is not None and value < least:
             kind = "nonnegative" if least == 0 else "positive"
             raise ConfigError(f"--{option.replace('_', '-')}: expected a {kind} integer, not {value}")
+    if getattr(args, "suite", None) == "distributional" and args.reps < 1000:
+        raise ConfigError(f"--reps: the distributional suite needs at least 1000, not {args.reps}")
 
 
 @functools.cache

@@ -65,7 +65,7 @@ class Breakpoint(NamedTuple):
 _new_breakpoint = partial(tuple.__new__, Breakpoint)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PiecewisePath:
     """Right-continuous piecewise-linear function on [0, inf).
 
@@ -87,17 +87,12 @@ class PiecewisePath:
     terminal_rise: float = 0.0
     terminal_run: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.terminal_run) and self.terminal_run > 0):
+    def __init__(self, initial, times=(), lefts=(), rights=(), terminal_rise=0.0, terminal_run=1.0) -> None:
+        if not (math.isfinite(terminal_run) and terminal_run > 0):
             raise PathDomainError("terminal_run must be finite and positive")
-        if not math.isfinite(self.terminal_rise) or not math.isfinite(self.initial):
+        if not math.isfinite(terminal_rise) or not math.isfinite(initial):
             raise PathDomainError("path data must be finite")
-        times = tuple(map(float, self.times))
-        lefts = tuple(map(float, self.lefts))
-        rights = tuple(map(float, self.rights))
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "lefts", lefts)
-        object.__setattr__(self, "rights", rights)
+        times, lefts, rights = tuple(map(float, times)), tuple(map(float, lefts)), tuple(map(float, rights))
         if not len(times) == len(lefts) == len(rights):
             raise PathDomainError(
                 f"breakpoint columns must have equal lengths, not {len(times)}, {len(lefts)} and {len(rights)}"
@@ -105,15 +100,16 @@ class PiecewisePath:
         # C-level passes accept the columns at once: a sum is finite only if
         # every term is.  The loop runs only when they fail, to find which
         # error comes first; finite terms whose sum overflows pass it.
-        if math.isfinite(sum(times) + sum(lefts) + sum(rights)) and all(map(lt, (0.0, *times), times)):
-            return
-        prev = 0.0
-        for t, left, right in zip(times, lefts, rights):
-            if not (math.isfinite(t) and math.isfinite(left) and math.isfinite(right)):
-                raise PathDomainError("breakpoint data must be finite")
-            if t <= prev:
-                raise PathDomainError("breakpoint times must be strictly increasing and positive")
-            prev = t
+        if not (math.isfinite(sum(times) + sum(lefts) + sum(rights)) and all(map(lt, (0.0, *times), times))):
+            prev = 0.0
+            for t, left, right in zip(times, lefts, rights):
+                if not (math.isfinite(t) and math.isfinite(left) and math.isfinite(right)):
+                    raise PathDomainError("breakpoint data must be finite")
+                if t <= prev:
+                    raise PathDomainError("breakpoint times must be strictly increasing and positive")
+                prev = t
+        self.__dict__.update(initial=initial, times=times, lefts=lefts, rights=rights,
+                             terminal_rise=terminal_rise, terminal_run=terminal_run)
 
     @property
     def breakpoints(self) -> tuple[Breakpoint, ...]:
@@ -417,17 +413,18 @@ def add(p: PiecewisePath, q: PiecewisePath) -> PiecewisePath:
     MERGE_EPS of the group's last time, and each group becomes one anchor:
     the sum of the left limits at its start and of the values at its end.
     """
-    ptimes, plefts = p.times, p.lefts
-    qtimes, qlefts = q.times, q.lefts
+    ptimes, plefts, prights = p.times, p.lefts, p.rights
+    qtimes, qlefts, qrights = q.times, q.lefts, q.rights
     np_, nq = len(ptimes), len(qtimes)
     # i and j count the breakpoints of p and q before the group; each
     # operand's piece after them is (t0, v0, rise, run), as in _piece,
     # and tp, tq are the times of their next breakpoints
     i = j = 0
-    pt0, pv0, prise, prun = p._piece(0)
-    qt0, qv0, qrise, qrun = q._piece(0)
     tp = ptimes[0] if np_ else math.inf
     tq = qtimes[0] if nq else math.inf
+    pt0, pv0, qt0, qv0 = 0.0, p.initial, 0.0, q.initial
+    prise, prun = (plefts[0] - pv0, tp - pt0) if np_ else (p.terminal_rise, p.terminal_run)
+    qrise, qrun = (qlefts[0] - qv0, tq - qt0) if nq else (q.terminal_rise, q.terminal_run)
     anchors: list[tuple[float, float, float]] = []
     while tp < math.inf or tq < math.inf:
         start = end = tp if tp < tq else tq
@@ -448,9 +445,11 @@ def add(p: PiecewisePath, q: PiecewisePath) -> PiecewisePath:
                 break
             end = t
         if i != i0:
-            pt0, pv0, prise, prun = p._piece(i)
+            pt0, pv0 = ptimes[i - 1], prights[i - 1]
+            prise, prun = (plefts[i] - pv0, tp - pt0) if i < np_ else (p.terminal_rise, p.terminal_run)
         if j != j0:
-            qt0, qv0, qrise, qrun = q._piece(j)
+            qt0, qv0 = qtimes[j - 1], qrights[j - 1]
+            qrise, qrun = (qlefts[j] - qv0, tq - qt0) if j < nq else (q.terminal_rise, q.terminal_run)
         # on the piece at its own breakpoint too, where rise * 0.0 gives the
         # signed zeros of reading the value there
         right = pv0 + prise * ((end - pt0) / prun) + (qv0 + qrise * ((end - qt0) / qrun))

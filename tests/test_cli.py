@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import enum
 import gc
@@ -39,6 +40,17 @@ MODEL = {
     "model": {"m": 2, "weights": [[1.0], [1.0]], "Q": [[1.0, 0.5], [0.5, 1.0]]},
     "rho": [1.0, 1.0],
     "seed": 7,
+}
+
+
+#: one type, and three types with rho along the kernel's factorization
+#: direction (Q[i][j] * Q[i][k] / Q[i][i]), which the curve needs
+M1_MODEL = {"schema_version": 1, "model": {"m": 1, "weights": [[1.2, 0.9, 0.7, 0.4]], "Q": [[1.0]]}, "rho": [1.0], "seed": 3}
+M3_MODEL = {
+    "schema_version": 1,
+    "model": {"m": 3, "weights": [[1.2, 0.9], [1.0, 0.6], [0.8, 0.5]], "Q": [[1.0, 0.5, 0.4], [0.5, 1.0, 0.3], [0.4, 0.3, 1.0]]},
+    "rho": [0.2, 0.15, 0.12],
+    "seed": 5,
 }
 
 
@@ -254,8 +266,12 @@ class TestConfig:
         assert captured.out == "" and not (tmp_path / "o").exists()
 
     def test_distributional_reps_below_1000_exit_with_two(self, tmp_path, capsys):
+        # refused at the boundary, naming the option, before any output
+        # directory is made; stats still refuses library callers
         assert main(["validate", "distributional", "--reps", "999", "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "error: statistical comparisons need at least 1000 replications\n"
+        captured = capsys.readouterr()
+        assert captured.err == "error: --reps: the distributional suite needs at least 1000, not 999\n"
+        assert captured.out == "" and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("where", ["weights", "Q"])
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
@@ -755,6 +771,45 @@ class TestSampleExplore:
         assert main(["explore", "--config", str(model_config), "--mode", "graph", "--out", str(out)]) == 0
         trace = json.loads((out / "trace.json").read_text())
         assert len(trace) == 2
+
+
+def _csv_rows(data: bytes) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(data.decode("ascii"), newline="")))
+
+
+def _assert_csv_writer_form(data: bytes) -> None:
+    """``data`` is what csv.writer writes for its own rows, in its default
+    dialect, with every line ended by \\r\\n."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(_csv_rows(data))
+    assert data == buf.getvalue().encode("ascii")
+    *lines, rest = data.split(b"\r\n")
+    assert lines and rest == b"" and not any(b"\r" in line or b"\n" in line for line in lines)
+
+
+class TestCsvFormat:
+    @pytest.mark.parametrize("spec", [M1_MODEL, WORKED, M3_MODEL], ids=["m1-model", "worked-field", "m3-model"])
+    def test_curve_csv_is_csv_writer_text(self, tmp_path, spec):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(spec))
+        assert main(["curve", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        data = (tmp_path / "o" / "curve.csv").read_bytes()
+        _assert_csv_writer_form(data)
+        header, *rows = _csv_rows(data)
+        m = spec["model" if "model" in spec else "field"]["m"]
+        assert header == ["s", *(f"curve_{i}" for i in range(m)), "process_0"]
+        # every field is the repr of a float
+        assert rows and all(repr(float(x)) == x for row in rows for x in row)
+
+    def test_graph_csv_is_csv_writer_text(self, tmp_path):
+        config = tmp_path / "config.json"
+        spec = {**MODEL, "model": {"m": 2, "weights": [[1.2, 0.9, 0.4], [1.0, 0.6]], "Q": [[1.0, 0.5], [0.5, 1.0]]}}
+        config.write_text(json.dumps(spec))
+        assert main(["sample", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        data = (tmp_path / "o" / "graph.csv").read_bytes()
+        _assert_csv_writer_form(data)
+        header, *rows = _csv_rows(data)
+        assert header == ["u", "v"] and rows
 
 
 def _assert_json_dumps_form(out: Path, suite: str) -> None:

@@ -240,6 +240,21 @@ class TestColumns:
         with pytest.raises(PathDomainError):
             dataclasses.replace(p, lefts=())
 
+    def test_one_constructor_keeps_the_dataclass_contract(self):
+        by_name = PiecewisePath(initial=0.0, terminal_rise=1.0)
+        by_position = PiecewisePath(0.0, (), (), (), 1.0)
+        assert by_name == by_position and hash(by_name) == hash(by_position)
+        assert [f.name for f in dataclasses.fields(PiecewisePath)] == [
+            "initial", "times", "lefts", "rights", "terminal_rise", "terminal_run"
+        ]
+        p = single_jump()
+        for f in dataclasses.fields(PiecewisePath):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, f.name, getattr(p, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(p, f.name)
+        assert p == single_jump()
+
 
 class TestPastInfimum:
     def test_worked_example(self):

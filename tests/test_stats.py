@@ -151,8 +151,17 @@ class TestSamplers:
         assert c == d
 
     def test_replication_floor_enforced(self):
-        with pytest.raises(ValueError):
-            mc_component_distribution(two_vertex_model(), (1.0, 1.0), 10, 0, "graph")
+        # the CLI refuses such a --reps itself; library callers meet this
+        model = two_vertex_model()
+        calls = [
+            lambda: mc_component_distribution(model, (1.0, 1.0), 10, 0, "graph"),
+            lambda: mc_component_distribution(model, (1.0, 1.0), 999, 0, "field"),
+            lambda: mc_field_samples(model, (1.0, 1.0), 999, 0),
+            lambda: mc_graph_jump_sequences(model, (1.0, 1.0), 999, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="at least 1000 replications"):
+                call()
 
     def test_unknown_sampler_rejected(self):
         with pytest.raises(ValueError):
