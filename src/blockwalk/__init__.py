@@ -16,12 +16,9 @@ from .field import (
     build_field,
     field_exploration,
     field_from_jumps,
-    field_from_paths,
     hitting_process,
     hitting_time,
-    rank_one_encoding,
     sample_clocks,
-    solver_jump,
 )
 from .model import BlockModel, connected_components, factor_kernel, graph_exploration, sample_graph
 from .paths import PiecewisePath, compose, excursions, generalized_inverse, polyline, smooth_compose

@@ -16,6 +16,7 @@ import os
 import platform
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from importlib import metadata
 from pathlib import Path
@@ -78,12 +79,17 @@ def load_config(path: str | Path) -> RunConfig:
         if len(spec["weights"]) != spec["m"]:
             raise ConfigError("config.model: m does not match the number of weight vectors")
         try:
-            model = BlockModel(
-                tuple(tuple(map(float, w)) for w in spec["weights"]),
-                tuple(tuple(map(float, row)) for row in spec["Q"]),
-            )
+            # BlockModel's warnings are reported in the CLI's terms, one line each
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                model = BlockModel(
+                    tuple(tuple(map(float, w)) for w in spec["weights"]),
+                    tuple(tuple(map(float, row)) for row in spec["Q"]),
+                )
         except ValueError as exc:
             raise ConfigError(f"config.model: {exc}") from exc
+        for caught_warning in caught:
+            print(f"warning: config.model: {caught_warning.message}", file=sys.stderr)
     else:
         _require_keys(raw["field"], {"m", "R", "columns"}, set(), "config.field")
         spec = raw["field"]

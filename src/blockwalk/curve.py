@@ -143,11 +143,9 @@ class CurveBundle:
 
 def _check_jumps_reach_every_row(fld: Field) -> None:
     """A component is one excursion of every composed process only if its
-    jump moves every row: a discrete column that jumps needs a positive R
-    entry in each row.  A block model with a zero off-diagonal kernel entry
-    fails this; its curve and hitting times still exist."""
-    if not fld.discrete:
-        return
+    jump moves every row: a column that jumps needs a positive R entry in
+    each row.  A block model with a zero off-diagonal kernel entry fails
+    this; its curve and hitting times still exist."""
     for j, col in enumerate(fld.columns):
         for i in range(fld.m):
             if col and not fld.R[i][j] > 0:
@@ -161,35 +159,22 @@ def build_levels(fld: Field, rho) -> tuple[PiecewisePath, ...]:
     infimum of the diagonal.
 
     Needs the off-diagonal entries to be proportional column by column
-    (see :func:`_shared_columns`), and every diagonal to dip below zero
-    immediately and drift to minus infinity; the result is then
-    nondecreasing, zero at zero, strictly positive after zero and
-    unbounded.
+    (see :func:`_shared_columns`).  Every diagonal is a unit downward drift
+    plus jumps at positive times, so it falls below zero at once and
+    drifts to minus infinity; the result is then nondecreasing, zero at
+    zero, strictly positive after zero and unbounded.
     """
     rho = _positive_rho(rho, fld.m)
     shared = _shared_columns(fld, rho)
     out = []
     for i in range(fld.m):
-        low = fld.diag_infimum(i)
-        if low.terminal_rise >= 0:
-            raise CurveAssumptionError(f"diagonal {i} does not drift to -infinity")
-        if _stays_level(low):
-            raise CurveAssumptionError(f"diagonal {i} does not fall below zero immediately")
-        g = add(shared[i], scale(low, -1.0 / rho[i]))
+        g = add(shared[i], scale(fld.diag_infimum(i), -1.0 / rho[i]))
         try:
             require_invertible(g, "build_levels")
         except PathClassError:
             raise CurveAssumptionError(f"level map of type {i} is not invertible monotone") from None
         out.append(g)
     return tuple(out)
-
-
-def _stays_level(low: PiecewisePath) -> bool:
-    # the running infimum is flat on an initial interval iff its first move
-    # is not strictly downhill
-    if low.lefts:
-        return low.lefts[0] >= low.initial
-    return low.terminal_rise >= 0.0
 
 
 def build_combined(inverses: Sequence[PiecewisePath]) -> PiecewisePath:

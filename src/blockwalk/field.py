@@ -100,26 +100,16 @@ class ColumnJump(NamedTuple):
 
 @dataclass(frozen=True)
 class Field:
-    """m x m matrix of paths, realized lazily from per-column jump data
-    when the field comes from a discrete model."""
+    """m x m matrix of paths, realized lazily from per-column jump data:
+    column j jumps at the times of ``columns[j]`` by R[i][j] times the
+    weight in row i, and its diagonal entry drifts down at unit rate."""
 
     m: int
-    R: tuple[tuple[float, ...], ...] | None = None
-    columns: tuple[tuple[ColumnJump, ...], ...] | None = None
-    explicit_paths: tuple[tuple[PiecewisePath, ...], ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.columns is None and self.explicit_paths is None:
-            raise ValueError("a field needs either column jump data or explicit paths")
-
-    @property
-    def discrete(self) -> bool:
-        return self.columns is not None
+    R: tuple[tuple[float, ...], ...]
+    columns: tuple[tuple[ColumnJump, ...], ...]
 
     @cached_property
     def paths(self) -> tuple[tuple[PiecewisePath, ...], ...]:
-        if self.explicit_paths is not None:
-            return self.explicit_paths
         for j, col in enumerate(self.columns):
             # build_field sorts each column by time, so its first time is its
             # least; xi / Q_jj can underflow to 0.0, where no path can jump
@@ -143,15 +133,10 @@ class Field:
         return self._diag_infima[i]
 
     def total_jump_count(self) -> int:
-        """Number of driving jumps: one per column entry for discrete
-        fields, else the matrix-wide breakpoint-jump count."""
-        if self.columns is not None:
-            return sum(len(c) for c in self.columns)
-        return sum(len(p.jumps()) for row in self.paths for p in row)
+        """Number of driving jumps: one per column entry."""
+        return sum(len(c) for c in self.columns)
 
     def columns_json_obj(self) -> list[list[dict]]:
-        if not self.discrete:
-            raise ValueError("field has no discrete column data")
         return [
             [{"t": j.time, "w": j.weight, "vertex": list(j.vertex)} for j in col]
             for col in self.columns
@@ -175,7 +160,7 @@ def build_field(model: BlockModel, clocks: dict[Vertex, float]) -> Field:
 def field_from_jumps(
     column_jumps: list[list[tuple[float, float]]], R: list[list[float]]
 ) -> Field:
-    """Deterministic field from explicit per-column (time, weight) jumps;
+    """Deterministic field from given per-column (time, weight) jumps;
     vertex ranks follow weight order within each column.  Entries of R
     must be finite and nonnegative and times and weights finite and
     positive, as they are in every field a block model produces, and R
@@ -213,23 +198,6 @@ def field_from_jumps(
     return Field(m, tuple(tuple(float(x) for x in row) for row in R), tuple(cols))
 
 
-def field_from_paths(paths: list[list[PiecewisePath]]) -> Field:
-    """General field given directly by its entries; explorations are
-    unavailable, but hitting times and the curve still apply.  Backs the
-    claim that the curve construction needs only the field, not a block
-    model: on fields with continuous off-diagonals the curve agrees with
-    the ordinary composition of the level maps' inverses with the combined
-    level, and the curve's assumptions are checked on bounded and initially
-    flat diagonals.  ``paths`` must be m x m with m at least 1."""
-    m = len(paths)
-    if not m:
-        raise ValueError("paths has no rows")
-    for i, row in enumerate(paths):
-        if len(row) != m:
-            raise ValueError(f"paths[{i}] has {len(row)} entries, expected {m}")
-    return Field(m, explicit_paths=tuple(tuple(row) for row in paths))
-
-
 # -- minimal-solution solver ------------------------------------------------------
 
 
@@ -256,9 +224,8 @@ def hitting_time(fld: Field, rho, y: float) -> HittingTime:
     current iterate.  The iterate only ever grows, and each strict growth
     crosses at least one new column jump, so the loop ends within the
     total jump count plus two sweeps.  solver_jumps runs the same
-    iteration at many levels in one forward pass in increasing order; on a
-    discrete field each iteration starts from the solution at the level
-    below, on an explicit one from zero.
+    iteration at many levels in one forward pass in increasing order, each
+    iteration starting from the solution at the level below.
     """
     _check_level(fld, rho, y)
     times, sweeps = _iterate(fld, rho, y, [0.0] * fld.m)
@@ -269,7 +236,7 @@ def hitting_time(fld: Field, rho, y: float) -> HittingTime:
 
 def _check_level(fld: Field, rho, y: float) -> None:
     _check_rho(rho, fld.m)
-    if y < 0:
+    if not y >= 0:  # NaN too: no iteration settles at a NaN level
         raise ValueError("level must be nonnegative")
 
 
@@ -302,9 +269,9 @@ def _iterate(fld: Field, rho, y: float, t: list[float]) -> tuple[list[float], in
 
 
 def field_exploration(fld: Field, rho) -> ExplorationTrace:
-    """Deterministic sweep of a discrete field along direction rho, with
-    one step per vertex; see _sweep for the rules."""
-    _check_explorable(fld, rho)
+    """Deterministic sweep of the field along direction rho, with one step
+    per vertex; see _sweep for the rules."""
+    _check_rho(rho, fld.m)
     steps: list[ExplorationStep] = []
     components = _sweep(fld.columns, fld.R, rho, steps)
     return ExplorationTrace(
@@ -313,12 +280,6 @@ def field_exploration(fld: Field, rho) -> ExplorationTrace:
         tuple(steps),
         tuple(ComponentTrace(vs[0], vs, w, level) for vs, w, level in components),
     )
-
-
-def _check_explorable(fld: Field, rho) -> None:
-    if not fld.discrete:
-        raise ValueError("exploration needs a field with discrete column data")
-    _check_rho(rho, fld.m)
 
 
 def _sweep(columns, R, rho, steps: list | None = None) -> list[tuple]:
@@ -560,7 +521,7 @@ def encoded_jump(R, weight_by_type) -> tuple[float, ...]:
 def hitting_process(fld: Field, rho) -> HittingProcess:
     """Enumerate the jumps of y -> T(y) by sweeping the finitely many
     candidate levels produced by the exploration."""
-    _check_explorable(fld, rho)
+    _check_rho(rho, fld.m)
     components = _sweep(fld.columns, fld.R, rho)
     levels = tuple(level for _, _, level in components)
     deltas = tuple(encoded_jump(fld.R, w) for _, w, _ in components)
@@ -599,26 +560,25 @@ def solver_jumps(fld: Field, rho, levels) -> SolverJumps:
 
     Every level's two probes are found first, so the first level with a
     probe that rounds onto it raises solver_jump's error before anything
-    is solved.  The distinct probes are then solved in increasing order.
-    On a discrete field each iteration starts from the solution at the
-    probe below: T is nondecreasing in y, and with off-diagonals that are
-    nondecreasing step paths and continuous diagonal infima the float
-    iteration map is monotone in both the iterate and the level, so an
-    iteration started at or below T(y) stops at the fixed point that the
-    iteration from zero stops at.  An explicit field can break either
-    condition (a rising piece of an off-diagonal can round past its end by
-    an ulp), so there every probe is solved from zero.
+    is solved.  The distinct probes are then solved in increasing order,
+    each iteration starting from the solution at the probe below: T is
+    nondecreasing in y, and with off-diagonals that are nondecreasing step
+    paths and continuous diagonal infima the float iteration map is
+    monotone in both the iterate and the level, so an iteration started at
+    or below T(y) stops at the fixed point that the iteration from zero
+    stops at.
     """
     gaps = [_probe_gaps(levels, level) for level in levels]
     probes = sorted({y for level, (lo, hi) in zip(levels, gaps) for y in (level - lo, level + hi)})
     out = SolverJumps()
     if not probes:
         return out
-    _check_level(fld, rho, probes[0])
+    for y in probes:  # a NaN probe sorts anywhere, so each is checked
+        _check_level(fld, rho, y)
     solved = {}
     t = [0.0] * fld.m
     for y in probes:
-        t, sweeps = _iterate(fld, rho, y, t if fld.discrete else [0.0] * fld.m)
+        t, sweeps = _iterate(fld, rho, y, t)
         solved[y] = t
         out.sweeps += sweeps
     out.probes = len(probes)
@@ -645,33 +605,3 @@ def _jump(before, after, rho, lo_gap: float, hi_gap: float) -> tuple[float, ...]
     return tuple(
         (a - r * hi_gap) - (b + r * lo_gap) for a, b, r in zip(after, before, rho)
     )
-
-
-# -- rank-one specialization -------------------------------------------------------
-
-
-def rank_one_encoding(model: BlockModel, clocks: dict[Vertex, float]) -> list[tuple[float, float]]:
-    """(level, gap) pairs of the scalar hitting process, computed by the
-    classic one-dimensional sweep over sorted jump times.  Backs the
-    rank-one reduction: with one type the hitting process has these jumps."""
-    if model.m != 1:
-        raise ValueError("rank-one encoding requires exactly one type")
-    q = model.Q[0][0]
-    remaining = sorted((xi / q, model.weight(v)) for v, xi in clocks.items())
-    out = []
-    frontier = 0.0
-    level = 0.0
-    idx = 0
-    while idx < len(remaining):
-        t, w = remaining[idx]
-        level += t - frontier
-        window_end = t + w
-        mass = w
-        idx += 1
-        while idx < len(remaining) and remaining[idx][0] < window_end:
-            mass += remaining[idx][1]
-            window_end += remaining[idx][1]
-            idx += 1
-        out.append((level, mass))
-        frontier = window_end
-    return out

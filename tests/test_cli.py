@@ -85,6 +85,17 @@ def test_import_leaves_the_collector_untouched():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_package_exports():
+    # adding a name to the package is a deliberate edit of this list
+    exported = {n for n, v in vars(blockwalk).items() if not n.startswith("_") and not isinstance(v, type(blockwalk))}
+    assert exported == {
+        "CurveAssumptionError", "build_curve", "composed_processes", "encode_components", "level_hit_times",
+        "build_field", "field_exploration", "field_from_jumps", "hitting_process", "hitting_time", "sample_clocks",
+        "BlockModel", "connected_components", "factor_kernel", "graph_exploration", "sample_graph",
+        "PiecewisePath", "compose", "excursions", "generalized_inverse", "polyline", "smooth_compose",
+    }
+
+
 @pytest.fixture
 def worked_config(tmp_path):
     path = tmp_path / "worked.json"
@@ -175,6 +186,18 @@ class TestConfig:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {out}: cannot make output directory")
+
+    def test_unsorted_weights_warn_in_one_line(self, tmp_path):
+        unsorted = json.loads(json.dumps(M1_MODEL))
+        unsorted["model"]["weights"] = [[1.2, 0.9, 0.4, 0.7]]
+        for name, config in (("unsorted", unsorted), ("sorted", M1_MODEL)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        proc = _run_cli(["sample", "--config", str(tmp_path / "unsorted.json"), "--out", str(tmp_path / "unsorted")], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "warning: config.model: weights of type 0 were not nonincreasing; sorting\n"
+        assert main(["sample", "--config", str(tmp_path / "sorted.json"), "--out", str(tmp_path / "sorted")]) == 0
+        for name in ("components.json", "graph.csv"):
+            assert (tmp_path / "unsorted" / name).read_bytes() == (tmp_path / "sorted" / name).read_bytes()
 
     def test_config_errors_exit_with_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

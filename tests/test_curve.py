@@ -16,7 +16,6 @@ from blockwalk.curve import (
 from blockwalk.field import (
     build_field,
     field_from_jumps,
-    field_from_paths,
     hitting_process,
     hitting_time,
     sample_clocks,
@@ -32,7 +31,6 @@ from blockwalk.paths import (
     past_infimum,
     polyline,
     probe_times,
-    pure_jumps,
     step,
     sup_distance,
 )
@@ -275,34 +273,8 @@ def _plain_curve(bundle):
 
 
 class TestSpecialCase:
-    def _linear_offdiag_field(self, rng, m=2):
-        rho = tuple(float(rng.uniform(0.5, 2.0)) for _ in range(m))
-        nu = tuple(float(rng.uniform(0.3, 1.5)) for _ in range(m))
-        paths = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                if i == j:
-                    jumps = [
-                        (float(t), float(w))
-                        for t, w in zip(rng.uniform(0.2, 3.0, size=2), rng.uniform(0.2, 1.0, size=2))
-                    ]
-                    row.append(add(drift(-1.0), pure_jumps(jumps)))
-                else:
-                    row.append(drift(rho[i] * nu[j]))
-            paths.append(row)
-        return field_from_paths(paths), rho
-
-    def test_matches_general_curve_on_linear_offdiagonals(self, rng):
-        for _ in range(10):
-            fld, rho = self._linear_offdiag_field(rng)
-            bundle = build_curve(fld, rho)
-            assert all(not g.jumps() for g in bundle.levels)
-            for a, b in zip(_plain_curve(bundle), bundle.curve):
-                assert sup_distance(a, b) <= 1e-12
-
     def test_single_type_drift_curve_is_identity(self):
-        fld = field_from_paths([[drift(-1.0)]])
+        fld = field_from_jumps([[]], [[1.0]])
         bundle = build_curve(fld, (1.0,))
         (gamma,) = _plain_curve(bundle)
         assert sup_distance(gamma, drift(1.0)) == 0.0
@@ -350,20 +322,12 @@ class TestAssumptionFailures:
         with pytest.raises(CurveAssumptionError):
             build_curve(fld, (1.0, 1.0, 1.0))
 
-    def test_bounded_diagonal_rejected(self):
-        fld = field_from_paths([[pure_jumps([(1.0, 1.0)])]])
-        with pytest.raises(CurveAssumptionError, match="drift"):
-            build_curve(fld, (1.0,))
-
-    def test_initially_flat_diagonal_rejected(self):
-        diag = add(pure_jumps([(1.0, 1.0)]), polyline([(0.0, 0.0), (2.0, 0.0)], -1.0))
-        fld = field_from_paths([[diag]])
-        with pytest.raises(CurveAssumptionError, match="below zero"):
-            build_curve(fld, (1.0,))
-
-    def test_falling_level_map_rejected(self):
-        # off-diagonals falling faster than the diagonals make each level map fall
-        fld = field_from_paths([[drift(-1.0), drift(-2.0)], [drift(-2.0), drift(-1.0)]])
+    def test_falling_level_map_rejected(self, monkeypatch):
+        # shared columns falling faster than the diagonals make each level
+        # map fall; the off-diagonals of a field of jump columns never fall,
+        # so the falling paths stand in for them
+        monkeypatch.setattr(curve_module, "_shared_columns", lambda fld, rho: [drift(-2.0)] * fld.m)
+        fld = field_from_jumps([[], []], [[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(CurveAssumptionError, match="^level map of type 0 is not invertible monotone$"):
             build_curve(fld, (1.0, 1.0))
 

@@ -12,17 +12,15 @@ from blockwalk.field import (
     build_field,
     field_exploration,
     field_from_jumps,
-    field_from_paths,
     hitting_process,
     hitting_time,
-    rank_one_encoding,
     sample_clocks,
     solver_jump,
     solver_jumps,
 )
 from blockwalk.instances import random_block_model, random_probe_direction, worked_instance
 from blockwalk.model import BlockModel, ComponentTrace, ExplorationStep, ExplorationTrace
-from blockwalk.paths import add, drift, past_infimum, polyline, pure_jumps, step, sup_distance
+from blockwalk.paths import add, drift, pure_jumps, step, sup_distance
 from blockwalk.stats import mc_component_distribution
 from test_model import _near_critical, _random_rho
 
@@ -61,6 +59,33 @@ def rank_one_walk(model: BlockModel, clocks, q: float | None = None):
     q = model.Q[0][0] if q is None else q
     jumps = [(xi / q, model.weight(v)) for v, xi in clocks.items()]
     return add(drift(-1.0), pure_jumps(jumps))
+
+
+def rank_one_encoding(model: BlockModel, clocks) -> list[tuple[float, float]]:
+    """(level, gap) pairs of the scalar hitting process, computed by the
+    classic one-dimensional sweep over sorted jump times.  Backs the
+    rank-one reduction: with one type the hitting process has these jumps."""
+    if model.m != 1:
+        raise ValueError("rank-one encoding requires exactly one type")
+    q = model.Q[0][0]
+    remaining = sorted((xi / q, model.weight(v)) for v, xi in clocks.items())
+    out = []
+    frontier = 0.0
+    level = 0.0
+    idx = 0
+    while idx < len(remaining):
+        t, w = remaining[idx]
+        level += t - frontier
+        window_end = t + w
+        mass = w
+        idx += 1
+        while idx < len(remaining) and remaining[idx][0] < window_end:
+            mass += remaining[idx][1]
+            window_end += remaining[idx][1]
+            idx += 1
+        out.append((level, mass))
+        frontier = window_end
+    return out
 
 
 def single_type_model(*weights, q=1.0):
@@ -141,19 +166,6 @@ class TestBuildField:
         with pytest.raises(ValueError, match=match):
             field_from_jumps([[(0.5, 1.0)], [(0.7, 0.5)]], R)
 
-    @pytest.mark.parametrize(
-        "shape, match",
-        [
-            ((1, 2), r"^paths\[0\] has 2 entries, expected 1$"),
-            ((2, 1), r"^paths\[0\] has 1 entries, expected 2$"),
-            ((0, 0), r"^paths has no rows$"),
-        ],
-    )
-    def test_from_paths_needs_square_matrix(self, shape, match):
-        rows, cols = shape
-        with pytest.raises(ValueError, match=match):
-            field_from_paths([[drift(-1.0)] * cols for _ in range(rows)])
-
 
 class TestFieldEval:
     def test_zero_vector(self):
@@ -218,6 +230,12 @@ class TestHittingTime:
             hitting_time(fld, rho, -0.5)
         with pytest.raises(ValueError):
             hitting_time(fld, (0.0, 0.0), 1.0)
+
+    def test_nan_level_refused(self):
+        # the iteration never settles at a NaN level
+        fld, rho = worked_instance()
+        with pytest.raises(ValueError, match="^level must be nonnegative$"):
+            hitting_time(fld, rho, math.nan)
 
 
 class TestHittingProcess:
@@ -704,12 +722,12 @@ def _assert_solver_jumps_match_scan(fld, rho, levels):
     probes = _distinct_probes(levels)
     assert got.probes == len(probes)
     from_zero = sum(hitting_time(fld, rho, y).sweeps for y in probes)
-    assert got.sweeps <= from_zero if fld.discrete else got.sweeps == from_zero
+    assert got.sweeps <= from_zero
 
 
 @st.composite
 def _solver_cases(draw):
-    """A discrete field and a direction from a seeded draw: a factorizable
+    """A field and a direction from a seeded draw: a factorizable
     model of at most three types, a general one of at most six, either with
     some direction coordinates zero, or a dyadic field whose windows end
     exactly on later jumps, so that root gaps of zero repeat levels."""
@@ -754,20 +772,6 @@ def test_dyadic_fields_repeat_levels():
 
 
 class TestSolverJumps:
-    def test_explicit_fields_solve_every_probe_from_zero(self):
-        jumps = [[(0.4, 0.7), (1.5, 0.4)], [(0.9, 0.6), (2.2, 0.5)]]
-        diagonals = [add(drift(-1.0), pure_jumps(col)) for col in jumps]
-        falling = polyline([(0.0, 0.0), (1.0, -0.2), (3.0, -0.3)], 0.0)
-        # nondecreasing, yet its left limit just before t1 rounds above the
-        # one at t1: the iteration map is monotone only on step off-diagonals
-        t0, t1 = 0.2001249074388906, 0.935917428332663
-        rising = polyline([(0.0, -2.0), (t0, -1.6961063713314544), (t1, 3.679847531586005e-16)], 0.0)
-        assert rising.nondecreasing and rising.eval_left(math.nextafter(t1, 0.0)) > rising.eval_left(t1)
-        levels = [0.1, 0.3, 0.3, 1.0, 1.6]
-        for off in (falling, rising):
-            fld = field_from_paths([[diagonals[0], off], [pure_jumps([(c, 0.5 * w) for c, w in jumps[0]]), diagonals[1]]])
-            _assert_solver_jumps_match_scan(fld, (1.0, 1.0), levels)
-
     def test_first_probe_to_round_onto_its_level_raises_as_before(self):
         fld, rho = worked_instance()
         levels = [0.3, 1e17, math.nextafter(1e17, math.inf), 5e17]
@@ -781,3 +785,15 @@ class TestSolverJumps:
     def test_no_levels(self):
         fld, rho = worked_instance()
         assert solver_jumps(fld, rho, ()) == []
+
+    def test_solver_jump_refuses_a_nan_level(self):
+        fld, rho = worked_instance()
+        with pytest.raises(ValueError, match="^level must be nonnegative$"):
+            solver_jump(fld, rho, [0.5], math.nan)
+
+    @pytest.mark.parametrize("levels", [[math.nan], [1.0, math.nan], [math.nan, 1.0]])
+    def test_solver_jumps_refuses_a_nan_level(self, levels):
+        # a NaN probe sorts anywhere among the others, not first
+        fld, rho = worked_instance()
+        with pytest.raises(ValueError, match="^level must be nonnegative$"):
+            solver_jumps(fld, rho, levels)
