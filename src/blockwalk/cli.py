@@ -33,7 +33,7 @@ from .field import (
     sample_clocks,
     solver_jumps,
 )
-from .model import BlockModel, connected_components, graph_exploration, sample_graph, scaled_mass
+from .model import BlockModel, _check_rho, connected_components, graph_exploration, sample_graph, scaled_mass
 from .paths import probe_times
 
 OUTPUT_ROOT_ENV = "BLOCKWALK_OUT"
@@ -113,6 +113,10 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(raw["rho"], list) or not all(_is_number(r) and math.isfinite(r) for r in raw["rho"]):
         raise ConfigError("config.rho: expected a list of finite numbers")
     rho = tuple(float(r) for r in raw["rho"])
+    try:
+        _check_rho(rho, (model or fld).m)
+    except ValueError as exc:
+        raise ConfigError(f"config.rho: {exc}") from exc
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("config.seed: expected a nonnegative integer")
@@ -500,9 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
 

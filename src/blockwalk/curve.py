@@ -85,8 +85,8 @@ class CurveBundle:
 
     ``levels[i]`` maps type-i time to a common progress level (shared
     off-diagonal load plus rescaled depth of the diagonal's running
-    infimum); ``combined_level`` is the inverse of the sum of their
-    inverses, and recovers the level from total time.  ``curve[i]``
+    infimum); ``combined_level`` is the inverse of the sum of their cached
+    ``.inverse`` paths, and recovers the level from total time.  ``curve[i]``
     is the time spent on axis i as a function of total time.  ``fld`` is
     the field the bundle was built from; the later stages, the composed
     processes and the encoded components, are built from it once, on
@@ -95,7 +95,6 @@ class CurveBundle:
 
     rho: tuple[float, ...]
     levels: tuple[PiecewisePath, ...]
-    level_inverses: tuple[PiecewisePath, ...]
     combined_level: PiecewisePath
     curve: tuple[PiecewisePath, ...]
     fld: Field = field(compare=False, repr=False)
@@ -197,7 +196,7 @@ def build_curve(fld: Field, rho) -> CurveBundle:
         curve = tuple(smooth_compose(inv, combined_level) for inv in inverses)
     except Exception as exc:  # noqa: BLE001 - re-tag construction bugs
         raise CurveInvariantError(f"smooth composition failed on a guaranteed-compatible pair: {exc}") from exc
-    return CurveBundle(rho, levels, inverses, combined_level, curve, fld)
+    return CurveBundle(rho, levels, combined_level, curve, fld)
 
 
 # -- composed processes and the one-dimensional encoding ---------------------------

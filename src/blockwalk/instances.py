@@ -1,22 +1,11 @@
-"""Reference fixtures and random instance generators for validation runs."""
+"""The staircase counterexample and the random instance generators of the validation runs."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import Field, field_from_jumps
 from .model import BlockModel, _as_rng, factor_kernel
 from .paths import PiecewisePath, _build
-
-
-def worked_instance() -> tuple[Field, tuple[float, float]]:
-    """Two-type deterministic field with a single column-one jump at t=0.5
-    (diagonal size 1, off-diagonal size 0.3) probed along (1, 1)."""
-    fld = field_from_jumps(
-        [[(0.5, 1.0)], []],
-        [[1.0, 0.0], [0.3, 1.0]],
-    )
-    return fld, (1.0, 1.0)
 
 
 def staircase_counterexample() -> PiecewisePath:
@@ -36,14 +25,14 @@ def staircase_counterexample() -> PiecewisePath:
     return _build(0.0, anchors, 1.0, 1.0)
 
 
-def random_monotone_path(rng: np.random.Generator, max_pieces: int = 6) -> PiecewisePath:
-    """Random invertible monotone path: slope-and-step staircase with a
-    strictly rising start and unbounded tail."""
+def random_monotone_path(rng: np.random.Generator) -> PiecewisePath:
+    """Random invertible monotone path: slope-and-step staircase with at
+    most six breakpoints, a strictly rising start and an unbounded tail."""
     anchors = []
     t = 0.0
     v = 0.0
     slope = float(rng.uniform(0.2, 2.0))
-    for _ in range(rng.integers(0, max_pieces + 1)):
+    for _ in range(rng.integers(0, 7)):
         dt = float(rng.uniform(0.1, 1.5))
         t += dt
         v += slope * dt

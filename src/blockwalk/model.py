@@ -312,9 +312,6 @@ class ExplorationTrace:
     def zeta_final(self) -> int:
         return len(self.components)
 
-    def visited(self) -> list[Vertex]:
-        return [s.vertex for s in self.steps]
-
     def to_json_obj(self) -> list[dict]:
         return [
             {

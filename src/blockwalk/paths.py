@@ -338,9 +338,8 @@ def _canonical(
 
 
 def polyline(nodes: Iterable[tuple[float, float]], terminal_rise: float, terminal_run: float = 1.0) -> PiecewisePath:
-    """Continuous path through (t, value) nodes, starting at t = 0.  Backs
-    the worked instance's exactness claim (acceptance criterion 1): its
-    closed-form curve and combined level are written as polylines."""
+    """Continuous path through (t, value) nodes, starting at t = 0: linear
+    between nodes, and rising terminal_rise per terminal_run after the last."""
     dedup: list[tuple[float, float]] = []
     for t, v in nodes:
         if dedup and t == dedup[-1][0]:
@@ -798,12 +797,11 @@ def _first_rise(d: PiecewisePath, k: int, a: float, b: float | None) -> float | 
 # -- comparison helpers -------------------------------------------------------
 
 
-def probe_times(*paths: PiecewisePath, extra: tuple[float, ...] = ()) -> list[float]:
+def probe_times(*paths: PiecewisePath) -> list[float]:
     """Breakpoints, segment midpoints and a few terminal probes of the
     given paths; where piecewise-linear functions can disagree, they
     disagree at these times."""
     ts = {0.0}
-    ts.update(extra)
     last = 0.0
     for p in paths:
         ts.update(p.times)
@@ -813,10 +811,10 @@ def probe_times(*paths: PiecewisePath, extra: tuple[float, ...] = ()) -> list[fl
     return sorted(set(grid + mids + [last + 0.5, last + 1.0, 2 * last + 1.0]))
 
 
-def sup_distance(p: PiecewisePath, q: PiecewisePath, extra: tuple[float, ...] = ()) -> float:
+def sup_distance(p: PiecewisePath, q: PiecewisePath) -> float:
     """Max of |p - q| over both paths' probe times, using values and left
     limits."""
-    ts = probe_times(p, q, extra=extra)
+    ts = probe_times(p, q)
     gap = 0.0
     for pv, qv, pl, ql in zip(p.eval_many(ts), q.eval_many(ts), p.eval_left_many(ts), q.eval_left_many(ts)):
         gap = max(gap, abs(pv - qv), abs(pl - ql))

@@ -31,6 +31,8 @@ from .model import (
 
 SIG_DIGITS = 12
 MAX_EXACT_VERTICES = 8
+#: chi-square cells expected to hold fewer counts are pooled
+MIN_EXPECTED = 5.0
 #: uniforms drawn by one generator call in _pair_keys
 _PAIR_CHUNK_CELLS = 1 << 20
 
@@ -48,9 +50,6 @@ class PartitionDistribution:
 
     model: BlockModel
     probs: dict[tuple, float]
-
-    def total(self) -> float:
-        return sum(self.probs.values())
 
     def signature_distribution(self) -> dict[tuple, float]:
         """Push forward onto multisets of per-type component weights."""
@@ -141,23 +140,6 @@ def exact_partition_distribution(model: BlockModel) -> PartitionDistribution:
     return PartitionDistribution(model, full)
 
 
-def brute_force_partition_distribution(model: BlockModel) -> PartitionDistribution:
-    """Sum over every edge configuration; only for very small graphs.  The
-    reference that exact_partition_distribution is tested against."""
-    table = _pair_table(model)
-    if len(table.pairs) > 15:
-        raise ValueError("brute force limited to 15 vertex pairs")
-    probs = table.probs.tolist()
-    out: dict[tuple, float] = {}
-    for mask in range(1 << len(probs)):
-        prob = 1.0
-        for k, p in enumerate(probs):
-            prob *= p if mask >> k & 1 else 1.0 - p
-        key = _partition_of_edges(table, _bits(mask))
-        out[key] = out.get(key, 0.0) + prob
-    return PartitionDistribution(model, out)
-
-
 def _bits(mask: int):
     while mask:
         low = mask & (-mask)
@@ -217,17 +199,6 @@ def _pair_keys(table: _PairTable, rng: np.random.Generator, n_reps: int) -> list
         edges = rng.random((min(chunk, n_reps - start), k)) < table.probs
         keys += _row_keys(np.packbits(edges, axis=1))
     return keys
-
-
-def sample_partition_batch(model: BlockModel, n_reps: int, seed) -> list[tuple]:
-    """n_reps independent component partitions, vectorized over the pair
-    indicators; same law as sampling graphs one by one, and the same
-    uniforms and decisions as n_reps sample_graph calls on one generator.
-    Each distinct row of indicators is decoded once."""
-    table = _pair_table(model)
-    keys = _pair_keys(table, _as_rng(seed), n_reps)
-    parts = {key: _partition_of_key(table, key) for key in dict.fromkeys(keys)}
-    return list(map(parts.__getitem__, keys))
 
 
 # -- Monte Carlo laws ----------------------------------------------------------------
@@ -411,10 +382,10 @@ class ChiSquareResult:
         }
 
 
-def chi_square(observed: Mapping, expected: Mapping[object, float], min_expected: float = 5.0) -> ChiSquareResult:
+def chi_square(observed: Mapping, expected: Mapping[object, float]) -> ChiSquareResult:
     """Goodness of fit of observed counts against reference probabilities.
 
-    Cells whose expected count falls below ``min_expected`` are pooled into
+    Cells whose expected count falls below ``MIN_EXPECTED`` are pooled into
     one remainder cell (merged further with the smallest regular cell if
     still short).  Categories unseen in the reference are reported in
     ``unknown_mass`` and excluded from the statistic.
@@ -431,14 +402,14 @@ def chi_square(observed: Mapping, expected: Mapping[object, float], min_expected
     regular: list[tuple[float, float]] = []
     pooled_cells = 0
     for obs, exp in cells:
-        if exp < min_expected:
+        if exp < MIN_EXPECTED:
             pooled_obs += obs
             pooled_exp += exp
             pooled_cells += 1
         else:
             regular.append((obs, exp))
     if pooled_cells:
-        while pooled_exp < min_expected and regular:
+        while pooled_exp < MIN_EXPECTED and regular:
             obs, exp = regular.pop(0)
             pooled_obs += obs
             pooled_exp += exp
@@ -451,7 +422,7 @@ def chi_square(observed: Mapping, expected: Mapping[object, float], min_expected
     return ChiSquareResult(stat, dof, float(sps.chi2.sf(stat, dof)), int(n), pooled_cells, int(unknown))
 
 
-def chi_square_two_sample(counts_a: Mapping, counts_b: Mapping, min_expected: float = 5.0) -> ChiSquareResult:
+def chi_square_two_sample(counts_a: Mapping, counts_b: Mapping) -> ChiSquareResult:
     """Homogeneity test for two frequency tables over the same categories."""
     cats = sorted(set(counts_a) | set(counts_b), key=repr)
     a = np.array([counts_a.get(c, 0) for c in cats], dtype=float)
@@ -467,7 +438,7 @@ def chi_square_two_sample(counts_a: Mapping, counts_b: Mapping, min_expected: fl
     cells_a, cells_b = [], []
     acc_a = acc_b = acc_p = 0.0
     for xa, xb, p in zip(a, b, pooled):
-        if p * min_n < min_expected:
+        if p * min_n < MIN_EXPECTED:
             acc_a += xa
             acc_b += xb
             acc_p += p
@@ -504,11 +475,6 @@ class KSResult:
 def ks_one_sample(sample: Sequence[float], cdf: Callable[[float], float]) -> KSResult:
     stat, p = sps.kstest(np.asarray(sample), np.vectorize(cdf))
     return KSResult(float(stat), float(p), len(sample))
-
-
-def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KSResult:
-    res = sps.ks_2samp(np.asarray(a), np.asarray(b))
-    return KSResult(float(res.statistic), float(res.pvalue), len(a) + len(b))
 
 
 def exponential_cdf(rate: float) -> Callable[[float], float]:

@@ -16,9 +16,9 @@ import pytest
 from blockwalk import validate
 from blockwalk.curve import build_curve, encode_components
 from blockwalk.field import hitting_process, hitting_time
-from blockwalk.instances import worked_instance
 from blockwalk.model import factor_kernel
 from blockwalk.paths import polyline, sup_distance
+from references import worked_instance
 
 EXACT = 1e-12
 PROP = 1e-9

@@ -260,6 +260,18 @@ class TestConfig:
         assert main(["encode", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.count("error:") == 1
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("rho", [[1.0], [-1.0, -2.0], [0.0, 0.0]], ids=["short", "negative", "all-zero"])
+    def test_bad_direction_exits_with_two_before_any_output(self, tmp_path, capsys, command, rho):
+        # sample used to write scaled masses of such a direction: 0 for a
+        # type past a short one, negative for a negative one
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(MODEL, rho=rho)))
+        assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: config.rho: ")
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", [*COMMANDS, ("validate", "pathwise")], ids=" ".join)
     def test_negative_seed_option_exits_with_two(self, model_config, tmp_path, capsys, command):
         # like config.seed; numpy used to refuse it without naming the option

@@ -20,7 +20,7 @@ from blockwalk.field import (
     hitting_time,
     sample_clocks,
 )
-from blockwalk.instances import random_block_model, random_probe_direction, worked_instance
+from blockwalk.instances import random_block_model, random_probe_direction
 from blockwalk.model import BlockModel
 from blockwalk.paths import (
     PiecewisePath,
@@ -34,6 +34,7 @@ from blockwalk.paths import (
     step,
     sup_distance,
 )
+from references import worked_instance
 
 
 def random_curve_instance(rng, max_vertices=6):
@@ -250,7 +251,7 @@ class TestCurveInvariants:
             bundle = build_curve(fld, rho)
             top = min(g.eval(5.0) for g in bundle.levels)
             u = float(rng.uniform(0.0, top))
-            t = tuple(g_inv.eval(u) for g_inv in bundle.level_inverses)
+            t = tuple(g.inverse.eval(u) for g in bundle.levels)
             premise = all(
                 abs(g.eval(ti) - u) <= 1e-12
                 and g.eval_left(ti) == g.eval(ti)
@@ -269,7 +270,7 @@ def _plain_curve(bundle):
     """The curve by ordinary composition of each level map's inverse with
     the combined level, which needs no smoothing where the level maps are
     continuous and strictly increasing."""
-    return tuple(compose(inv, bundle.combined_level) for inv in bundle.level_inverses)
+    return tuple(compose(g.inverse, bundle.combined_level) for g in bundle.levels)
 
 
 class TestSpecialCase:

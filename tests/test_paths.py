@@ -948,8 +948,8 @@ class TestAgainstLinearScans:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_curve_inputs_match_scans(self, seed):
         fld, bundle = _near_critical_instance(80, seed)
-        for inv in bundle.level_inverses:
-            assert _same_bits(smooth_compose(inv, bundle.combined_level), _smooth_compose_scan(inv, bundle.combined_level))
+        for g in bundle.levels:
+            assert _same_bits(smooth_compose(g.inverse, bundle.combined_level), _smooth_compose_scan(g.inverse, bundle.combined_level))
         for i in range(fld.m):
             for j in range(fld.m):
                 assert _same_bits(compose(fld.paths[i][j], bundle.curve[j]), _compose_scan(fld.paths[i][j], bundle.curve[j]))

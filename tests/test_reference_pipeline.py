@@ -225,9 +225,9 @@ def _all_same_bits(ps, qs):
 
 
 def _assert_stages_match(fld, bundle):
-    reference_curve = tuple(_reference_smooth_compose(inv, bundle.combined_level) for inv in bundle.level_inverses)
+    reference_curve = tuple(_reference_smooth_compose(g.inverse, bundle.combined_level) for g in bundle.levels)
     assert _all_same_bits(bundle.curve, reference_curve)
-    assert _all_same_bits(tuple(smooth_compose(inv, bundle.combined_level) for inv in bundle.level_inverses), reference_curve)
+    assert _all_same_bits(tuple(smooth_compose(g.inverse, bundle.combined_level) for g in bundle.levels), reference_curve)
     assert _all_same_bits(composed_processes(fld, bundle), _reference_composed_processes(fld, bundle))
     encoded = encode_components(fld, bundle)
     assert encoded == _reference_encode_components(fld, bundle)

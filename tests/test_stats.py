@@ -22,21 +22,19 @@ from blockwalk.stats import (
     _PAIR_CHUNK_CELLS,
     FieldSample,
     _round_vec,
-    brute_force_partition_distribution,
     chi_square,
     chi_square_two_sample,
     exact_first_jump_distribution,
     exact_partition_distribution,
     exponential_cdf,
     ks_one_sample,
-    ks_two_sample,
     mc_component_distribution,
     mc_field_samples,
     mc_graph_jump_sequences,
     partition_signature,
-    sample_partition_batch,
 )
 from blockwalk.validate import FIXTURES
+from references import brute_force_partition_distribution, sample_partition_batch
 from test_field import _TIE_PRONE, _field_exploration_loop, _sample_clocks_per_vertex
 from test_model import _random_rho
 
@@ -60,7 +58,7 @@ class TestExactOracle:
     def test_probabilities_sum_to_one(self, rng):
         for _ in range(10):
             model = random_block_model(rng, max_vertices=5)
-            assert exact_partition_distribution(model).total() == pytest.approx(1.0, abs=1e-12)
+            assert sum(exact_partition_distribution(model).probs.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force(self, rng):
         for _ in range(10):
@@ -114,11 +112,6 @@ class TestChiSquare:
 
 
 class TestKS:
-    def test_identical_samples(self):
-        a = np.linspace(0.0, 1.0, 200)
-        res = ks_two_sample(a, a)
-        assert res.statistic == 0.0
-
     def test_exponential_fit(self):
         rng = np.random.default_rng(5)
         sample = rng.exponential(0.5, size=20_000)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from blockwalk import cli, field, paths, stats, validate
-from blockwalk.curve import build_curve, encode_components
+from blockwalk.curve import build_curve, encode_components, level_hit_times
 from blockwalk.field import build_field, hitting_process, sample_clocks
 from blockwalk.instances import random_block_model, random_probe_direction
 from blockwalk.model import BlockModel
-from blockwalk.paths import MERGE_EPS, PiecewisePath, _build, _pullback, add, compose, polyline, smooth_compose
+from blockwalk.paths import MERGE_EPS, PiecewisePath, _build, _pullback, add, compose, polyline, scale, smooth_compose
 
 
 def _curve_identity_gap_loop(bundle, process):
@@ -288,3 +288,83 @@ def test_curve_command_fails_the_check_of_its_fault(name, tmp_path, monkeypatch)
     assert [c["name"] for c in report["checks"] if not c["passed"]] == [name]
     assert [c["name"] for c in report["checks"]] == EXCURSION_CHECKS + [validate.CURVE_IDENTITY_SPEC[0]]
     assert all(set(c) == {f.name for f in fields(validate.Check)} for c in report["checks"])
+
+
+# -- each curve check can fail -------------------------------------------------------
+
+
+class _Shown:
+    """A curve bundle that shows other paths for some of its stages; the
+    stages it caches, such as the composed processes, stay its own."""
+
+    def __init__(self, bundle, **stages):
+        self._bundle = bundle
+        vars(self).update(stages)
+
+    def __getattr__(self, name):
+        return getattr(self._bundle, name)
+
+
+def _first_coordinate(change):
+    """build_curve whose bundle shows change(curve[0]) as its first coordinate."""
+
+    def build(fld, rho):
+        bundle = build_curve(fld, rho)
+        return _Shown(bundle, curve=(change(bundle.curve[0]), *bundle.curve[1:]))
+
+    return build
+
+
+def _scaled_off_the_parameter(c):
+    """c scaled by 1 + 1e-6."""
+    return scale(c, 1.0 + 1e-6)
+
+
+def _with_downward_step(c):
+    """c raised by 1e-6 on [1 - 1e-7, 1), so that it steps down at s = 1."""
+    return add(c, _build(0.0, [(1.0 - 1e-7, 0.0, 1e-6), (1.0, 1e-6, 0.0)], 0.0, 1.0))
+
+
+def _with_steep_ramp(c):
+    """c plus a ramp of slope 2 on [1, 1.001]."""
+    return add(c, polyline([(0.0, 0.0), (1.0, 0.0), (1.001, 0.002)], 0.0))
+
+
+def _combined_level_raised(fld, rho):
+    """build_curve whose bundle shows its combined level raised by 1e-6."""
+    bundle = build_curve(fld, rho)
+    return _Shown(bundle, combined_level=add(bundle.combined_level, PiecewisePath(1e-6)))
+
+
+def _hitting_process_late(fld, rho):
+    """hitting_process with every jump level 1e-6 later."""
+    process = hitting_process(fld, rho)
+    return replace(process, levels=tuple(y + 1e-6 for y in process.levels))
+
+
+def _hit_times_late(fld, bundle, y):
+    """level_hit_times 1e-6 later in every row."""
+    return tuple(t + 1e-6 for t in level_hit_times(fld, bundle, y))
+
+
+#: check name of validate.curve_checks -> (object, attribute, fault)
+CURVE_FAULTS = {
+    "curve coordinates sum to the parameter": (validate, "build_curve", _first_coordinate(_scaled_off_the_parameter)),
+    "curve coordinates are nondecreasing": (validate, "build_curve", _first_coordinate(_with_downward_step)),
+    "curve coordinates are one-Lipschitz": (validate, "build_curve", _first_coordinate(_with_steep_ramp)),
+    "level maps sandwich the combined level along the curve": (validate, "build_curve", _combined_level_raised),
+    "curve passes through hitting times": (validate, "hitting_process", _hitting_process_late),
+    "composed processes hit each level at the total hitting time": (validate, "level_hit_times", _hit_times_late),
+}
+
+
+def test_every_curve_check_has_a_fault():
+    assert [c.name for c in validate.curve_checks(1, 0)] == list(CURVE_FAULTS)
+
+
+@pytest.mark.parametrize("name", list(CURVE_FAULTS))
+def test_curve_fault_fails_its_check(name, monkeypatch):
+    monkeypatch.setattr(*CURVE_FAULTS[name])
+    # the count and seed of acceptance criterion 4
+    checks = {c.name: c for c in validate.curve_checks(60, 3003)}
+    assert not checks[name].passed, checks[name]
