@@ -385,7 +385,6 @@ def cmd_explore(args) -> int:
     started = time.time()
     stages = _Stages()
     cfg = _effective_config(args)
-    out = _out_dir(args, "explore")
     if args.mode == "graph":
         if cfg.model is None:
             raise ConfigError("graph exploration needs a model config")
@@ -393,11 +392,13 @@ def cmd_explore(args) -> int:
         stages.lap("sample")
         trace = graph_exploration(graph, cfg.rho, cfg.seed + 1)
         stages.lap("explore")
+        out = _out_dir(args, "explore")
     else:
         fld = cfg.realize_field()
         stages.lap("build")
         trace = field_exploration(fld, cfg.rho)
         stages.lap("explore")
+        out = _out_dir(args, "explore")
         _write_json(out / "field.json", fld.columns_json_obj())
     _write_json(out / "trace.json", trace.to_json_obj())
     stages.lap("write")
@@ -410,7 +411,6 @@ def cmd_encode(args) -> int:
     started = time.time()
     stages = _Stages()
     cfg = _effective_config(args)
-    out = _out_dir(args, "encode")
     fld = cfg.realize_field()
     stages.lap("build")
     process = hitting_process(fld, cfg.rho)
@@ -424,6 +424,7 @@ def cmd_encode(args) -> int:
     stages.lap("verify")
     obj = process.to_json_obj()
     obj["solver_check"] = {"pass": ok, "checks": [c.to_json_obj() for c in checks]}
+    out = _out_dir(args, "encode")
     _write_json(out / "encoding.json", obj)
     stages.lap("write")
     counters = {"jumps": len(process.levels), "probes": solved.probes, "solver_sweeps": solved.sweeps}
@@ -436,7 +437,6 @@ def cmd_curve(args) -> int:
     started = time.time()
     stages = _Stages()
     cfg = _effective_config(args)
-    out = _out_dir(args, "curve")
     fld = cfg.realize_field()
     process = hitting_process(fld, cfg.rho)
     # the curve's parameter is the total time; the checks run to one level
@@ -459,6 +459,7 @@ def cmd_curve(args) -> int:
     grid = probe_times(*bundle.curve, *processes)
     columns = [grid] + [g.eval_many(grid) for g in (*bundle.curve, processes[0])]
     header = ["s"] + [f"curve_{i}" for i in range(fld.m)] + ["process_0"]
+    out = _out_dir(args, "curve")
     _write_csv(out / "curve.csv", header, zip(*(map(repr, column) for column in columns)))
     _write_json(out / "excursions.json", [e.to_json_obj() for e in encoded])
     _write_json(out / "pathwise_report.json", {"pass": ok, "checks": [c.to_json_obj() for c in checks]})

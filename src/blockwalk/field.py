@@ -278,7 +278,7 @@ def field_exploration(fld: Field, rho) -> ExplorationTrace:
         fld.m,
         tuple(float(r) for r in rho),
         tuple(steps),
-        tuple(ComponentTrace(vs[0], vs, w, level) for vs, w, level in components),
+        tuple(ComponentTrace(vs, w, level) for vs, w, level in components),
     )
 
 
@@ -344,7 +344,6 @@ def _sweep(columns, R, rho, steps: list | None = None) -> list[tuple]:
                 children.append(col[p])
                 p += 1
             pointer[i] = p
-        n_discovered = k + len(queue)
         for _, w, v in children:
             hi = tuple([t + w * r for t, r in zip(tail, r_columns[v[1]])])
             queue.append((v, w, tail, hi))
@@ -357,7 +356,6 @@ def _sweep(columns, R, rho, steps: list | None = None) -> list[tuple]:
                     vertex=vertex,
                     zeta=len(components) + 1,
                     children=tuple(c[2] for c in children),
-                    n_active_end=n_discovered,
                     window_low=low,
                     window_high=high,
                     root_gap=root_gap,

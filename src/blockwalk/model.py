@@ -287,7 +287,6 @@ class ExplorationStep:
     vertex: Vertex
     zeta: int
     children: tuple[Vertex, ...]
-    n_active_end: int
     window_low: tuple[float, ...] | None = None
     window_high: tuple[float, ...] | None = None
     root_gap: float | None = None
@@ -295,7 +294,6 @@ class ExplorationStep:
 
 @dataclass(frozen=True)
 class ComponentTrace:
-    root: Vertex
     vertices: tuple[Vertex, ...]
     weight_by_type: tuple[float, ...]
     level: float  # cumulative root gap at which the component was found
@@ -357,14 +355,7 @@ def graph_exploration(graph: Graph, rho: Sequence[float], seed) -> ExplorationTr
 
     def close_component() -> None:
         if current:
-            components.append(
-                ComponentTrace(
-                    current[0],
-                    tuple(current),
-                    component_weights(model, current),
-                    level,
-                )
-            )
+            components.append(ComponentTrace(tuple(current), component_weights(model, current), level))
 
     while True:
         root_gap = None
@@ -388,7 +379,6 @@ def graph_exploration(graph: Graph, rho: Sequence[float], seed) -> ExplorationTr
             vertex = queue.popleft()
             kind = "child"
         k += 1
-        n_discovered = k + len(queue)  # processed so far plus the active stack
         current.append(vertex)
         found = [u for u in graph.neighbors(vertex) if u in unexplored]
         ordered: list[Vertex] = []
@@ -410,7 +400,6 @@ def graph_exploration(graph: Graph, rho: Sequence[float], seed) -> ExplorationTr
                 vertex=vertex,
                 zeta=zeta,
                 children=tuple(ordered),
-                n_active_end=n_discovered,
                 root_gap=root_gap,
             )
         )

@@ -280,42 +280,35 @@ class PiecewisePath:
 
 def _build(
     initial: float,
-    anchors: list[tuple[float, float, float]],
+    anchors: Iterable[tuple[float, float, float]],
     terminal_rise: float,
     terminal_run: float = 1.0,
 ) -> PiecewisePath:
-    """Canonicalize (time, left, right) anchors into a path.
+    """Canonicalize (time, left, right) anchors in nondecreasing time order
+    into a path, in one forward pass.
 
-    Anchors closer than MERGE_EPS collapse into one (treated as a single
-    simultaneous jump) and anchors carrying neither a jump nor a slope
+    An anchor within MERGE_EPS of the current group's head merges into it
+    (a single simultaneous jump: the head's time and left value, the last
+    anchor's right value); one more than MERGE_EPS before the head raises
+    :class:`PathDomainError`.  Anchors carrying neither a jump nor a slope
     change are dropped.
     """
-    # an anchor is kept as given unless a merge replaces it
-    merged: list = []
-    for anchor in sorted(anchors, key=itemgetter(0)):
-        if merged and anchor[0] - merged[-1][0] <= MERGE_EPS:
-            t, left, _ = merged[-1]
-            merged[-1] = (t, left, anchor[2])
-        else:
-            merged.append(anchor)
-    return _canonical(initial, merged, terminal_rise, terminal_run)
-
-
-def _canonical(
-    initial: float,
-    anchors: list[tuple[float, float, float]],
-    terminal_rise: float,
-    terminal_run: float,
-) -> PiecewisePath:
-    """The back end of :func:`_build`, for anchors already sorted and more
-    than MERGE_EPS apart."""
     # drop anchors carrying neither a jump nor a slope change, cascading so
     # that every survivor is tested against its final neighbors; ``kept``
     # starts with the origin as (0, nan, initial), which the nan keeps from
-    # ever reading as jump-free, so the point before the top is kept[-2]
+    # ever reading as jump-free, so the point before the top is kept[-2].
+    # The top is the current group's head, at time ``head``.
     kept: list = [(0.0, math.nan, initial)]
+    head = -math.inf
     for anchor in anchors:
-        nt, nl = anchor[0], anchor[1]
+        nt = anchor[0]
+        if nt - head <= MERGE_EPS:
+            if nt - head < -MERGE_EPS:
+                raise PathDomainError(f"anchor times must be nondecreasing: {nt} after {head}")
+            t, left, _ = kept[-1]
+            kept[-1] = (t, left, anchor[2])
+            continue
+        head, nl = nt, anchor[1]
         while True:
             t, left, right = kept[-1]
             if left != right:
@@ -338,8 +331,9 @@ def _canonical(
 
 
 def polyline(nodes: Iterable[tuple[float, float]], terminal_rise: float, terminal_run: float = 1.0) -> PiecewisePath:
-    """Continuous path through (t, value) nodes, starting at t = 0: linear
-    between nodes, and rising terminal_rise per terminal_run after the last."""
+    """Continuous path through (t, value) nodes in nondecreasing time order,
+    starting at t = 0: linear between nodes, and rising terminal_rise per
+    terminal_run after the last.  Of nodes at one time the first is kept."""
     dedup: list[tuple[float, float]] = []
     for t, v in nodes:
         if dedup and t == dedup[-1][0]:
@@ -453,7 +447,7 @@ def add(p: PiecewisePath, q: PiecewisePath) -> PiecewisePath:
         # signed zeros of reading the value there
         right = pv0 + prise * ((end - pt0) / prun) + (qv0 + qrise * ((end - qt0) / qrun))
         anchors.append((start, left, right))
-    return _canonical(
+    return _build(
         p.initial + q.initial,
         anchors,
         p.terminal_rise * q.terminal_run + q.terminal_rise * p.terminal_run,
@@ -474,49 +468,55 @@ def scale(p: PiecewisePath, c: float) -> PiecewisePath:
 
 
 def past_infimum(path: PiecewisePath) -> PiecewisePath:
-    """Running infimum t -> inf over [0, t]; continuous and nonincreasing.
+    """Running infimum t -> inf over [0, t]; nonincreasing.
 
     Requires the path to have no negative jumps, which is what makes the
-    output continuous.
+    output continuous up to rounding: where a piece from (t0, v0) to (t1,
+    v1) falls through the infimum ``cur``, the crossing time is clamped to
+    ``min(t1, t0 + (cur - v0) / slope)``, as in first_time_at_or_below, and
+    one that rounds onto t1 leaves a downward jump from cur to v1 there.
     """
     require_no_negative_jumps(path, "past_infimum")
-    nodes: list[tuple[float, float]] = [(0.0, path.initial)]
+    anchors: list[tuple[float, float, float]] = []
     cur = path.initial
     for t0, v0, t1, v1 in path.finite_segments():
         if v1 < cur:
             if v0 > cur:
                 slope = (v1 - v0) / (t1 - t0)
-                nodes.append((t0 + (cur - v0) / slope, cur))
-            else:
-                nodes.append((t0, cur))
-            nodes.append((t1, v1))
+                anchors.append((min(t1, t0 + (cur - v0) / slope), cur, cur))
+            elif t0 > 0.0:
+                anchors.append((t0, cur, cur))
+            anchors.append((t1, v1, v1))
             cur = v1
     t_last, v_last = path.last_anchor
     if path.terminal_rise < 0:
         rise, run = path.terminal_rise, path.terminal_run
         if v_last > cur:
             t_star = t_last + (cur - v_last) * path.terminal_run / path.terminal_rise
-            nodes.append((t_star, cur))
-        else:
-            nodes.append((t_last, cur))
+            anchors.append((t_star, cur, cur))
+        elif t_last > 0.0:
+            anchors.append((t_last, cur, cur))
     else:
         rise, run = 0.0, 1.0
-    return polyline(nodes, rise, run)
+    return _build(path.initial, anchors, rise, run)
 
 
 def first_time_at_or_below(path: PiecewisePath, level: float) -> float:
-    """First t with path(t) <= level for a continuous nonincreasing path;
-    +inf when the level is never reached.  A lower level never gives an
-    earlier time."""
+    """First t with path(t) <= level for a nonincreasing path, such as a
+    running infimum; +inf when the level is never reached.  A lower level
+    never gives an earlier time."""
     if path.eval(0.0) <= level:
         return 0.0
-    # left limits do not increase along a nonincreasing path, so the first
-    # segment ending at or below the level is found by bisection
-    times, lefts = path.times, path.lefts
-    k = bisect_left(lefts, -level, key=neg)
+    # values do not increase along a nonincreasing path, so the first
+    # breakpoint at or below the level is found by bisection: the piece
+    # that ends there reaches the level, or else the jump there does
+    times, rights = path.times, path.rights
+    k = bisect_left(rights, -level, key=neg)
     if k < len(times):
-        t0, v0 = (times[k - 1], path.rights[k - 1]) if k else (0.0, path.initial)
-        t1, v1 = times[k], lefts[k]
+        t0, v0 = (times[k - 1], rights[k - 1]) if k else (0.0, path.initial)
+        t1, v1 = times[k], path.lefts[k]
+        if v1 > level:
+            return t1
         if v0 == v1:
             return t0
         # rounding can carry the interpolation an ulp past t1, where the
@@ -691,6 +691,9 @@ def compose(outer: PiecewisePath, inner: PiecewisePath) -> PiecewisePath:
     free_ts, free_values = _free_breakpoints(inner, sorted(s for s, _, _ in anchors))
     for s, v in zip(free_ts, outer.eval_many(free_values)):
         anchors.append((s, v, v))
+    # a pullback can fall an ulp below the one before it, and the free
+    # breakpoints come last
+    anchors.sort(key=itemgetter(0))
     return _build(
         outer.eval(inner.eval(0.0)),
         anchors,

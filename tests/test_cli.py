@@ -272,6 +272,26 @@ class TestConfig:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: config.rho: ")
         assert captured.out == "" and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, spec, match",
+        [
+            (("curve",), dict(MODEL, rho=[0.0, 1.0]), "error: curve construction needs a strictly positive direction"),
+            (("encode",), dict(WORKED, field={"m": 1, "R": [[1.0]], "columns": [[{"t": 9000.0, "w": 1.0}]]}, rho=[1.0]),
+             "error: the checks would compare times up to"),
+            (("explore", "--mode", "graph"), WORKED, "error: graph exploration needs a model config"),
+        ],
+        ids=["curve-zero-rho", "encode-late-jump", "explore-graph-on-field"],
+    )
+    def test_late_refusals_exit_with_two_before_any_output(self, tmp_path, capsys, command, spec, match):
+        # the output directory used to be made before these refusals and
+        # was left behind empty
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(spec))
+        assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith(match)
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", [*COMMANDS, ("validate", "pathwise")], ids=" ".join)
     def test_negative_seed_option_exits_with_two(self, model_config, tmp_path, capsys, command):
         # like config.seed; numpy used to refuse it without naming the option

@@ -505,7 +505,7 @@ def _field_exploration_loop(fld, rho):
             for v, w in ordered:
                 weight_by_type[v[1]] += w
             components.append(
-                ComponentTrace(current[0][0], tuple(v for v, _ in current), tuple(weight_by_type), level)
+                ComponentTrace(tuple(v for v, _ in current), tuple(weight_by_type), level)
             )
 
     while True:
@@ -540,13 +540,12 @@ def _field_exploration_loop(fld, rho):
                 children.append(nxt)
                 pointer[i] += 1
         children.sort(key=lambda c: (c.vertex[1], c.time))
-        n_discovered = k + len(queue)
         for c in children:
             hi = tuple(tail[i] + c.weight * fld.R[i][c.vertex[1]] for i in range(m))
             queue.append((c.vertex, c.weight, tail, hi))
             tail = hi
         steps.append(
-            ExplorationStep(k, kind, vertex, zeta, tuple(c.vertex for c in children), n_discovered, low, high, root_gap)
+            ExplorationStep(k, kind, vertex, zeta, tuple(c.vertex for c in children), low, high, root_gap)
         )
     return ExplorationTrace(m, tuple(float(r) for r in rho), tuple(steps), tuple(components))
 

@@ -375,7 +375,7 @@ def _graph_exploration_resorting(graph, rho, seed):
         if not queue:
             if current:
                 components.append(
-                    ComponentTrace(current[0], tuple(current), component_weights(model, current), level)
+                    ComponentTrace(tuple(current), component_weights(model, current), level)
                 )
             current = []
             candidates = positive_rate()
@@ -393,7 +393,6 @@ def _graph_exploration_resorting(graph, rho, seed):
             vertex = queue.pop(0)
             kind = "child"
         k += 1
-        n_discovered = k + len(queue)
         current.append(vertex)
         found = [u for u in graph.neighbors(vertex) if u in unexplored]
         ordered = []
@@ -404,7 +403,7 @@ def _graph_exploration_resorting(graph, rho, seed):
         for u in ordered:
             unexplored.discard(u)
             queue.append(u)
-        steps.append(ExplorationStep(k, kind, vertex, zeta, tuple(ordered), n_discovered, root_gap=root_gap))
+        steps.append(ExplorationStep(k, kind, vertex, zeta, tuple(ordered), root_gap=root_gap))
     return ExplorationTrace(model.m, tuple(float(r) for r in rho), tuple(steps), tuple(components))
 
 

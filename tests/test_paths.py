@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -289,6 +290,47 @@ class TestPastInfimum:
         bad = _build(0.0, [(1.0, 0.0, -1.0)], 0.0, 1.0)
         with pytest.raises(PathClassError):
             past_infimum(bad)
+
+    def test_crossing_rounded_past_the_piece_end_does_not_rise(self):
+        # the last piece crosses the running minimum so close to its end,
+        # two ulps lower, that the crossing time rounds past that end; the
+        # infimum used to jump up there, back to the minimum
+        low, peak, end = -0.36655578788129517, 2.6439948499698493, -0.3665557878812953
+        t3 = 1.6970148835063126
+        p = PiecewisePath(0.0, (0.5, 0.7295214310894016, t3), (low, peak, end), (low, peak, end), terminal_rise=1.0)
+        m = past_infimum(p)
+        assert not _rises(m)
+        assert m.eval(t3) == p.eval(t3) == end
+        assert m.limit_at_infinity() == end
+        # the minimum is reached at t3 alone, where the infimum jumps to it
+        assert first_time_at_or_below(m, end) == t3
+        assert first_time_at_or_below(m, low) == 0.5
+
+    def test_piece_ending_a_few_ulps_below_the_minimum(self, rng):
+        for _ in range(300):
+            t1 = float(rng.uniform(0.1, 2.0))
+            t2 = t1 + float(rng.uniform(0.1, 2.0))
+            t3 = t2 + float(rng.uniform(0.1, 2.0))
+            low, peak = -float(rng.uniform(0.01, 3.0)), float(rng.uniform(0.0, 3.0))
+            end = low
+            for _ in range(int(rng.integers(1, 5))):
+                end = math.nextafter(end, -math.inf)
+            p = PiecewisePath(0.0, (t1, t2, t3), (low, peak, end), (low, peak, end), terminal_rise=1.0)
+            m = past_infimum(p)
+            assert not _rises(m)
+            assert m.eval(t3) == end
+            assert m.limit_at_infinity() == end
+            # a crossing within MERGE_EPS of t3 merges with it, at its own time
+            assert t3 - MERGE_EPS <= first_time_at_or_below(m, end) <= t3
+
+
+def _rises(path):
+    """Whether a piece, a jump or the terminal direction of the path rises."""
+    return (
+        path.terminal_rise > 0
+        or any(map(operator.lt, (path.initial, *path.rights), path.lefts))
+        or any(map(operator.lt, path.lefts, path.rights))
+    )
 
 
 class TestGeneralizedInverse:
@@ -669,7 +711,7 @@ def _compose_scan(outer, inner):
         anchors.append((s, v, v))
     return _build(
         outer.eval(inner.eval(0.0)),
-        anchors,
+        sorted(anchors, key=lambda a: a[0]),
         outer.terminal_rise * inner.terminal_rise,
         outer.terminal_run * inner.terminal_run,
     )
@@ -773,13 +815,15 @@ def _plateaus(m, level_tol):
 def _first_time_scan(path, level):
     if path.eval(0.0) <= level:
         return 0.0
-    for t0, v0, t1, v1 in path.finite_segments():
+    for (t0, v0, t1, v1), right in zip(path.finite_segments(), path.rights):
         if v1 <= level:
             if v0 == v1:
                 return t0
             # never past the end of the piece, where the path already
             # reaches the level
             return min(t1, t0 + (level - v0) * (t1 - t0) / (v1 - v0))
+        if right <= level:  # the jump at t1 reaches it
+            return t1
     t_last, v_last = path.last_anchor
     if path.terminal_rise < 0:
         return t_last + (level - v_last) * path.terminal_run / path.terminal_rise

@@ -9,8 +9,9 @@ by a second inversion in ``smooth_compose``; a fresh ``composed_processes``
 and ``excursions`` inside ``verify_encoding``; sums with one bisected
 evaluation per point instead of one merge over both operands' breakpoints;
 free inner breakpoints found by one bisection each instead of a cursor;
-and canonicalization by the closure-based ``_build``.  The arithmetic is the
-same, so the results must be equal bit for bit, not close.
+and canonicalization by a closure-based ``_build`` that sorts its anchors
+and merges them in a pass of its own.  The arithmetic is the same, so the
+results must be equal bit for bit, not close.
 
 The generalized inverse, the excursions and the class check read the
 breakpoints directly.  Their references below are the forms they replaced:
@@ -44,6 +45,7 @@ from blockwalk.paths import (
     MERGE_EPS,
     IncompatiblePairError,
     PathClassError,
+    PathDomainError,
     PiecewisePath,
     _build,
     _free_breakpoints,
@@ -327,6 +329,62 @@ def test_free_breakpoints_cursor_matches_bisection(rng):
             kept += len(free)
             dropped += len(path.breakpoints) - len(free)
     assert kept and dropped
+
+
+def _ordered_anchors(rng):
+    """(initial, anchors, terminal_rise, terminal_run) with the anchors in
+    nondecreasing time order: tied times, clusters within MERGE_EPS,
+    anchors that carry no jump, and collinear runs on a grid of quarters
+    where the products of the redundancy test are exact."""
+    grid = rng.random() < 0.5
+    t = 0.25 * int(rng.integers(1, 4)) if grid else float(rng.uniform(0.1, 1.0))
+    slope = float(rng.choice([-1.0, 0.0, 0.5, 2.0]))
+    initial = v = float(rng.choice([-1.0, 0.0, 0.5]))
+    v += slope * t
+    anchors = []
+    for _ in range(int(rng.integers(0, 10))):
+        left = v if grid or rng.random() < 0.5 else float(rng.uniform(-2.0, 2.0))
+        right = left + float(rng.choice([0.0, 0.0, 0.0, 1.0, -0.5])) if grid else float(rng.choice([left, rng.uniform(-2.0, 2.0)]))
+        anchors.append((t, left, right))
+        gap = int(rng.integers(0, 5))
+        dt = (0.0, float(rng.uniform(0.0, MERGE_EPS)), MERGE_EPS)[gap] if gap < 3 else 0.25 * int(rng.integers(1, 4))
+        if rng.random() < 0.2:
+            slope = float(rng.choice([-1.0, 0.0, 0.5, 2.0]))
+        t, v = t + dt, right + slope * dt
+    rise, run = (slope, 1.0) if rng.random() < 0.5 else (float(rng.uniform(-2.0, 2.0)), float(rng.choice([0.5, 1.0, 3.0])))
+    return initial, anchors, rise, run
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_one_pass_build_matches_the_two_pass_reference(seed):
+    rng = np.random.default_rng(seed)
+    initial, anchors, rise, run = _ordered_anchors(rng)
+    negated = [(t, -left, -right) for t, left, right in anchors]
+    for case in ((initial, anchors, rise, run), (-initial, negated, -rise, run)):
+        assert _same_bits(_build(*case), _reference_build(*case))
+
+
+def test_build_refuses_anchors_out_of_order(rng):
+    # the second anchor carries no jump and lies on the line from the
+    # origin through the first, so a pass that did not check the order
+    # would drop the first and keep the second: a silent reordering
+    with pytest.raises(PathDomainError, match="anchor times must be nondecreasing: 0.5 after 1.0"):
+        _build(0.0, [(1.0, 1.0, 1.0), (0.5, 0.5, 0.5)], 1.0)
+    # within MERGE_EPS before the head an anchor merges into its group
+    early = math.nextafter(1.0 - MERGE_EPS, math.inf)
+    assert _build(0.0, [(1.0, 1.0, 1.0), (early, 1.0, 2.0)], 1.0).breakpoints == ((1.0, 1.0, 2.0),)
+    swapped = 0
+    for _ in range(200):
+        initial, anchors, rise, run = _ordered_anchors(rng)
+        for k in range(1, len(anchors)):
+            if anchors[k][0] - anchors[k - 1][0] > MERGE_EPS:
+                shuffled = anchors[: k - 1] + [anchors[k], anchors[k - 1]] + anchors[k + 1:]
+                with pytest.raises(PathDomainError, match="anchor times must be nondecreasing"):
+                    _build(initial, shuffled, rise, run)
+                swapped += 1
+                break
+    assert swapped > 100
 
 
 # -- the move-list forms the path algebra used before it read breakpoints ------
