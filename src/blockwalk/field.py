@@ -377,7 +377,10 @@ def _sweep_rows(times: np.ndarray, weights, R, rho) -> tuple[np.ndarray, np.ndar
     bit for bit; a jump behind the frontier in any row raises _sweep's
     error.  A row processes its s-th discovered vertex at step s, so the
     Python loops run over steps, types and the children of one window, each
-    pass one vectorized operation over the rows.
+    pass one vectorized operation over the rows.  Rows are the last axis of
+    every array, so that a pass over one type or coordinate reads and
+    writes one contiguous run, and gathers and scatters go through flat
+    indices (every array here is C-contiguous, so ravel() is a view).
 
     Returns per row the discovery-order component label of each vertex, -1
     for a vertex no component reaches, and the level of the first root,
@@ -385,87 +388,96 @@ def _sweep_rows(times: np.ndarray, weights, R, rho) -> tuple[np.ndarray, np.ndar
     """
     n, n_verts = times.shape
     m = len(weights)
-    r_columns = np.asarray(R, dtype=float).T  # r_columns[j][i] = R[i][j]
+    R = np.asarray(R, dtype=float)
     rho = np.asarray(rho, dtype=float)
     rows = np.arange(n)
-    # column j of each row: the type-j jump times sorted, padded with +inf,
-    # which no window end exceeds, and their weights and vertex indices
+    types = np.arange(m)[:, None]
+    # the type-j jump of rank k in time order of row r sits at
+    # offset[j] + k * n + r, followed by one row of +inf, which no window end
+    # exceeds, so that a pointer past the last jump reads +inf
     sizes = [len(ws) for ws in weights]
-    width = max(sizes, default=0)
-    col_t = np.full((n, m, width), np.inf)
-    col_w = np.zeros((n, m, width))
-    col_v = np.zeros((n, m, width), dtype=np.intp)
+    offset = np.cumsum([0] + [(size + 1) * n for size in sizes])
+    base = [offset[j] + rows for j in range(m)]
+    col_t = np.full(offset[-1], np.inf)
+    col_w = np.zeros(offset[-1])
+    col_v = np.zeros(offset[-1], dtype=np.intp)
     start = 0
     for j, ws in enumerate(weights):
         stop = start + sizes[j]
-        order = np.argsort(times[:, start:stop], axis=1)
-        col_t[:, j, : sizes[j]] = np.take_along_axis(times[:, start:stop], order, axis=1)
-        col_w[:, j, : sizes[j]] = np.asarray(ws, dtype=float)[order]
-        col_v[:, j, : sizes[j]] = order + start
+        # the times of a row are distinct, so every sort orders them alike
+        order = np.argsort(times[:, start:stop], axis=1, kind="stable").T
+        ranks = slice(offset[j], offset[j] + sizes[j] * n)
+        col_t[ranks] = times.take(order + start + rows * n_verts).ravel()
+        col_w[ranks] = np.asarray(ws, dtype=float).take(order).ravel()
+        col_v[ranks] = (order + start).ravel()
         start = stop
     labels = np.full((n, n_verts), -1, dtype=np.intp)
     first = np.full(n, np.nan)
     level = np.zeros(n)
-    tail = np.zeros((n, m))
-    pointer = np.zeros((n, m), dtype=np.intp)
+    tail = np.zeros((m, n))
+    pointer = np.zeros((m, n), dtype=np.intp)
     found = np.zeros(n, dtype=np.intp)  # vertices discovered so far
     component = np.full(n, -1, dtype=np.intp)
-    # window end of each discovered vertex; a child's window starts where
-    # that of the vertex discovered just before it ends
-    high = np.zeros((n, n_verts, m))
+    # window end of each discovered vertex: coordinate i of the k-th one of
+    # row r at (k * m + i) * n + r; a child's window starts where that of
+    # the vertex discovered just before it ends
+    high = np.zeros((n_verts, m, n))
     with np.errstate(all="ignore"):  # like Python floats: overflow to inf, NaN quietly
         for s in range(n_verts):
             idle = found == s  # queue empty: choose a root
             root = np.zeros(n, dtype=bool)
             root_gap = np.zeros(n)
+            root_at = np.zeros(n, dtype=np.intp)  # where the root's jump sits
             ri = np.zeros(n, dtype=np.intp)
             for i in range(m):
                 if rho[i] <= 0 or not sizes[i]:
                     continue
-                p = pointer[:, i]
-                t = col_t[rows, i, np.minimum(p, sizes[i] - 1)]
-                gap = (t - tail[:, i]) / rho[i]
+                p = pointer[i]
+                at = p * n + base[i]
+                gap = (col_t.take(at) - tail[i]) / rho[i]
                 better = idle & (p < sizes[i]) & (~root | (gap < root_gap))
                 root_gap = np.where(better, gap, root_gap)
+                root_at = np.where(better, at, root_at)
                 ri = np.where(better, i, ri)
                 root |= better
             active = (found > s) | root
             if not active.any():
                 break
-            low = high[:, s - 1].copy() if s else np.zeros((n, m))
+            # every row computes a root window; the rows with a root keep it
+            root_low = tail + rho[:, None] * root_gap
+            root_low.ravel()[ri * n + rows] = col_t.take(root_at)
+            root_high = root_low + col_w.take(root_at) * R.take(ri, axis=1)
+            # a child's window starts where the one before it ends; at step 0
+            # every active row has a root
+            low = np.where(root, root_low, high[s - 1])
+            tail = np.where(root, root_high, tail)
+            high[s] = np.where(root, root_high, high[s])
+            pointer += root & (types == ri)
+            level = np.where(root, level + root_gap, level)
+            first = np.where(root & (component < 0), level, first)
+            component += root
             r_rows = np.flatnonzero(root)
-            if len(r_rows):
-                level = np.where(root, level + root_gap, level)
-                first = np.where(root & (component < 0), level, first)
-                component += root
-                r_type = ri[r_rows]
-                r_pos = pointer[r_rows, r_type]
-                pointer[r_rows, r_type] += 1
-                r_low = tail[r_rows] + rho * root_gap[r_rows, None]
-                r_low[np.arange(len(r_rows)), r_type] = col_t[r_rows, r_type, r_pos]
-                r_high = r_low + col_w[r_rows, r_type, r_pos][:, None] * r_columns[r_type]
-                low[r_rows] = r_low
-                high[r_rows, s] = tail[r_rows] = r_high
-                labels[r_rows, col_v[r_rows, r_type, r_pos]] = component[r_rows]
-                found[r_rows] += 1
-            window_end = high[:, s]
+            labels.ravel()[r_rows * n_verts + col_v.take(root_at[r_rows])] = component[r_rows]
+            found += root
             for i in range(m):
                 if not sizes[i]:
                     continue
-                p = pointer[:, i]
-                inside = (col_t[:, i] < window_end[:, i, None]).sum(axis=1)
+                p = pointer[i]
+                block = col_t[offset[i]:offset[i] + sizes[i] * n].reshape(sizes[i], n)
+                inside = np.add.reduce(block < high[s, i], axis=0, dtype=np.intp)
                 n_children = np.where(active, np.maximum(inside - p, 0), 0)
-                t = col_t[rows, i, np.minimum(p, sizes[i] - 1)]
-                if ((n_children > 0) & (t < low[:, i])).any():
+                if ((n_children > 0) & (col_t.take(p * n + base[i]) < low[i])).any():
                     raise RuntimeError("unexplored jump behind the sweep frontier")
                 for c in range(int(n_children.max())):
                     c_rows = np.flatnonzero(n_children > c)
-                    c_pos = p[c_rows] + c
-                    hi = tail[c_rows] + col_w[c_rows, i, c_pos][:, None] * r_columns[i]
-                    high[c_rows, found[c_rows]] = tail[c_rows] = hi
-                    labels[c_rows, col_v[c_rows, i, c_pos]] = component[c_rows]
+                    c_at = (p[c_rows] + c) * n + base[i][c_rows]
+                    hi = tail.take(c_rows, axis=1) + col_w.take(c_at) * R[:, i, None]
+                    cells = types * n + c_rows
+                    tail.ravel()[cells] = hi
+                    high.ravel()[found[c_rows] * (m * n) + cells] = hi
+                    labels.ravel()[c_rows * n_verts + col_v.take(c_at)] = component[c_rows]
                     found[c_rows] += 1
-                pointer[:, i] = p + n_children
+                pointer[i] = p + n_children
     return labels, first
 
 

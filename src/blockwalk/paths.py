@@ -56,10 +56,6 @@ class Breakpoint(NamedTuple):
     left: float
     right: float
 
-    @property
-    def jump(self) -> float:
-        return self.right - self.left
-
 
 #: Breakpoint._make without its Python frame, for trusted 3-tuples
 _new_breakpoint = partial(tuple.__new__, Breakpoint)

@@ -61,9 +61,12 @@ class PartitionDistribution:
 
 
 def partition_signature(model: BlockModel, partition: Sequence[Sequence[Vertex]]) -> tuple:
-    return tuple(
-        sorted(_round_vec(component_weights(model, list(block))) for block in partition)
-    )
+    return _signature(component_weights(model, list(block)) for block in partition)
+
+
+def _signature(weights: Iterable[Sequence[float]]) -> tuple:
+    """The sorted rounded weight vectors of a partition's blocks."""
+    return tuple(sorted(map(_round_vec, weights)))
 
 
 def exact_partition_distribution(model: BlockModel) -> PartitionDistribution:
@@ -204,7 +207,7 @@ def _pair_keys(table: _PairTable, rng: np.random.Generator, n_reps: int) -> list
 # -- Monte Carlo laws ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldSample:
     """What one field realization contributes to the distributional checks."""
 
@@ -230,7 +233,7 @@ def mc_component_distribution(
         keys = Counter()
         for chunk, _ in _field_rows(model, rho, n_reps, seed):
             keys.update(chunk)
-        signatures = (_field_outcome(model, key)[0] for key in keys)
+        signatures = (_signature(_field_weights(model, key)) for key in keys)
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
     counts: Counter = Counter()
@@ -247,23 +250,20 @@ def _field_rows(model: BlockModel, rho, n_reps: int, seed):
     q_diag = np.array([model.Q[i][i] for _, i in model.vertices()])
     for xi in _clock_rows(model, rng, n_reps):
         labels, first = _sweep_rows(xi / q_diag, model.weights, model.R, rho)
-        yield _row_keys(labels), first.tolist()
+        yield _row_keys(labels), first
 
 
-def _field_outcome(model: BlockModel, key: bytes) -> tuple[tuple, tuple]:
-    """The signature and the rounded jump sequence of a _field_rows key."""
+def _field_weights(model: BlockModel, key: bytes) -> list[list[float]]:
+    """Each component's weights by type, in discovery order, from a
+    _field_rows key: summed in rank order, as _sweep sums them."""
     labels = np.frombuffer(key, dtype=np.intp).tolist()
     verts = model.vertices()
-    # each component's weights by type, summed in rank order as _sweep sums them
     weights = [[0.0] * model.m for _ in range(max(labels, default=-1) + 1)]
     for v in sorted(range(len(verts)), key=verts.__getitem__):  # (rank, type) order
         if labels[v] >= 0:
             rank, i = verts[v]
             weights[labels[v]][i] += model.weights[i][rank]
-    return (
-        tuple(sorted(_round_vec(w) for w in weights)),
-        tuple(_round_vec(encoded_jump(model.R, w)) for w in weights),
-    )
+    return weights
 
 
 def mc_field_samples(model: BlockModel, rho, n_reps: int, seed) -> list[FieldSample]:
@@ -271,17 +271,21 @@ def mc_field_samples(model: BlockModel, rho, n_reps: int, seed) -> list[FieldSam
     sequence are computed once per distinct row of component labels."""
     _check_rho(rho, model.m)
     _check_reps(n_reps)
-    outcomes: dict[bytes, tuple] = {}
+    signature_of: dict[bytes, tuple] = {}
+    jumps_of: dict[bytes, tuple] = {}
     out: list[FieldSample] = []
     for keys, firsts in _field_rows(model, rho, n_reps, seed):
         for key in dict.fromkeys(keys):
-            if key not in outcomes:
-                outcomes[key] = _field_outcome(model, key)
-        # the first level is 0.0 + the first root's gap
-        out += [
-            FieldSample(signature, level if jumps else None, jumps)
-            for (signature, jumps), level in zip(map(outcomes.__getitem__, keys), firsts)
-        ]
+            if key not in signature_of:
+                weights = _field_weights(model, key)
+                signature_of[key] = _signature(weights)
+                jumps_of[key] = tuple(_round_vec(encoded_jump(model.R, w)) for w in weights)
+        # the first level is 0.0 + the first root's gap, NaN in a row
+        # without components, whose jump sequence is empty
+        gaps = firsts.astype(object)
+        gaps[np.isnan(firsts)] = None
+        signatures, jumps = map(signature_of.__getitem__, keys), map(jumps_of.__getitem__, keys)
+        out += map(FieldSample, signatures, gaps.tolist(), jumps)
     return out
 
 
@@ -351,6 +355,8 @@ def exact_first_jump_distribution(model: BlockModel, rho) -> dict[tuple, float]:
 
 
 def _check_reps(n_reps: int) -> None:
+    if not isinstance(n_reps, int) or isinstance(n_reps, bool):
+        raise ValueError(f"replication count must be an int, got {n_reps!r}")
     if n_reps < 1000:
         raise ValueError("statistical comparisons need at least 1000 replications")
 

@@ -22,6 +22,7 @@ from blockwalk.instances import random_block_model, random_probe_direction
 from blockwalk.model import BlockModel, ComponentTrace, ExplorationStep, ExplorationTrace
 from blockwalk.paths import add, drift, pure_jumps, step, sup_distance
 from blockwalk.stats import mc_component_distribution
+from blockwalk.validate import FIXTURE_RHO, FIXTURES
 from references import worked_instance
 from test_model import _near_critical, _random_rho
 
@@ -146,7 +147,7 @@ class TestBuildField:
                         assert bo.t == bd.t
                         # stored jump sizes carry cumulative-value rounding;
                         # the driving column data scales exactly
-                        assert bo.jump == pytest.approx(model.R[i][j] * bd.jump, abs=1e-12)
+                        assert bo.right - bo.left == pytest.approx(model.R[i][j] * (bd.right - bd.left), abs=1e-12)
                         assert rec.weight == model.weight(rec.vertex)
 
     def test_columns_jump_simultaneously(self):
@@ -394,7 +395,7 @@ class TestRankOne:
         walk = rank_one_walk(model, clocks)
         jumps = walk.jumps()
         assert len(jumps) == 1
-        assert jumps[0].jump == pytest.approx(0.7, abs=1e-12)
+        assert jumps[0].right - jumps[0].left == pytest.approx(0.7, abs=1e-12)
         assert jumps[0].t == clocks[(0, 0)] / 2.0
 
     def test_walk_matches_field_diagonal(self, rng):
@@ -565,16 +566,22 @@ def _solver_jump_scan(fld, rho, levels, level):
 _TIE_PRONE = BlockModel(((1e160, 1e160), (1e160,)), ((1e161, 1.0), (1.0, 1e161)))
 
 
+#: the one type with a positive entry of _NO_COMPONENT_RHO has no vertex, so
+#: no sweep finds a root
+_NO_COMPONENT = BlockModel(((), (1.0,)), ((1.0, 0.5), (0.5, 1.0)))
+_NO_COMPONENT_RHO = (1.0, 0.0)
+
+
 def _rows_per_vertex(model, rng, n_rows):
     return [list(_sample_clocks_per_vertex(model, rng).values()) for _ in range(n_rows)]
 
 
-def _assert_sweep_rows_match_sweep(model, rho, rng):
-    """_sweep_rows on a chunk of 200 clock rows gives, row by row, the
+def _assert_sweep_rows_match_sweep(model, rho, rng, n_rows=200):
+    """_sweep_rows on a chunk of n_rows clock rows gives, row by row, the
     components and the first level of _sweep: labels equal, levels equal
-    bit for bit."""
+    bit for bit.  Returns the labels and the first levels."""
     verts = model.vertices()
-    (xi,) = field_mod._clock_rows(model, rng, 200)
+    (xi,) = field_mod._clock_rows(model, rng, n_rows)
     times = xi / np.array([model.Q[i][i] for _, i in verts])
     labels, first = field_mod._sweep_rows(times, model.weights, model.R, rho)
     for row, got, level in zip(xi.tolist(), labels.tolist(), first.tolist()):
@@ -589,6 +596,7 @@ def _assert_sweep_rows_match_sweep(model, rho, rng):
             assert level.hex() == components[0][2].hex()
         else:
             assert math.isnan(level)
+    return labels, first
 
 
 class TestAgainstOldLoops:
@@ -673,6 +681,25 @@ class TestAgainstOldLoops:
         for _ in range(100):
             model = random_block_model(rng, max_types=3, max_vertices=int(rng.integers(3, 8)))
             _assert_sweep_rows_match_sweep(model, _random_rho(rng, model.m), rng)
+
+    @pytest.mark.parametrize("fixture", [0, 1])
+    def test_sweep_rows_matches_sweep_on_a_full_chunk(self, fixture):
+        rng = np.random.default_rng(fixture)
+        labels, _ = _assert_sweep_rows_match_sweep(FIXTURES[fixture], FIXTURE_RHO, rng, field_mod._CLOCK_CHUNK)
+        assert labels.shape == (field_mod._CLOCK_CHUNK, len(FIXTURES[fixture].vertices()))
+
+    def test_sweep_rows_matches_sweep_with_zero_and_tiny_directions(self, rng):
+        for rho in ((0.0, 1.0), (1e-9, 1.0), (1.0, 1e-9), (1e-9, 0.0)):
+            _assert_sweep_rows_match_sweep(FIXTURES[1], rho, rng)
+        for _ in range(40):
+            model = random_block_model(rng, max_types=3, max_vertices=int(rng.integers(3, 8)))
+            rho = tuple(float(x) for x in rng.choice([0.0, 1e-9, 1.0], model.m))
+            _assert_sweep_rows_match_sweep(model, rho if any(rho) else (1e-9,) * model.m, rng)
+
+    def test_sweep_rows_without_a_component(self, rng):
+        labels, first = _assert_sweep_rows_match_sweep(_NO_COMPONENT, _NO_COMPONENT_RHO, rng)
+        assert (labels == -1).all()
+        assert np.isnan(first).all()
 
     def test_sweep_rows_raises_where_sweep_does(self):
         # tail + rho_1 * gap rounds up past the type-1 jump at t1

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -35,7 +37,13 @@ from blockwalk.stats import (
 )
 from blockwalk.validate import FIXTURES
 from references import brute_force_partition_distribution, sample_partition_batch
-from test_field import _TIE_PRONE, _field_exploration_loop, _sample_clocks_per_vertex
+from test_field import (
+    _NO_COMPONENT,
+    _NO_COMPONENT_RHO,
+    _TIE_PRONE,
+    _field_exploration_loop,
+    _sample_clocks_per_vertex,
+)
 from test_model import _random_rho
 
 
@@ -154,6 +162,21 @@ class TestSamplers:
         ]
         for call in calls:
             with pytest.raises(ValueError, match="at least 1000 replications"):
+                call()
+
+    @pytest.mark.parametrize(
+        "n_reps", [1000.0, "1000", True, np.int64(1000), None], ids=["float", "str", "bool", "numpy-int", "none"]
+    )
+    def test_replication_count_must_be_an_int(self, n_reps):
+        model = two_vertex_model()
+        calls = [
+            lambda: mc_component_distribution(model, (1.0, 1.0), n_reps, 0, "graph"),
+            lambda: mc_component_distribution(model, (1.0, 1.0), n_reps, 0, "field"),
+            lambda: mc_field_samples(model, (1.0, 1.0), n_reps, 0),
+            lambda: mc_graph_jump_sequences(model, (1.0, 1.0), n_reps, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"must be an int, got {re.escape(repr(n_reps))}$"):
                 call()
 
     def test_unknown_sampler_rejected(self):
@@ -342,6 +365,9 @@ class TestAgainstPerReplicationLoops:
     def test_tied_clock_draws(self):
         _assert_same_as_loops(_TIE_PRONE, (1.0, 1.0), 1000, 4)
 
+    def test_model_without_a_component(self):
+        _assert_same_as_loops(_NO_COMPONENT, _NO_COMPONENT_RHO, 1000, 5)
+
     @pytest.mark.parametrize("model", [FIXTURES[1], _TIE_PRONE], ids=["fixture-1", "tie-prone"])
     def test_more_than_one_clock_chunk(self, model):
         _assert_same_as_loops(model, (1.0, 1.0), _CLOCK_CHUNK + 1500, 23)
@@ -351,3 +377,33 @@ class TestAgainstPerReplicationLoops:
         assert mc_field_samples(model, (1.0, 1.0), 1000, 9) == _mc_field_samples_loop(
             model, (1.0, 1.0), 1000, np.random.default_rng(9)
         )
+
+
+class TestFieldSampleRecord:
+    def test_replace_gives_a_changed_copy(self):
+        # the benchmark's fault tests perturb samples this way
+        sample = mc_field_samples(FIXTURES[1], (1.0, 1.0), 1000, 3)[0]
+        changed = dataclasses.replace(sample, jump_sequence=((0.5, 0.5),))
+        assert changed.jump_sequence == ((0.5, 0.5),)
+        assert (changed.partition_signature, changed.first_gap) == (sample.partition_signature, sample.first_gap)
+        assert sample.jump_sequence != changed.jump_sequence
+
+    def test_frozen_and_slotted(self):
+        sample = mc_field_samples(FIXTURES[0], (1.0, 1.0), 1000, 3)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample.first_gap = 0.0
+        assert not hasattr(sample, "__dict__")
+
+    def test_no_first_gap_exactly_without_jumps(self, rng):
+        cases = [(FIXTURES[0], (1.0, 1.0)), (FIXTURES[1], (0.0, 1.0)), (_NO_COMPONENT, _NO_COMPONENT_RHO)]
+        for _ in range(4):
+            model = random_block_model(rng, max_vertices=5)
+            cases.append((model, _random_rho(rng, model.m)))
+        kinds = set()
+        for model, rho in cases:
+            for sample in mc_field_samples(model, rho, 1000, int(rng.integers(2**31))):
+                assert (sample.first_gap is None) == (sample.jump_sequence == ())
+                assert sample.first_gap is None or type(sample.first_gap) is float
+                kinds.add(sample.first_gap is None)
+        assert kinds == {False, True}
+
