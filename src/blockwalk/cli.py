@@ -65,7 +65,7 @@ def load_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
     _require_keys(raw, {"schema_version", "rho"}, {"model", "field", "seed"}, "config")
-    if raw["schema_version"] != SCHEMA_VERSION:
+    if not _is_int(raw["schema_version"]) or raw["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {raw['schema_version']!r}")
     if ("model" in raw) == ("field" in raw):
         raise ConfigError("config must contain exactly one of 'model' or 'field'")
@@ -76,6 +76,8 @@ def load_config(path: str | Path) -> RunConfig:
         spec = raw["model"]
         _require_number_rows(spec["weights"], "config.model.weights")
         _require_number_rows(spec["Q"], "config.model.Q")
+        if not _is_int(spec["m"]):
+            raise ConfigError("config.model.m: expected an integer")
         if len(spec["weights"]) != spec["m"]:
             raise ConfigError("config.model: m does not match the number of weight vectors")
         try:
@@ -96,6 +98,8 @@ def load_config(path: str | Path) -> RunConfig:
         if not isinstance(spec["columns"], list) or not all(isinstance(col, list) for col in spec["columns"]):
             raise ConfigError("config.field.columns: expected a list of lists of {t, w} records")
         _require_number_rows(spec["R"], "config.field.R")
+        if not _is_int(spec["m"]):
+            raise ConfigError("config.field.m: expected an integer")
         if len(spec["columns"]) != spec["m"] or len(spec["R"]) != spec["m"]:
             raise ConfigError("config.field: m does not match columns/R")
         for j, col in enumerate(spec["columns"]):
@@ -118,7 +122,7 @@ def load_config(path: str | Path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"config.rho: {exc}") from exc
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("config.seed: expected a nonnegative integer")
     return RunConfig(model, fld, rho, seed)
 
@@ -149,6 +153,11 @@ def _check_excursions_resolvable(process: HittingProcess) -> None:
             f"a jump moves a row by only {smallest:.6g}, within the excursions' rounding slack "
             f"of {EXCURSION_LEVEL_TOL:g}; rescale the config"
         )
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: Python's True equals 1 and 2.0 equals 2, but neither is one."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 from .field import Field, HittingProcess, hitting_process
 from .model import _check_rho
@@ -20,13 +19,13 @@ from .paths import (
     VALUE_TOL,
     PathClassError,
     PiecewisePath,
+    _gaps_at_probes,
     add,
     compose,
     excursions,
     first_time_at_or_below,
     generalized_inverse,
     past_infimum,
-    probe_times,
     require_invertible,
     scale,
     smooth_compose,
@@ -61,19 +60,12 @@ def _shared_columns(fld: Field, rho: tuple[float, ...]) -> list[PiecewisePath]:
         base, *rows = [i for i in range(fld.m) if i != col]
         ref = scale(fld.paths[base][col], 1.0 / rho[base])
         for i in rows:
-            t = _first_disagreement(ref, scale(fld.paths[i][col], 1.0 / rho[i]))
+            gaps = _gaps_at_probes(ref, scale(fld.paths[i][col], 1.0 / rho[i]))
+            t = next((t for t, gap in gaps if gap > VALUE_TOL), None)
             if t is not None:
                 raise CurveAssumptionError(f"rows {base} and {i} of column {col} are not proportional near t={t}")
         out.append(ref)
     return out
-
-
-def _first_disagreement(p: PiecewisePath, q: PiecewisePath) -> float | None:
-    ts = probe_times(p, q)
-    for t, pv, qv, pl, ql in zip(ts, p.eval_many(ts), q.eval_many(ts), p.eval_left_many(ts), q.eval_left_many(ts)):
-        if abs(pv - qv) > VALUE_TOL or abs(pl - ql) > VALUE_TOL:
-            return t
-    return None
 
 
 # -- construction ----------------------------------------------------------------
@@ -167,7 +159,7 @@ def build_levels(fld: Field, rho) -> tuple[PiecewisePath, ...]:
     shared = _shared_columns(fld, rho)
     out = []
     for i in range(fld.m):
-        g = add(shared[i], scale(fld.diag_infimum(i), -1.0 / rho[i]))
+        g = add(shared[i], scale(fld.diag_infima[i], -1.0 / rho[i]))
         try:
             require_invertible(g, "build_levels")
         except PathClassError:
@@ -176,22 +168,18 @@ def build_levels(fld: Field, rho) -> tuple[PiecewisePath, ...]:
     return tuple(out)
 
 
-def build_combined(inverses: Sequence[PiecewisePath]) -> PiecewisePath:
-    """The level reached as a function of total time: the inverse of the
-    sum of the level maps' inverses, each the time one axis needs."""
-    total = inverses[0]
-    for inv in inverses[1:]:
-        total = add(total, inv)
-    return generalized_inverse(total)
-
-
 def build_curve(fld: Field, rho) -> CurveBundle:
     """Assemble the full bundle; the smooth compositions are guaranteed
     compatible by construction, so a failure there is an internal bug."""
     rho = _positive_rho(rho, fld.m)
     levels = build_levels(fld, rho)
     inverses = tuple(generalized_inverse(g) for g in levels)
-    combined_level = build_combined(inverses)
+    # the level reached as a function of total time: the inverse of the sum
+    # of the level maps' inverses, each the time one axis needs
+    total = inverses[0]
+    for inv in inverses[1:]:
+        total = add(total, inv)
+    combined_level = generalized_inverse(total)
     try:
         curve = tuple(smooth_compose(inv, combined_level) for inv in inverses)
     except Exception as exc:  # noqa: BLE001 - re-tag construction bugs

@@ -56,17 +56,18 @@ def sample_clocks(model: BlockModel, seed) -> dict[Vertex, float]:
     return dict(zip(model.vertices(), row))
 
 
-def _clock_rows(model: BlockModel, rng, n_rows: int):
-    """Yield n_rows clock draws in total, as 2-D arrays of accepted rows.
+def _clock_rows(model: BlockModel, rng, n_rows: int, jump_times: bool = False):
+    """Yield n_rows clock draws in total, as 2-D arrays of accepted rows,
+    or with ``jump_times`` their jump times xi / Q_jj.
 
     One row holds an Exp(w) clock per vertex in vertices() order.  A chunk
     of rows is one standard_exponential call times 1 / w: the same floats
     in the same order as one rng.exponential(1 / w) call per vertex and
     row, which numpy computes as the scale times a standard exponential
-    draw.  A row whose jump times xi / Q_jj are not distinct across the
-    field is dropped and the next row takes its place, so the accepted
-    rows and the generator's final state are those of redrawing each tied
-    row on its own.
+    draw.  A row whose jump times are not distinct across the field is
+    dropped and the next row takes its place, so the accepted rows and the
+    generator's final state are those of redrawing each tied row on its
+    own.
     """
     verts = model.vertices()
     scale = np.array([1.0 / model.weight(v) for v in verts])
@@ -74,8 +75,13 @@ def _clock_rows(model: BlockModel, rng, n_rows: int):
     tied_run = 0  # tied rows since the last accepted one
     while n_rows > 0:
         xi = rng.standard_exponential((min(n_rows, _CLOCK_CHUNK), len(verts))) * scale
-        times = np.sort(xi / q_diag, axis=1)
-        distinct = (times[:, 1:] > times[:, :-1]).all(axis=1)
+        times = xi / q_diag
+        ordered = np.sort(times, axis=1, kind="stable")
+        # one pass over the whole chunk finds the rows with a tie (or a NaN)
+        # between neighbours, however long or short its rows are
+        ties = ~(ordered[:, 1:] > ordered[:, :-1])
+        distinct = np.ones(len(xi), dtype=bool)
+        distinct[np.flatnonzero(ties) // max(ties.shape[1], 1)] = False
         if distinct.all():
             tied_run = 0
         else:
@@ -86,10 +92,10 @@ def _clock_rows(model: BlockModel, rng, n_rows: int):
                         f"jump times tie or underflow in {_MAX_TIED_DRAWS} consecutive clock draws; "
                         "weights or kernel diagonal out of range"
                     )
-            xi = xi[distinct]
+            xi, times = xi[distinct], times[distinct]
         if len(xi):
             n_rows -= len(xi)
-            yield xi
+            yield times if jump_times else xi
 
 
 class ColumnJump(NamedTuple):
@@ -104,9 +110,12 @@ class Field:
     column j jumps at the times of ``columns[j]`` by R[i][j] times the
     weight in row i, and its diagonal entry drifts down at unit rate."""
 
-    m: int
     R: tuple[tuple[float, ...], ...]
     columns: tuple[tuple[ColumnJump, ...], ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.columns)
 
     @cached_property
     def paths(self) -> tuple[tuple[PiecewisePath, ...], ...]:
@@ -126,11 +135,9 @@ class Field:
         return tuple(matrix)
 
     @cached_property
-    def _diag_infima(self) -> tuple[PiecewisePath, ...]:
+    def diag_infima(self) -> tuple[PiecewisePath, ...]:
+        """The running infimum of each diagonal entry."""
         return tuple(past_infimum(self.paths[i][i]) for i in range(self.m))
-
-    def diag_infimum(self, i: int) -> PiecewisePath:
-        return self._diag_infima[i]
 
     def total_jump_count(self) -> int:
         """Number of driving jumps: one per column entry."""
@@ -154,7 +161,7 @@ def build_field(model: BlockModel, clocks: dict[Vertex, float]) -> Field:
     for j, jumps in enumerate(by_type):
         qjj = model.Q[j][j]
         cols.append(tuple(ColumnJump(xi / qjj, model.weight(v), v) for xi, v in sorted(jumps)))
-    return Field(model.m, model.R, tuple(cols))
+    return Field(model.R, tuple(cols))
 
 
 def field_from_jumps(
@@ -195,7 +202,7 @@ def field_from_jumps(
                 for k in by_time
             )
         )
-    return Field(m, tuple(tuple(float(x) for x in row) for row in R), tuple(cols))
+    return Field(tuple(tuple(float(x) for x in row) for row in R), tuple(cols))
 
 
 # -- minimal-solution solver ------------------------------------------------------
@@ -252,14 +259,17 @@ def _iterate(fld: Field, rho, y: float, t: list[float]) -> tuple[list[float], in
             raise RuntimeError("hitting-time iteration failed to stabilize")
         new = []
         for i in range(m):
+            # rho * y can overflow to an infinite coordinate, where an
+            # off-diagonal staircase has reached its last value
             load = sum(
-                fld.paths[i][j].eval_left_extended(t[j]) for j in range(m) if j != i
+                p.last_anchor[1] if tj == math.inf else p.eval_left(tj)
+                for j, (p, tj) in enumerate(zip(fld.paths[i], t)) if j != i
             )
             if load == math.inf:
                 new.append(math.inf)
                 continue
             target = -rho[i] * y - load
-            new.append(first_time_at_or_below(fld.diag_infimum(i), target))
+            new.append(first_time_at_or_below(fld.diag_infima[i], target))
         if new == t:
             return t, sweeps
         t = new
@@ -493,17 +503,18 @@ class HittingProcess:
     levels: tuple[float, ...]
     deltas: tuple[tuple[float, ...], ...]
 
-    @property
-    def m(self) -> int:
-        return len(self.rho)
+    def _rows(self, ys: list[float]) -> list[list[float]]:
+        """T(y) for each of the sorted ys, one row each: rho * y, then the
+        delta of each level below y in level order.  The rows with y above
+        a level are a suffix of the sorted ys, so one slice addition per
+        level does it."""
+        acc = np.array(ys, dtype=float)[:, None] * np.array(self.rho)
+        for level, delta in zip(self.levels, self.deltas):
+            acc[bisect_right(ys, level) :] += delta
+        return acc.tolist()
 
     def evaluate(self, y: float) -> tuple[float, ...]:
-        t = [r * y for r in self.rho]
-        for level, delta in zip(self.levels, self.deltas):
-            if level < y:
-                for i in range(self.m):
-                    t[i] += delta[i]
-        return tuple(t)
+        return tuple(self._rows([y])[0])
 
     def total_time(self, y: float) -> float:
         return sum(self.evaluate(y))

@@ -69,10 +69,7 @@ class BlockModel:
     @cached_property
     def R(self) -> tuple[tuple[float, ...], ...]:
         """Row-normalized kernel R[i][j] = Q[i][j] / Q[i][i]; unit diagonal."""
-        return tuple(
-            tuple(1.0 if i == j else self.Q[i][j] / self.Q[i][i] for j in range(self.m))
-            for i in range(self.m)
-        )
+        return _ratios(self.Q)
 
     def vertices(self) -> list[Vertex]:
         return [(l, i) for i in range(self.m) for l in range(len(self.weights[i]))]
@@ -83,6 +80,18 @@ class BlockModel:
 
     def to_json_obj(self) -> dict:
         return {"m": self.m, "weights": [list(w) for w in self.weights], "Q": [list(r) for r in self.Q]}
+
+
+def _ratios(Q: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
+    """R[i][j] = Q[i][j] / Q[i][i], whose diagonal is 1.0 where Q[i][i] is
+    finite and positive."""
+    return tuple(tuple(q / row[i] for q in row) for i, row in enumerate(Q))
+
+
+def _vertex_rates(model: BlockModel, rho: Sequence[float]) -> list[float]:
+    """rho_i * Q_ii * w per vertex, in vertices() order: the rate at which
+    each vertex becomes a root."""
+    return [rho[i] * model.Q[i][i] * model.weight((l, i)) for l, i in model.vertices()]
 
 
 def edge_probability(model: BlockModel, u: Vertex, v: Vertex) -> float:
@@ -236,7 +245,7 @@ def factor_kernel(Q: Sequence[Sequence[float]]) -> KernelFactorization:
     checked against every remaining entry; generic kernels fail.
     """
     m = len(Q)
-    R = [[Q[i][j] / Q[i][i] for j in range(m)] for i in range(m)]
+    R = _ratios(Q)
     if m == 1:
         return KernelFactorization(True, (1.0,), (1.0,), 0.0)
     for i in range(m):
@@ -343,7 +352,7 @@ def graph_exploration(graph: Graph, rho: Sequence[float], seed) -> ExplorationTr
     unexplored = set(verts)
     # root candidates: the unexplored vertices of positive-direction types,
     # their rates kept in vertices() order, i.e. sorted by (type, rank)
-    rates_all = np.array([rho[v[1]] * model.Q[v[1]][v[1]] * model.weight(v) for v in verts], dtype=float)
+    rates_all = np.array(_vertex_rates(model, rho), dtype=float)
     alive = np.array([rho[v[1]] > 0 for v in verts], dtype=bool)
     queue: deque[Vertex] = deque()
     steps: list[ExplorationStep] = []

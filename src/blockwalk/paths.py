@@ -229,20 +229,6 @@ class PiecewisePath:
             and all(map(le, self.lefts, self.rights))
         )
 
-    def limit_at_infinity(self) -> float:
-        """Limit value; +-inf when the terminal direction is not flat."""
-        if self.terminal_rise > 0:
-            return math.inf
-        if self.terminal_rise < 0:
-            return -math.inf
-        return self.last_anchor[1]
-
-    def eval_left_extended(self, t: float) -> float:
-        """eval_left that also accepts t = +inf (returning the limit)."""
-        if t == math.inf:
-            return self.limit_at_infinity()
-        return self.eval_left(t)
-
     # -- generalized inverse --------------------------------------------------
 
     @cached_property
@@ -545,20 +531,18 @@ class CompatibilityReport:
     inner jump times where the outer values across the jump disagree.
     """
 
-    h1_ok: bool
-    h2_ok: bool
     h1_violations: tuple[float, ...]
     h2_violations: tuple[tuple[float, float, float], ...]
 
     @property
     def ok(self) -> bool:
-        return self.h1_ok and self.h2_ok
+        return not (self.h1_violations or self.h2_violations)
 
     def summary(self) -> str:
         bits = []
-        if not self.h1_ok:
+        if self.h1_violations:
             bits.append(f"H1 fails at outer jumps {list(self.h1_violations)}")
-        if not self.h2_ok:
+        if self.h2_violations:
             bits.append(f"H2 fails at inner jumps {[s for s, _, _ in self.h2_violations]}")
         return "; ".join(bits) if bits else "compatible"
 
@@ -584,7 +568,7 @@ def check_compatible(g: PiecewisePath, kappa: PiecewisePath) -> CompatibilityRep
         for b, lhs, rhs in zip(jumps, lhs_all, rhs_all):
             if lhs != rhs and abs(lhs - rhs) > VALUE_TOL:
                 h2_bad.append((b.t, lhs, rhs))
-    return CompatibilityReport(not h1_bad, not h2_bad, tuple(h1_bad), tuple(h2_bad))
+    return CompatibilityReport(tuple(h1_bad), tuple(h2_bad))
 
 
 def _pullback(kinv: PiecewisePath, u: float) -> tuple[float, float]:
@@ -810,11 +794,15 @@ def probe_times(*paths: PiecewisePath) -> list[float]:
     return sorted(set(grid + mids + [last + 0.5, last + 1.0, 2 * last + 1.0]))
 
 
+def _gaps_at_probes(p: PiecewisePath, q: PiecewisePath):
+    """Yield (t, gap) over both paths' probe times in order, gap the larger
+    of |p - q| in values and in left limits at t."""
+    ts = probe_times(p, q)
+    for t, pv, qv, pl, ql in zip(ts, p.eval_many(ts), q.eval_many(ts), p.eval_left_many(ts), q.eval_left_many(ts)):
+        yield t, max(abs(pv - qv), abs(pl - ql))
+
+
 def sup_distance(p: PiecewisePath, q: PiecewisePath) -> float:
     """Max of |p - q| over both paths' probe times, using values and left
     limits."""
-    ts = probe_times(p, q)
-    gap = 0.0
-    for pv, qv, pl, ql in zip(p.eval_many(ts), q.eval_many(ts), p.eval_left_many(ts), q.eval_left_many(ts)):
-        gap = max(gap, abs(pv - qv), abs(pl - ql))
-    return gap
+    return max((gap for _, gap in _gaps_at_probes(p, q)), default=0.0)

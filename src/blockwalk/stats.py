@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -94,13 +95,9 @@ def exact_partition_distribution(model: BlockModel) -> PartitionDistribution:
                 out *= 1.0 - p_edge[a][b]
         return out
 
-    conn_memo: dict[int, float] = {}
-
+    @cache
     def connected(mask: int) -> float:
-        if mask in conn_memo:
-            return conn_memo[mask]
         if mask & (mask - 1) == 0:
-            conn_memo[mask] = 1.0
             return 1.0
         v0 = mask & (-mask)
         total = 1.0
@@ -113,14 +110,12 @@ def exact_partition_distribution(model: BlockModel) -> PartitionDistribution:
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        conn_memo[mask] = total
         return total
 
-    dist_memo: dict[int, dict[tuple, float]] = {0: {(): 1.0}}
-
+    @cache
     def dist(mask: int) -> dict[tuple, float]:
-        if mask in dist_memo:
-            return dist_memo[mask]
+        if mask == 0:
+            return {(): 1.0}
         v0 = mask & (-mask)
         rest = mask & ~v0
         out: dict[tuple, float] = {}
@@ -136,7 +131,6 @@ def exact_partition_distribution(model: BlockModel) -> PartitionDistribution:
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        dist_memo[mask] = out
         return out
 
     full = dist((1 << n) - 1)
@@ -245,25 +239,21 @@ def mc_component_distribution(
 def _field_rows(model: BlockModel, rho, n_reps: int, seed):
     """Per clock chunk, one key per replication, the bytes of its row of
     component labels from field._sweep_rows, and each row's first root
-    level: the clocks are drawn and the fields swept a chunk at a time."""
-    rng = _as_rng(seed)
-    q_diag = np.array([model.Q[i][i] for _, i in model.vertices()])
-    for xi in _clock_rows(model, rng, n_reps):
-        labels, first = _sweep_rows(xi / q_diag, model.weights, model.R, rho)
+    level: the jump times are drawn and the fields swept a chunk at a time."""
+    for times in _clock_rows(model, _as_rng(seed), n_reps, jump_times=True):
+        labels, first = _sweep_rows(times, model.weights, model.R, rho)
         yield _row_keys(labels), first
 
 
-def _field_weights(model: BlockModel, key: bytes) -> list[list[float]]:
+def _field_weights(model: BlockModel, key: bytes) -> list[tuple[float, ...]]:
     """Each component's weights by type, in discovery order, from a
     _field_rows key: summed in rank order, as _sweep sums them."""
     labels = np.frombuffer(key, dtype=np.intp).tolist()
-    verts = model.vertices()
-    weights = [[0.0] * model.m for _ in range(max(labels, default=-1) + 1)]
-    for v in sorted(range(len(verts)), key=verts.__getitem__):  # (rank, type) order
-        if labels[v] >= 0:
-            rank, i = verts[v]
-            weights[labels[v]][i] += model.weights[i][rank]
-    return weights
+    members: list[list[Vertex]] = [[] for _ in range(max(labels, default=-1) + 1)]
+    for v, label in zip(model.vertices(), labels):
+        if label >= 0:
+            members[label].append(v)
+    return [component_weights(model, vs) for vs in members]
 
 
 def mc_field_samples(model: BlockModel, rho, n_reps: int, seed) -> list[FieldSample]:
@@ -437,7 +427,8 @@ def chi_square_two_sample(counts_a: Mapping, counts_b: Mapping) -> ChiSquareResu
     pooled = (a + b) / (na + nb)
     keep = pooled > 0
     a, b, pooled = a[keep], b[keep], pooled[keep]
-    # pool sparse categories exactly as in the one-sample test
+    # pool the categories with p * min_n below MIN_EXPECTED into one cell;
+    # unlike the one-sample test, the pool is not topped up to MIN_EXPECTED
     order = np.argsort(pooled)
     a, b, pooled = a[order], b[order], pooled[order]
     min_n = min(na, nb)

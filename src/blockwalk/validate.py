@@ -12,7 +12,6 @@ Check records.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .curve import CurveBundle, build_curve, encode_components, level_hit_times
 from .field import HittingProcess, build_field, encoded_jump, field_exploration, hitting_process
 from .field import sample_clocks, solver_jumps
 from .instances import random_block_model, random_monotone_path, random_probe_direction, staircase_counterexample
-from .model import BlockModel
+from .model import BlockModel, _vertex_rates
 from .paths import add, generalized_inverse, identity, probe_times, smooth_compose, sup_distance
 
 #: agreement of jumps computed two ways, and of curve increments with jumps
@@ -197,20 +196,6 @@ def path_algebra_checks(n: int, seed: int) -> list[Check]:
 # -- criterion 4: the curve -----------------------------------------------------------
 
 
-def _evaluate_sorted(process: HittingProcess, ys: list[float]) -> np.ndarray:
-    """process.evaluate(y) for each of the sorted ys, one row each.
-
-    Every row gets the same float additions in the same order as evaluate:
-    r * y, then the delta of each level below y in level order.  The rows
-    with y above a level are a suffix of the sorted ys, so one slice
-    addition per level does it.
-    """
-    acc = np.array(ys)[:, None] * np.array(process.rho)
-    for level, delta in zip(process.levels, process.deltas):
-        acc[bisect_right(ys, level) :] += delta
-    return acc
-
-
 #: the claim of curve_identity_gap
 CURVE_IDENTITY_SPEC = ("curve passes through hitting times", PROP)
 
@@ -222,7 +207,7 @@ def curve_identity_gap(bundle: CurveBundle, process: HittingProcess) -> float:
     for level in process.levels:
         ys.update((level, level + 1e-6, max(level - 1e-6, 0.0)))
     ys.add(max(process.levels, default=0.0) + 1.0)
-    rows = _evaluate_sorted(process, sorted(ys)).tolist()
+    rows = process._rows(sorted(ys))
     # each coordinate of T is nondecreasing in y, so the totals are sorted
     totals = [sum(t) for t in rows]
     worst = 0.0
@@ -259,10 +244,11 @@ def curve_checks(n: int, seed: int) -> list[Check]:
             # at the curve point by point
             for g, at in zip(bundle.levels, point):
                 sandwich = max(sandwich, g.eval_left(at) - level, level - g.eval(at))
-        for level in process.levels:
-            for y in (level / 2, level + 0.05):
-                expected = process.total_time(y)
-                hits = max(hits, max(abs(t - expected) for t in level_hit_times(fld, bundle, y)))
+        probes = [y for level in process.levels for y in (level / 2, level + 0.05)]
+        ys = sorted(set(probes))
+        total_of = dict(zip(ys, map(sum, process._rows(ys))))
+        for y in probes:
+            hits = max(hits, max(abs(t - total_of[y]) for t in level_hit_times(fld, bundle, y)))
         rows.append((norm, drop, rise, sandwich, curve_identity_gap(bundle, process), hits))
     specs = [
         ("curve coordinates sum to the parameter", PROP),
@@ -319,7 +305,7 @@ def law_checks(fixture: int, n_reps: int, seed: int) -> LawComparison:
     def first_jumps(seqs) -> Counter:
         return Counter(seq[0] if seq else "none" for seq in seqs)
 
-    total_rate = sum(rho[v[1]] * model.Q[v[1]][v[1]] * model.weight(v) for v in model.vertices())
+    total_rate = sum(_vertex_rates(model, rho))
     gaps = [s.first_gap for s in field_samples if s.first_gap is not None]
     # (JSON key, check name, result, whether mass outside the exact support fails it)
     table = (

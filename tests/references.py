@@ -27,6 +27,18 @@ def worked_instance():
     return fld, (1.0, 1.0)
 
 
+def evaluate_per_level(process, y: float) -> tuple[float, ...]:
+    """T(y) of a HittingProcess, one pass over every level per query: rho *
+    y, then the delta of each level below y in level order.  The reference
+    that HittingProcess._rows is tested against."""
+    t = [r * y for r in process.rho]
+    for level, delta in zip(process.levels, process.deltas):
+        if level < y:
+            for i in range(len(t)):
+                t[i] += delta[i]
+    return tuple(t)
+
+
 def brute_force_partition_distribution(model: BlockModel) -> PartitionDistribution:
     """Sum over every edge configuration; only for very small graphs.  The
     reference that exact_partition_distribution is tested against."""

@@ -239,12 +239,18 @@ class TestConfig:
             (WORKED, ("field", "columns"), [[{"t": [0.5], "w": 1.0}], []], r"columns\[0\]\[0\]"),
             (WORKED, ("field", "R"), 1.0, "config.field.R"),
             (WORKED, ("field", "R"), [[1.0, 0.0], [0.3, False]], "config.field.R"),
+            (M1_MODEL, ("model", "m"), True, "config.model.m"),
+            (MODEL, ("model", "m"), 2.0, "config.model.m"),
+            (WORKED, ("field", "m"), 2.0, "config.field.m"),
+            (M1_MODEL, ("schema_version",), True, "schema_version"),
+            (MODEL, ("schema_version",), 1.0, "schema_version"),
         ],
         ids=[
             "seed-list", "seed-string", "seed-float", "seed-bool", "seed-negative",
             "weights-scalar", "weights-flat", "weights-string-entry", "weights-huge-int", "rho-huge-int",
             "Q-scalar", "Q-null-entry",
             "columns-scalar", "columns-of-records", "record-list-time", "R-scalar", "R-bool-entry",
+            "m-bool-one-type", "model-m-float", "field-m-float", "schema-version-bool", "schema-version-float",
         ],
     )
     def test_mistyped_config_exits_with_two(self, tmp_path, capsys, base, where, value, match):

@@ -197,6 +197,23 @@ class TestHittingTime:
         assert t[0] == pytest.approx(1.6, abs=1e-12)
         assert t[1] == pytest.approx(0.9, abs=1e-12)
 
+    def test_overflowing_level_gives_an_infinite_coordinate(self):
+        # rho_0 * y overflows, so coordinate 0 is +inf, and the load it puts
+        # on row 1 is the last value of its staircase, 0.3 * 1.0; row 1's
+        # own jump of 0.4 then delays its hit to 1e10 + 0.3 + 0.4
+        fld = field_from_jumps([[(0.5, 1.0)], [(2.0, 0.4)]], [[1.0, 0.0], [0.3, 1.0]])
+        ht = hitting_time(fld, (1e300, 1.0), 1e10)
+        assert ht.times == (math.inf, 10000000000.699999)
+        assert ht.sweeps == 3
+        # with three types: the infinite coordinate loads both other rows
+        fld = field_from_jumps(
+            [[(0.5, 5.0), (1.3, 0.2), (1.1, 0.2)], [(1.2, 0.3), (9.0, 1.0)], []],
+            [[1.0, 0.5, 0.2], [0.5, 1.0, 0.0], [0.1, 0.3, 1.0]],
+        )
+        ht = hitting_time(fld, (1.0, 1e300, 1.0), 1e10)
+        assert ht.times == (10000000006.05, math.inf, 10000000000.93)
+        assert ht.sweeps == 3
+
     def test_left_limits_meet_level(self, rng):
         for _ in range(20):
             model = random_block_model(rng, max_vertices=6)
@@ -216,7 +233,7 @@ class TestHittingTime:
             fld = build_field(model, sample_clocks(model, rng))
             t = hitting_time(fld, rho, 1.3).times
             for i in range(model.m):
-                low = fld.diag_infimum(i)
+                low = fld.diag_infima[i]
                 hit = low.eval(t[i])
                 for frac in (0.25, 0.5, 0.9, 0.99):
                     assert low.eval(frac * t[i]) > hit - 1e-12

@@ -13,10 +13,11 @@ from blockwalk.field import build_field, hitting_process, sample_clocks
 from blockwalk.instances import random_block_model, random_probe_direction
 from blockwalk.model import BlockModel
 from blockwalk.paths import MERGE_EPS, PiecewisePath, _build, _pullback, add, compose, polyline, scale, smooth_compose
+from references import evaluate_per_level
 
 
 def _curve_identity_gap_loop(bundle, process):
-    """Reference: one HittingProcess.evaluate per query, each a pass over
+    """Reference: one per-level evaluation per query, each a pass over
     every level."""
     ys = {0.0}
     for level in process.levels:
@@ -24,7 +25,7 @@ def _curve_identity_gap_loop(bundle, process):
     ys.add(max(process.levels, default=0.0) + 1.0)
     worst = 0.0
     for y in sorted(ys):
-        t = process.evaluate(y)
+        t = evaluate_per_level(process, y)
         point = [g.eval(sum(t)) for g in bundle.curve]
         worst = max(worst, max(abs(a - b) for a, b in zip(point, t)))
     return worst
@@ -51,8 +52,10 @@ class TestCurveIdentityGap:
     def _assert_same_as_loop(self, fld, rho):
         process = hitting_process(fld, rho)
         ys = _queries(process)
-        rows = validate._evaluate_sorted(process, ys).tolist()
-        assert rows == [list(process.evaluate(y)) for y in ys]
+        rows = process._rows(ys)
+        want = [evaluate_per_level(process, y) for y in ys]
+        assert [[x.hex() for x in row] for row in rows] == [[x.hex() for x in t] for t in want]
+        assert [process.evaluate(y) for y in ys] == [tuple(row) for row in rows]
         bundle = build_curve(fld, rho)
         assert validate.curve_identity_gap(bundle, process) == _curve_identity_gap_loop(bundle, process)
 
@@ -367,4 +370,87 @@ def test_curve_fault_fails_its_check(name, monkeypatch):
     monkeypatch.setattr(*CURVE_FAULTS[name])
     # the count and seed of acceptance criterion 4
     checks = {c.name: c for c in validate.curve_checks(60, 3003)}
+    assert not checks[name].passed, checks[name]
+
+
+# -- each law check can fail --------------------------------------------------------
+
+
+def _kernel_scaled(c):
+    """The model with its kernel scaled by c."""
+    return lambda model: BlockModel(model.weights, tuple(tuple(c * q for q in row) for row in model.Q))
+
+
+def _one_sampler_on(change, sampler):
+    """mc_component_distribution that draws ``sampler``'s counts from change(model)."""
+    real = stats.mc_component_distribution
+
+    def fault(model, rho, n_reps, seed, which="graph"):
+        return real(change(model) if which == sampler else model, rho, n_reps, seed, which)
+
+    return fault
+
+
+def _graph_sequences_on(change):
+    """mc_graph_jump_sequences drawn from change(model)."""
+    real = stats.mc_graph_jump_sequences
+    return lambda model, rho, n_reps, seed: real(change(model), rho, n_reps, seed)
+
+
+def _graph_sequences_reversed(model, rho, n_reps, seed, real=stats.mc_graph_jump_sequences):
+    """mc_graph_jump_sequences with every sequence in reverse order."""
+    return [seq[::-1] for seq in real(model, rho, n_reps, seed)]
+
+
+def _field_sequences_reversed(model, rho, n_reps, seed, real=stats.mc_field_samples):
+    """mc_field_samples with every jump sequence in reverse order."""
+    return [replace(s, jump_sequence=s.jump_sequence[::-1]) for s in real(model, rho, n_reps, seed)]
+
+
+def _first_gaps_doubled(model, rho, n_reps, seed, real=stats.mc_field_samples):
+    """mc_field_samples with every first root gap doubled."""
+    samples = real(model, rho, n_reps, seed)
+    return [s if s.first_gap is None else replace(s, first_gap=2 * s.first_gap) for s in samples]
+
+
+#: check name of validate.law_checks, without its fixture, and of
+#: validate.calibration_check -> (object, attribute, fault)
+LAW_FAULTS = {
+    "graph components vs exact oracle": (stats, "mc_component_distribution", _one_sampler_on(_kernel_scaled(1.5), "graph")),
+    "field exploration vs exact oracle": (stats, "mc_component_distribution", _one_sampler_on(_kernel_scaled(1.5), "field")),
+    "graph components vs field exploration":
+        (stats, "mc_component_distribution", _one_sampler_on(_kernel_scaled(0.7), "field")),
+    "first field jump vs exact first-jump law": (stats, "mc_field_samples", _field_sequences_reversed),
+    "first size-biased graph jump vs exact first-jump law":
+        (stats, "mc_graph_jump_sequences", _graph_sequences_on(_kernel_scaled(1.5))),
+    "field vs graph jump sequences": (stats, "mc_graph_jump_sequences", _graph_sequences_reversed),
+    "first root gap vs its exponential law": (stats, "mc_field_samples", _first_gaps_doubled),
+    "calibration over 5 seeds": (stats, "mc_component_distribution", _one_sampler_on(_kernel_scaled(2.0), "graph")),
+}
+
+#: fixture 1 has four vertices of unequal weights, so that the order of a
+#: jump sequence shows; fixture 0's two equal vertices hide it
+LAW_FAULT_FIXTURE = 1
+
+
+def _law_checks():
+    """The law checks on LAW_FAULT_FIXTURE at the samplers' floor of 1000
+    replications and seed 0, named without their fixture, then the
+    calibration check, which draws 2000 on each of seeds 0 to 4."""
+    prefix = f"fixture {LAW_FAULT_FIXTURE}: "
+    checks = validate.law_checks(LAW_FAULT_FIXTURE, 1000, 0).checks
+    return [replace(c, name=c.name.removeprefix(prefix)) for c in checks] + [validate.calibration_check(5)]
+
+
+def test_every_law_check_has_a_fault():
+    checks = _law_checks()
+    assert [c.name for c in checks] == list(LAW_FAULTS)
+    # so that each fault alone fails its check
+    assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("name", list(LAW_FAULTS))
+def test_law_fault_fails_its_check(name, monkeypatch):
+    monkeypatch.setattr(*LAW_FAULTS[name])
+    checks = {c.name: c for c in _law_checks()}
     assert not checks[name].passed, checks[name]
