@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import __version__, validate
 from .curve import EXCURSION_LEVEL_TOL, build_curve, composed_processes, encode_components
+from .curve import _check_jumps_reach_every_row
 from .field import (
     Field,
     HittingProcess,
@@ -142,17 +143,28 @@ def _check_resolvable(largest_time: float) -> None:
         )
 
 
-def _check_excursions_resolvable(process: HittingProcess) -> None:
-    """Refuse a field with a jump that curve cannot read as an excursion:
-    it reads the composed processes' excursions with EXCURSION_LEVEL_TOL
-    of slack for rounding noise, so a jump that moves a row by no more
-    than that cannot be told from the noise."""
-    smallest = min((x for delta in process.deltas for x in delta if x > 0), default=math.inf)
+def _check_excursions_resolvable(fld: Field, process: HittingProcess) -> None:
+    """Refuse a field with a jump that curve cannot read as an excursion
+    of every row: a column with a zero R entry, named as such, or a jump
+    that moves a row by no more than EXCURSION_LEVEL_TOL, the slack for
+    rounding noise with which curve reads the composed processes'
+    excursions, or by 0, as where R[i][j] * w underflows."""
+    _check_jumps_reach_every_row(fld)
+    smallest = min((x for delta in process.deltas for x in delta), default=math.inf)
     if not smallest > EXCURSION_LEVEL_TOL:
         raise ConfigError(
             f"a jump moves a row by only {smallest:.6g}, within the excursions' rounding slack "
             f"of {EXCURSION_LEVEL_TOL:g}; rescale the config"
         )
+
+
+def _check_levels_distinct(process: HittingProcess) -> None:
+    """Refuse a field with two components at one level, as when a window
+    ends exactly on the next jump time: T jumps once for both there, so
+    neither the solver nor the curve can tell their jumps apart."""
+    for low, high in zip(process.levels, process.levels[1:]):
+        if not low < high:
+            raise ConfigError(f"two components are found at one level, {low:.6g}; move a jump time")
 
 
 def _is_int(x) -> bool:
@@ -425,6 +437,7 @@ def cmd_encode(args) -> int:
     process = hitting_process(fld, cfg.rho)
     if process.levels:  # with no jump the solver check compares nothing
         _check_resolvable(max(process.evaluate(process.levels[-1] + 1.0)))
+    _check_levels_distinct(process)
     stages.lap("encode")
     solved = solver_jumps(fld, cfg.rho, process.levels)
     # one row per jump, so a failing record names the first failing jump
@@ -451,7 +464,8 @@ def cmd_curve(args) -> int:
     # the curve's parameter is the total time; the checks run to one level
     # past the last jump
     _check_resolvable(process.total_time(max(process.levels, default=0.0) + 1.0))
-    _check_excursions_resolvable(process)
+    _check_levels_distinct(process)
+    _check_excursions_resolvable(fld, process)
     bundle = build_curve(fld, cfg.rho)
     stages.lap("build")
     processes = composed_processes(fld, bundle)

@@ -285,7 +285,6 @@ def field_exploration(fld: Field, rho) -> ExplorationTrace:
     steps: list[ExplorationStep] = []
     components = _sweep(fld.columns, fld.R, rho, steps)
     return ExplorationTrace(
-        fld.m,
         tuple(float(r) for r in rho),
         tuple(steps),
         tuple(ComponentTrace(vs, w, level) for vs, w, level in components),
@@ -316,7 +315,6 @@ def _sweep(columns, R, rho, steps: list | None = None) -> list[tuple]:
     components: list[tuple] = []
     current: list[tuple[Vertex, float]] = []
     level = 0.0
-    k = 0
     while True:
         root_gap = None
         if not queue:
@@ -343,7 +341,6 @@ def _sweep(columns, R, rho, steps: list | None = None) -> list[tuple]:
             tail = high
         else:
             vertex, weight, low, high = queue.popleft()
-        k += 1
         current.append((vertex, weight))
         children = []
         for i in types:
@@ -361,7 +358,7 @@ def _sweep(columns, R, rho, steps: list | None = None) -> list[tuple]:
         if steps is not None:
             steps.append(
                 ExplorationStep(
-                    index=k,
+                    index=len(steps) + 1,
                     kind="child" if root_gap is None else "root",
                     vertex=vertex,
                     zeta=len(components) + 1,

@@ -8,10 +8,11 @@ from Poisson edge multiplicities after discarding duplicates.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -102,22 +103,21 @@ def edge_probability(model: BlockModel, u: Vertex, v: Vertex) -> float:
 class Graph:
     model: BlockModel
     edges: frozenset[frozenset[Vertex]]
-    _adj: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def adjacency(self) -> dict[Vertex, list[Vertex]]:
+        """Each vertex's neighbors sorted by (type, rank), built on the
+        first neighbors call: sampling and components read only edges."""
         adj: dict[Vertex, list[Vertex]] = {v: [] for v in self.model.vertices()}
-        for e in self.edges:
-            u, v = tuple(e)
-            if u == v:
-                raise ValueError("self-loops are not allowed")
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        for v in adj:
-            adj[v].sort(key=lambda x: (x[1], x[0]))
-        object.__setattr__(self, "_adj", adj)
+        for nbrs in adj.values():
+            nbrs.sort(key=lambda x: (x[1], x[0]))
+        return adj
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
-        return self._adj[v]
+        return self.adjacency[v]
 
 
 #: sample_graph compares its uniform u with p = 1 - np.exp(...), while
@@ -145,13 +145,14 @@ def sample_graph(model: BlockModel, seed) -> Graph:
     # row i: -Q[i][type of b] for every vertex b, negated first as in edge_probability
     neg_q = np.array([[-row[j] for _, j in verts] for row in model.Q])
     edges = set()
-    for a in range(n - 1):
-        u = rng.random(n - a - 1)
-        d = u - (1.0 - np.exp(neg_q[verts[a][1], a + 1 :] * w[a] * w[a + 1 :]))
-        for k in (d < _EXP_TOL).nonzero()[0].tolist():
-            b = a + 1 + k
-            if d[k] < -_EXP_TOL or u[k] < edge_probability(model, verts[a], verts[b]):
-                edges.add(frozenset((verts[a], verts[b])))
+    with np.errstate(over="ignore"):  # a product of -inf gives edge_probability's p = 1
+        for a in range(n - 1):
+            u = rng.random(n - a - 1)
+            d = u - (1.0 - np.exp(neg_q[verts[a][1], a + 1 :] * w[a] * w[a + 1 :]))
+            for k in (d < _EXP_TOL).nonzero()[0].tolist():
+                b = a + 1 + k
+                if d[k] < -_EXP_TOL or u[k] < edge_probability(model, verts[a], verts[b]):
+                    edges.add(frozenset((verts[a], verts[b])))
     return Graph(model, frozenset(edges))
 
 
@@ -310,7 +311,6 @@ class ComponentTrace:
 
 @dataclass(frozen=True)
 class ExplorationTrace:
-    m: int
     rho: tuple[float, ...]
     steps: tuple[ExplorationStep, ...]
     components: tuple[ComponentTrace, ...]
@@ -349,67 +349,55 @@ def graph_exploration(graph: Graph, rho: Sequence[float], seed) -> ExplorationTr
     rng = _as_rng(seed)
     verts = model.vertices()
     position = {v: k for k, v in enumerate(verts)}
-    unexplored = set(verts)
+    unexplored = np.ones(len(verts), dtype=bool)
     # root candidates: the unexplored vertices of positive-direction types,
     # their rates kept in vertices() order, i.e. sorted by (type, rank)
+    rootable = np.array([rho[i] > 0 for _, i in verts], dtype=bool)
     rates_all = np.array(_vertex_rates(model, rho), dtype=float)
-    alive = np.array([rho[v[1]] > 0 for v in verts], dtype=bool)
     queue: deque[Vertex] = deque()
     steps: list[ExplorationStep] = []
     components: list[ComponentTrace] = []
     current: list[Vertex] = []
     level = 0.0
-    zeta = 0
-    k = 0
-
-    def close_component() -> None:
-        if current:
-            components.append(ComponentTrace(tuple(current), component_weights(model, current), level))
-
     while True:
         root_gap = None
         if not queue:
-            close_component()
-            current = []
-            candidates = np.flatnonzero(alive)
+            if current:
+                components.append(ComponentTrace(tuple(current), component_weights(model, current), level))
+                current = []
+            candidates = np.flatnonzero(unexplored & rootable)
             if not candidates.size:
                 break
             rates = rates_all[candidates]
             total = rates.sum()
+            if not 0 < total < math.inf:
+                raise ValueError(f"the root rates rho_i * Q_ii * w sum to {total}; rescale the model")
             root_gap = rng.exponential(1.0 / total)
             pick = rng.choice(len(candidates), p=rates / total)
             vertex = verts[candidates[pick]]
-            zeta += 1
             level += root_gap
-            kind = "root"
-            unexplored.discard(vertex)
-            alive[position[vertex]] = False
+            unexplored[position[vertex]] = False
         else:
             vertex = queue.popleft()
-            kind = "child"
-        k += 1
         current.append(vertex)
-        found = [u for u in graph.neighbors(vertex) if u in unexplored]
         ordered: list[Vertex] = []
-        for i in range(model.m):
-            of_type = [u for u in found if u[1] == i]
-            if not of_type:
-                continue
+        # neighbors come sorted by (type, rank), so one pass groups them by type
+        found = [u for u in graph.neighbors(vertex) if unexplored[position[u]]]
+        for _, of_type in itertools.groupby(found, key=lambda u: u[1]):
             keys = [(rng.exponential(1.0 / model.weight(u)), u) for u in of_type]
             keys.sort(key=lambda kv: kv[0])
             ordered.extend(u for _, u in keys)
         for u in ordered:
-            unexplored.discard(u)
-            alive[position[u]] = False
-            queue.append(u)
+            unexplored[position[u]] = False
+        queue.extend(ordered)
         steps.append(
             ExplorationStep(
-                index=k,
-                kind=kind,
+                index=len(steps) + 1,
+                kind="child" if root_gap is None else "root",
                 vertex=vertex,
-                zeta=zeta,
+                zeta=len(components) + 1,
                 children=tuple(ordered),
                 root_gap=root_gap,
             )
         )
-    return ExplorationTrace(model.m, tuple(float(r) for r in rho), tuple(steps), tuple(components))
+    return ExplorationTrace(tuple(float(r) for r in rho), tuple(steps), tuple(components))

@@ -426,12 +426,32 @@ class TestConfig:
             # to count no excursion for it and exit 1
             (dict(WORKED, field={"m": 1, "R": [[1e-300]], "columns": [[{"t": 1.0, "w": 1.0}]]}, rho=[1.0]),
              (0, 2), "error: a jump moves a row by only"),
+            # R * w underflows to 0 in a row: curve used to count no excursion
+            # for the jump there, exit 1 ...
+            (dict(WORKED, field={"m": 1, "R": [[2.4578005486667655e-140]],
+                                 "columns": [[{"t": 1.0, "w": 8.17033125945692e-238}]]}, rho=[1.0]),
+             (0, 2), "error: a jump moves a row by only 0,"),
+            # ... or to end in a CurveInvariantError traceback
+            (dict(WORKED, field={"m": 2, "R": [[1.0, 1.0], [1e-320, 1.0]],
+                                 "columns": [[{"t": 1.0, "w": 1e-5}], [{"t": 2.0, "w": 0.5}]]}, rho=[1.0, 1.0]),
+             (0, 2), "error: a jump moves a row by only 0,"),
+            # a window that ends on the next jump time finds two components
+            # at one level, where T jumps once: both commands used to FAIL
+            # with exit 1
+            (dict(WORKED, field={"m": 2, "R": [[1.0, 1.0], [1.0, 1.0]],
+                                 "columns": [[{"t": 1.0, "w": 1.0}], [{"t": 2.0, "w": 1.0}]]}),
+             (2, 2), "error: two components are found at one level, 1;"),
+            # a zero kernel entry moves the other row by 0 too, and keeps its
+            # own message
+            (dict(MODEL, model={"m": 2, "weights": [[1.0, 0.5], [0.8]], "Q": [[1.0, 0.0], [0.0, 1.0]]}, seed=3),
+             (0, 2), "error: column 0 jumps but R[1][0] = 0.0: its components do not reach row 1"),
             # fields whose checks hold run, however far rho is spread: times
             # of 5e3, and of 1e3
             (dict(WORKED, rho=[1e-4, 1.0]), (0, 0), None),
             (dict(MODEL, model={"m": 1, "weights": [[1.0, 0.7]], "Q": [[1.0]]}, rho=[1e3], seed=3), (0, 0), None),
         ],
-        ids=["tiny-weights", "huge-rho", "tiny-rho-level", "tiny-jump", "spread-rho", "large-rho"],
+        ids=["tiny-weights", "huge-rho", "tiny-rho-level", "tiny-jump", "underflow-one-row", "underflow-two-rows",
+             "tied-levels", "zero-kernel", "spread-rho", "large-rho"],
     )
     def test_unresolvable_scale_exits_with_two(self, tmp_path, capsys, spec, codes, match):
         path = tmp_path / "scale.json"
@@ -440,6 +460,8 @@ class TestConfig:
             assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == code
             err = capsys.readouterr().err
             assert err.startswith(match) and err.count("\n") == 1 if code == 2 else err == ""
+            # a refusal comes before any output
+            assert (tmp_path / command).exists() == (code == 0)
         # the commands that check nothing to 1e-12 still run
         assert main(["explore", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
@@ -460,6 +482,18 @@ class TestConfig:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: jump times tie or underflow")
+
+    @pytest.mark.parametrize("scale, total", [(1e-200, "0.0"), (1e200, "inf")], ids=["underflow", "overflow"])
+    def test_root_rates_out_of_range_exit_with_two(self, tmp_path, scale, total):
+        # every root rate rho_i * Q_ii * w rounds to 0 or to inf: graph
+        # exploration used to print two RuntimeWarnings, then "error:
+        # Probabilities contain NaN"
+        spec = dict(MODEL, model={"m": 1, "weights": [[scale, scale]], "Q": [[scale]]}, rho=[scale])
+        path = tmp_path / "rates.json"
+        path.write_text(json.dumps(spec))
+        proc = _run_cli(["explore", "--mode", "graph", "--config", str(path), "--out", str(tmp_path / "o")], timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: the root rates rho_i * Q_ii * w sum to {total}; rescale the model\n"
 
 
 _any_json = st.recursive(

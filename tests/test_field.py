@@ -565,7 +565,7 @@ def _field_exploration_loop(fld, rho):
         steps.append(
             ExplorationStep(k, kind, vertex, zeta, tuple(c.vertex for c in children), low, high, root_gap)
         )
-    return ExplorationTrace(m, tuple(float(r) for r in rho), tuple(steps), tuple(components))
+    return ExplorationTrace(tuple(float(r) for r in rho), tuple(steps), tuple(components))
 
 
 def _solver_jump_scan(fld, rho, levels, level):

@@ -148,6 +148,16 @@ class TestComponents:
                 total = sum(c.weight_by_type[j] for c in comps)
                 assert total == pytest.approx(sum(model.weights[j]), abs=1e-12)
 
+    def test_components_leave_adjacency_unbuilt(self):
+        # sampling and components read only the edges; the adjacency is
+        # built on the first neighbors call
+        model = BlockModel(((1.0, 1.0), (2.0,)), ((50.0, 50.0), (50.0, 50.0)))
+        graph = sample_graph(model, 1)
+        assert len(connected_components(graph)) == 1
+        assert "adjacency" not in vars(graph)
+        assert graph.neighbors((0, 0)) == [(1, 0), (0, 1)]
+        assert "adjacency" in vars(graph)
+
 
 class TestScaledMassOrdering:
     def test_scaled_mass(self):
@@ -404,7 +414,7 @@ def _graph_exploration_resorting(graph, rho, seed):
             unexplored.discard(u)
             queue.append(u)
         steps.append(ExplorationStep(k, kind, vertex, zeta, tuple(ordered), root_gap=root_gap))
-    return ExplorationTrace(model.m, tuple(float(r) for r in rho), tuple(steps), tuple(components))
+    return ExplorationTrace(tuple(float(r) for r in rho), tuple(steps), tuple(components))
 
 
 def _components_by_vertex_union_find(graph):
